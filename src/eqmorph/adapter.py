@@ -55,7 +55,10 @@ class BuiltinEndpoint:
         pass
 
     def reset(self, script: str):
-        self.db = load_script(script)
+        try:
+            self.db = load_script(script)
+        except SqlSyntaxError as e:
+            raise EngineError("SYNTAX", str(e))
 
     def exec_sql(self, sql: str):
         from .parser import parse
@@ -72,10 +75,8 @@ class BuiltinEndpoint:
 class ExternalEndpoint:
     """A child process speaking the line protocol on stdin/stdout."""
 
-    def __init__(self, command: str, start_timeout: float = 10.0,
-                 exec_timeout: float = 10.0):
+    def __init__(self, command: str, exec_timeout: float = 10.0):
         self.command = command
-        self.start_timeout = start_timeout
         self.exec_timeout = exec_timeout
         self.target_id = f"extern:{command}"
         self._proc = None

@@ -14,17 +14,17 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .adapter import EngineTimeout, ProtocolError, make_endpoint
+from .equivfilter import DEFAULT_BUDGET
 from .harness import (
     COMPARE_MODES, BugReport, GeneratorConfig, IterationResult,
     generate_schema, generate_seed, persist_iteration, replay_report,
     run_iteration,
 )
-from .refdb import UnknownFault
+from .refdb import STABLE_ERROR_CODES, UnknownFault
 from .sqlast import render
 from .transform import RULE_CATALOG
 
@@ -37,16 +37,13 @@ EXIT_BUGS = 10
 class CampaignConfig:
     target: str = "builtin"
     iterations: int = 1
-    queries: int = 2000
+    queries: int = GeneratorConfig.queries_per_iteration
     seed: str = "campaign"
     rules: str = ""  # comma-separated subset of RULE_CATALOG; empty = all
-    filter_budget: int = 32
+    filter_budget: int = DEFAULT_BUDGET
     compare: str = "both"
     out: str = "eqmorph-out"
-    error_list: str = ",".join(
-        ("UNKNOWN_TABLE", "UNKNOWN_COLUMN", "NON_GROUPED_COLUMN",
-         "TYPE_MISMATCH", "DIV_BY_ZERO"))
-    workers: int = 1
+    error_list: str = ",".join(STABLE_ERROR_CODES)
 
     def enabled_rules(self):
         if not self.rules:
@@ -114,7 +111,6 @@ def _add_campaign_flags(ap):
     ap.add_argument("--out", default=None, help="report output directory")
     ap.add_argument("--error-list", dest="error_list", default=None,
                     help="comma-separated engine error codes to discard")
-    ap.add_argument("--workers", type=int, default=None)
 
 
 def _run_one(cfg: CampaignConfig, gen_cfg: GeneratorConfig,
@@ -135,21 +131,17 @@ def cmd_run(args) -> int:
     gen_cfg = GeneratorConfig(queries_per_iteration=cfg.queries,
                               filter_budget=cfg.filter_budget)
     total_reports = 0
-    iterations = list(range(cfg.iterations))
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(
-                lambda it: _run_one(cfg, gen_cfg, it), iterations))
-    else:
-        results = [_run_one(cfg, gen_cfg, it) for it in iterations]
-    for res in results:
+    for iteration in range(cfg.iterations):
+        # persisted as it finishes, so an engine that dies later in the
+        # campaign cannot take earlier reports with it
+        res = _run_one(cfg, gen_cfg, iteration)
         persist_iteration(cfg.out, res)
         total_reports += len(res.reports)
         s = res.stats
         print(f"iteration {s.iteration}: generated={s.generated} "
               f"valid={s.validAfterExecution} pairs={s.pairsEmitted} "
               f"filtered={s.pairsFiltered} mismatches={s.mismatches} "
-              f"elapsed={s.elapsed:.1f}s")
+              f"elapsed={s.elapsed:.1f}s", flush=True)
     print(f"total bug reports: {total_reports} (in {cfg.out})")
     return EXIT_BUGS if total_reports else EXIT_CLEAN
 

@@ -47,11 +47,12 @@ def check_bounded(q1: SqlQuery, q2: SqlQuery, schema: Schema,
     relies on.
     """
     ex = Executor()
+    p1, p2 = _prepared(ex, q1, schema), _prepared(ex, q2, schema)
     used = 0
     for db in databases_for_search(schema, budget, seed):
         used += 1
-        left = _outcome(ex, db, q1)
-        right = _outcome(ex, db, q2)
+        left = _outcome(ex, db, p1)
+        right = _outcome(ex, db, p2)
         if isinstance(left, ExecError) or isinstance(right, ExecError):
             return NotEquivalent(db, left, right, used)
         if left != right:
@@ -59,8 +60,19 @@ def check_bounded(q1: SqlQuery, q2: SqlQuery, schema: Schema,
     return NoCounterexample(used)
 
 
-def _outcome(ex: Executor, db: Database, q: SqlQuery):
+def _prepared(ex: Executor, q: SqlQuery, schema: Schema):
+    """The prepared query, or the ExecError it raises on every probe
+    database (they all share the schema)."""
     try:
-        return ex.execute(db, q).rows
+        return ex.prepare(q, schema)
+    except ExecError as e:
+        return e
+
+
+def _outcome(ex: Executor, db: Database, prepared):
+    if isinstance(prepared, ExecError):
+        return prepared
+    try:
+        return ex.run(db, prepared).rows
     except ExecError as e:
         return e

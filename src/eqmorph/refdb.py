@@ -14,21 +14,23 @@ one side of an equivalent pair but not the other.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from typing import Optional
 
 from .parser import parse, tokenize
 from .sqlast import (
-    AggCall, ColumnRef, Const, InvalidQuery, Schema, SqlQuery, SqlSyntaxError,
-    pred_column_refs, qualify, validate, render_pred,
-    And, Or, Not, Cmp, TruthLit,
+    AggCall, ColumnRef, Const, InvalidQuery, Schema, SqlQuery, qualify,
+    render_pred, And, Or, Not, Cmp, TruthLit, _qualify_pred, _Resolver,
 )
+# unused here; bound because perfbench/spans.py traces refdb.validate by name
+from .sqlast import validate  # noqa: F401
 from .values import (
     CANONICAL_SCALE, TruthValue, format_value, is_numeric, kleene_and,
-    kleene_not, kleene_or, row_sort_key,
+    kleene_not, kleene_or, render_literal, row_sort_key,
 )
 
 UNKNOWN_TABLE = "UNKNOWN_TABLE"
@@ -211,10 +213,30 @@ class Executor:
     # -- entry points -------------------------------------------------------
 
     def execute(self, db: Database, query) -> Relation:
+        """One-shot evaluation of a query (text or AST) on db."""
         q = parse(query) if isinstance(query, str) else query
-        schema = schema_of(db)
-        self._check(q, schema)
-        q = self._qualified(q, schema)
+        return self.run(db, self.prepare(q, schema_of(db)))
+
+    def prepare(self, q: SqlQuery, schema: Schema) -> SqlQuery:
+        """Validate and table-qualify q once, for running on any database
+        of this schema; a semantic error raises ExecError."""
+        try:
+            if self.fault == "having-pre-group" and q.having is not None:
+                # the faulty engine skips the grouped-column check on HAVING
+                qq = qualify(replace(q, having=None), schema)
+                errors: list = []
+                having = _qualify_pred(q.having, _Resolver(q, schema, errors))
+                if errors:
+                    raise InvalidQuery(errors)
+                return replace(qq, having=having)
+            return qualify(q, schema)
+        except InvalidQuery as exc:
+            e = exc.errors[0]
+            raise ExecError(_KIND_TO_CODE[e.kind], e.detail)
+
+    def run(self, db: Database, q: SqlQuery) -> Relation:
+        """Evaluate a query returned by prepare on a database of its
+        schema."""
         rel = self._eval_core(db, q)
         if q.set_op is not None:
             op, rhs = q.set_op
@@ -254,39 +276,6 @@ class Executor:
         return out
 
     # -- internals ----------------------------------------------------------
-
-    def _check(self, q: SqlQuery, schema: Schema):
-        if self.fault == "having-pre-group" and q.having is not None:
-            # the faulty engine skips the grouped-column check on HAVING
-            relaxed = SqlQuery(q.select, q.from_tables, q.distinct, q.where,
-                               q.group_by, None, q.set_op)
-            errors = validate(relaxed, schema)
-            res_errors: list = []
-            from .sqlast import _Resolver  # reuse the reference resolver
-            res = _Resolver(q, schema, res_errors)
-            for ref in pred_column_refs(q.having):
-                res.resolve(ref)
-            errors = list(errors) + [e for e in res_errors
-                                     if e.kind != "NonGroupedColumn"]
-        else:
-            errors = validate(q, schema)
-        if errors:
-            e = errors[0]
-            raise ExecError(_KIND_TO_CODE[e.kind], e.detail)
-
-    def _qualified(self, q: SqlQuery, schema: Schema) -> SqlQuery:
-        from .sqlast import _Resolver, _qualify_pred
-        from dataclasses import replace
-        if self.fault == "having-pre-group" and q.having is not None:
-            relaxed = replace(q, having=None)
-            qq = qualify(relaxed, schema)
-            res = _Resolver(q, schema, [])
-            return replace(qq, having=_qualify_pred(q.having, res))
-        try:
-            return qualify(q, schema)
-        except InvalidQuery as exc:
-            e = exc.errors[0]
-            raise ExecError(_KIND_TO_CODE[e.kind], e.detail)
 
     def _scan(self, db: Database, tables):
         """Cross product: list of (bindings, multiplicity)."""
@@ -521,7 +510,6 @@ def dump_script(db: Database) -> str:
         t = db[name]
         cols = ", ".join(f"{c} {ddl_type[ty]}" for c, ty in t.columns)
         lines.append(f"CREATE TABLE {name} ({cols});")
-    from .values import render_literal
     for name in sorted(db):
         t = db[name]
         tuples = []
@@ -535,7 +523,6 @@ def dump_script(db: Database) -> str:
 
 def load_json_fixture(obj) -> Database:
     """{"tables": [{"name", "columns": [{"name","type"}], "rows": [[..]]}]}"""
-    import json
     if isinstance(obj, str):
         obj = json.loads(obj)
     db: Database = {}

@@ -18,7 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .algebra import Agg, Dedup, Filter, Project, Scan, Union, UnionAll
+from .algebra import (
+    Agg, Dedup, Filter, Project, Scan, Union, UnionAll, remap_to_sql,
+)
+from .dbgen import databases_for_search, double_multiplicities
+from .refdb import ExecError, Executor
 
 
 class Sensitivity(Enum):
@@ -111,24 +115,22 @@ def sensitivity_oracle(e, schema, budget: int = 64, seed="oracle"):
     """Search for a database where doubling every multiplicity changes the
     query result.  Returns WitnessFound or NoWitnessWithinBudget.
     """
-    from .algebra import remap_to_sql
-    from .dbgen import databases_for_search, double_multiplicities
-    from .refdb import ExecError, Executor
-
     if budget <= 0 or not schema.tables:
         raise OracleBudgetError("need a positive budget and a schema")
 
-    q = remap_to_sql(e)[0]
     ex = Executor()
-    used = 0
-    for db in databases_for_search(schema, budget, seed):
-        used += 1
-        doubled = double_multiplicities(db)
+    dbs = databases_for_search(schema, budget, seed)
+    try:
+        q = ex.prepare(remap_to_sql(e)[0], schema)
+    except ExecError:
+        # the query errors on every database, so none can be a witness
+        return NoWitnessWithinBudget(len(dbs))
+    for db in dbs:
         try:
-            base = ex.execute(db, q)
-            bumped = ex.execute(doubled, q)
+            base = ex.run(db, q)
+            bumped = ex.run(double_multiplicities(db), q)
         except ExecError:
             continue
         if base.rows != bumped.rows:
             return WitnessFound(db, "result multiset changed under doubling")
-    return NoWitnessWithinBudget(used)
+    return NoWitnessWithinBudget(len(dbs))

@@ -13,32 +13,26 @@ import argparse
 import json
 import sys
 
-from .parser import parse
-from .refdb import ExecError, Executor, ScriptError, UnknownFault, \
-    load_script
-from .sqlast import SqlSyntaxError
+from .adapter import BuiltinEndpoint, EngineError
+from .refdb import ScriptError, UnknownFault
 
 
-def handle(executor: Executor, state: dict, req: dict) -> dict:
+def handle(endpoint: BuiltinEndpoint, req: dict) -> dict:
     rid = req.get("id")
     op = req.get("op")
     sql = req.get("sql", "")
     try:
         if op == "reset":
-            state["db"] = load_script(sql)
+            endpoint.reset(sql)
             return {"id": rid, "ok": True, "rows": []}
         if op == "exec":
-            q = parse(sql)
-            rel = executor.execute(state.get("db", {}), q)
-            rows = [list(r) for r in executor.rendered_rows(rel, q)]
+            rows = [list(r) for r in endpoint.exec_sql(sql)]
             return {"id": rid, "ok": True, "rows": rows}
         return {"id": rid, "ok": False, "code": "PROTOCOL",
                 "message": f"unknown op {op!r}"}
-    except SqlSyntaxError as e:
-        return {"id": rid, "ok": False, "code": "SYNTAX", "message": str(e)}
     except ScriptError as e:
         return {"id": rid, "ok": False, "code": "SCRIPT", "message": str(e)}
-    except ExecError as e:
+    except EngineError as e:
         return {"id": rid, "ok": False, "code": e.code, "message": e.message}
 
 
@@ -48,11 +42,10 @@ def main(argv=None) -> int:
                     help="enable a named engine fault")
     args = ap.parse_args(argv)
     try:
-        executor = Executor(args.fault)
+        endpoint = BuiltinEndpoint(args.fault)
     except UnknownFault as e:
         print(str(e), file=sys.stderr)
         return 1
-    state: dict = {}
     for line in sys.stdin:
         line = line.strip()
         if not line:
@@ -63,7 +56,7 @@ def main(argv=None) -> int:
             resp = {"id": None, "ok": False, "code": "PROTOCOL",
                     "message": f"bad request line: {e}"}
         else:
-            resp = handle(executor, state, req)
+            resp = handle(endpoint, req)
         sys.stdout.write(json.dumps(resp) + "\n")
         sys.stdout.flush()
     return 0

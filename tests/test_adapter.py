@@ -6,6 +6,7 @@ from eqmorph.adapter import (
     BuiltinEndpoint, EngineError, ExternalEndpoint, ProtocolError,
     make_endpoint,
 )
+from eqmorph.shim import handle
 
 SHIM = f"{sys.executable} -m eqmorph.shim"
 
@@ -45,6 +46,21 @@ class TestBuiltin:
     def test_exec_before_reset_fails(self):
         with pytest.raises(EngineError):
             BuiltinEndpoint().exec_sql("SELECT a FROM t0")
+
+
+@pytest.mark.parametrize("op,sql,code", [
+    ("reset", "CREATE TABLE t (a INT); INSERT INTO t VALUES (1 @ 2);",
+     "SYNTAX"),
+    ("reset", "DROP TABLE t0", "SCRIPT"),
+    ("exec", "SELECT @", "SYNTAX"),
+    ("exec", "SELECT zz FROM t0", "UNKNOWN_COLUMN"),
+    ("drop", "", "PROTOCOL"),
+])
+def test_shim_error_codes(op, sql, code):
+    ep = BuiltinEndpoint()
+    assert handle(ep, {"id": 0, "op": "reset", "sql": SCRIPT})["ok"]
+    resp = handle(ep, {"id": 1, "op": op, "sql": sql})
+    assert (resp["id"], resp["ok"], resp["code"]) == (1, False, code)
 
 
 class TestExternal:

@@ -1,4 +1,6 @@
 import json
+import shlex
+import sys
 
 import pytest
 
@@ -42,16 +44,39 @@ class TestRun:
                      "--queries", "5", "--out", str(tmp_path))
         assert rc == EXIT_OPERATIONAL
 
-    def test_parallel_workers_match_serial(self, tmp_path, capsys):
-        a, b = tmp_path / "serial", tmp_path / "par"
-        for out, workers in ((a, "1"), (b, "2")):
-            rc = run_cli("run", "--target", "builtin:null-where-true",
-                         "--iterations", "2", "--queries", "150",
-                         "--seed", "cli-par", "--workers", workers,
-                         "--out", str(out))
-            assert rc == EXIT_BUGS
-        names = lambda d: sorted(p.name for p in d.glob("report-*.json"))
-        assert names(a) == names(b)
+    def test_iterations_persist_before_engine_dies(self, tmp_path, capsys):
+        # a fake engine that serves two iterations and dies on its third
+        # start; what the first two found must already be on disk
+        engine = tmp_path / "engine.py"
+        engine.write_text(
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from eqmorph.shim import main\n"
+            f"starts = Path({str(tmp_path / 'starts')!r})\n"
+            "n = int(starts.read_text()) + 1 if starts.exists() else 1\n"
+            "starts.write_text(str(n))\n"
+            "if n == 3:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(main(['--fault', 'drop-distinct']))\n")
+        out = tmp_path / "out"
+        rc = run_cli("run", "--target",
+                     f"extern:{shlex.quote(sys.executable)} "
+                     f"{shlex.quote(str(engine))}",
+                     "--iterations", "3", "--queries", "150",
+                     "--seed", "cli-crash", "--out", str(out))
+        assert rc == EXIT_OPERATIONAL
+        assert (tmp_path / "starts").read_text() == "3"
+        iterations = {p.name.split("-")[3]
+                      for p in out.glob("report-*.json")}
+        assert iterations == {"0", "1"}
+        stats = (out / "stats.jsonl").read_text().splitlines()
+        assert [json.loads(l)["iteration"] for l in stats] == [0, 1]
+
+    def test_workers_key_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "campaign.conf"
+        cfg.write_text("workers = 2\n")
+        assert run_cli("run", "--config", str(cfg), "--queries", "5",
+                       "--out", str(tmp_path)) == EXIT_OPERATIONAL
 
 
 class TestReplay:

@@ -196,6 +196,24 @@ class TestFaults:
         sql = "SELECT a, SUM(b) FROM t0 GROUP BY a"
         assert rows(clean, db, sql) == rows(bad, db, sql)
 
+    def test_having_pre_group_skips_grouped_column_check(self, db):
+        clean, bad = Executor(), Executor("having-pre-group")
+        sql = "SELECT a, SUM(b) FROM t0 GROUP BY a HAVING b > 0"
+        assert rows(bad, db, sql) == {
+            (1, Decimal("0.0010")): 1, (2, None): 1,
+            (None, Decimal("1.5")): 1}
+        with pytest.raises(ExecError) as exc:
+            clean.execute(db, sql)
+        assert exc.value.code == "NON_GROUPED_COLUMN"
+
+    @pytest.mark.parametrize("fault", [None, "having-pre-group"])
+    def test_having_unknown_column_fails_with_or_without_fault(self, db,
+                                                                fault):
+        with pytest.raises(ExecError) as exc:
+            Executor(fault).execute(
+                db, "SELECT a, SUM(b) FROM t0 GROUP BY a HAVING zz > 0")
+        assert exc.value.code == "UNKNOWN_COLUMN"
+
     def test_union_all_as_union(self, db):
         clean, bad = Executor(), Executor("union-all-as-union")
         sql = "SELECT a FROM t0 WHERE a > 0 UNION ALL SELECT a FROM t0"

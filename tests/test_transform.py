@@ -4,13 +4,14 @@ import pytest
 
 from eqmorph.algebra import commute_normal, equivalent_mod_commute, lower
 from eqmorph.dbgen import databases_for_search
+from eqmorph.harness import GeneratorConfig, generate_schema, generate_seed
 from eqmorph.parser import parse
 from eqmorph.refdb import Executor
 from eqmorph.sensitivity import classify
 from eqmorph.sqlast import Schema, qualify, render
 from eqmorph.transform import (
-    IR_RULES, RULE_CATALOG, NoRuleApplies, TransformContext, enumerate_mutants,
-    ir_rewrite, ir_sites, transform_query,
+    IR_RULES, RULE_CATALOG, SEED_VS_MUTANT, NoRuleApplies, TransformContext,
+    _RULE_FNS, enumerate_mutants, ir_rewrite, ir_sites, transform_query,
 )
 
 SCHEMA = Schema.of({
@@ -84,6 +85,26 @@ class TestCatalog:
             if pair.pairing == "seed-vs-mutant":
                 assert classify(lower(qualify(pair.left, SCHEMA))) is \
                     classify(lower(qualify(pair.right, SCHEMA)))
+        # every rule, called directly on generated seeds: each
+        # seed-vs-mutant pair it builds keeps the seed's class
+        checked = set()
+        gen_cfg = GeneratorConfig()
+        for s in range(4):
+            rng = random.Random(f"class-{s}")
+            schema = generate_schema(rng, gen_cfg)
+            for _ in range(100):
+                q = qualify(generate_seed(rng, schema, gen_cfg), schema)
+                e = lower(q)
+                for name, rule in _RULE_FNS.items():
+                    pair = rule(q, e, ctx(), schema)
+                    if pair is None or pair.pairing != SEED_VS_MUTANT:
+                        continue
+                    checked.add(name)
+                    assert classify(lower(qualify(pair.left, schema))) is \
+                        classify(lower(qualify(pair.right, schema))), \
+                        (name, render(pair.left), render(pair.right))
+        assert checked == {"dedup-filter-commute", "union-commute",
+                                "selection-commute", "projection-pull-up"}
 
     def test_pairs_are_equivalent_mod_commute(self):
         # union-commute pairs are excluded: swapping set-operation
