@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .adapter import EngineTimeout, ProtocolError, make_endpoint

@@ -11,7 +11,6 @@ the pair out as not-equivalent, keeping false alarms out of bug reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .dbgen import databases_for_search
 from .refdb import Database, ExecError, Executor

@@ -17,20 +17,18 @@ import json
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from decimal import Decimal
 from pathlib import Path
-from typing import Optional
 
 from . import dbgen
-from .equivfilter import DEFAULT_BUDGET, NoCounterexample, NotEquivalent, \
-    check_bounded
+from .adapter import EngineError
+from .equivfilter import DEFAULT_BUDGET, NotEquivalent, check_bounded
 from .parser import parse
-from .refdb import STABLE_ERROR_CODES, dump_script, load_script, schema_of
+from .refdb import STABLE_ERROR_CODES, dump_script
 from .sqlast import (
     AggCall, And, Cmp, ColumnRef, Const, Not, Or, Schema, SqlQuery, SqlSyntaxError,
-    TruthLit, render, validate,
+    TruthLit, render,
 )
 from .transform import NoRuleApplies, TransformContext, transform_query
 from .values import TruthValue, parse_rendered, row_sort_key
@@ -387,8 +385,6 @@ def run_iteration(endpoint, cfg: GeneratorConfig, campaign_seed: str,
     The endpoint contract: reset(script) loads a fresh database;
     exec_sql(sql) returns rendered rows or raises EngineError with a code.
     """
-    from .adapter import EngineError
-
     t0 = time.monotonic()
     rng = random.Random(f"{campaign_seed}:{iteration}")
     schema = generate_schema(rng, cfg)
@@ -432,8 +428,8 @@ def run_iteration(endpoint, cfg: GeneratorConfig, campaign_seed: str,
         stats.pairsEmitted += 1
 
         left_sql, right_sql = render(pair.left), render(pair.right)
-        left = _target_outcome(endpoint, left_sql, EngineError)
-        right = _target_outcome(endpoint, right_sql, EngineError)
+        left = _target_outcome(endpoint, left_sql)
+        right = _target_outcome(endpoint, right_sql)
 
         mismatch = _judge(left, right, compare_mode, error_list)
         if mismatch is None:
@@ -457,10 +453,10 @@ def run_iteration(endpoint, cfg: GeneratorConfig, campaign_seed: str,
     return IterationResult(stats, reports)
 
 
-def _target_outcome(endpoint, sql, engine_error_cls):
+def _target_outcome(endpoint, sql):
     try:
         return ("rows", endpoint.exec_sql(sql))
-    except engine_error_cls as e:
+    except EngineError as e:
         return ("error", e)
 
 
@@ -514,11 +510,9 @@ def replay_report(report: BugReport, endpoint,
                   error_list=DEFAULT_ERROR_LIST) -> ReplayResult:
     """Re-run a persisted report's pair on its database; reproduced means
     the divergence is still observable."""
-    from .adapter import EngineError
-
     endpoint.reset(report.schemaDdl + report.inserts)
-    left = _target_outcome(endpoint, report.leftSql, EngineError)
-    right = _target_outcome(endpoint, report.rightSql, EngineError)
+    left = _target_outcome(endpoint, report.leftSql)
+    right = _target_outcome(endpoint, report.rightSql)
     mode = report.compareMode if report.compareMode != "n/a" else "both"
     mismatch = _judge(left, right,
                       mode if mode in COMPARE_MODES else "both", error_list)

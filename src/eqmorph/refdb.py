@@ -87,9 +87,6 @@ class Relation:
     columns: tuple  # output column labels
     rows: dict  # row tuple -> multiplicity
 
-    def total_rows(self) -> int:
-        return sum(self.rows.values())
-
 
 # ---------------------------------------------------------------------------
 # faults
@@ -100,8 +97,9 @@ FAULTS = {
     "union-all-as-union":
         "UNION ALL deduplicates when its left operand has a WHERE clause",
     "having-pre-group":
-        "HAVING filters the rows feeding each group's aggregates instead of "
-        "filtering finished groups; every group survives",
+        "HAVING filters the rows feeding each group instead of filtering "
+        "finished groups, on every grouped query with or without "
+        "aggregates; every group survives",
     "null-where-true":
         "WHERE keeps rows whose predicate is unknown; HAVING is unaffected",
     "sum-skips-duplicates":
@@ -165,13 +163,12 @@ def _quantized(fr: Fraction) -> Decimal:
     return (num / den).quantize(scale, rounding=ROUND_HALF_EVEN)
 
 
-def eval_agg(call: AggCall, group_rows, bindings_of, multiplicity_of):
-    """group_rows is an iterable of opaque row handles."""
+def eval_agg(call: AggCall, members):
+    """members is a list of (bindings, multiplicity) pairs."""
     if call.fn == "COUNT" and call.arg is None:
-        return sum(multiplicity_of(r) for r in group_rows)
+        return sum(m for _, m in members)
     key = (call.arg.table, call.arg.name)
-    present = [(bindings_of(r)[key], multiplicity_of(r))
-               for r in group_rows if bindings_of(r)[key] is not None]
+    present = [(b[key], m) for b, m in members if b[key] is not None]
     if call.fn == "COUNT":
         return sum(m for _, m in present)
     if not present:
@@ -259,8 +256,6 @@ class Executor:
         present, decimal cells pass through a binary float before
         formatting.
         """
-        if isinstance(q, str):
-            q = parse(q)
         broken = self.fault == "float-format-split" and q.having is not None
 
         def fmt(v):
@@ -278,17 +273,17 @@ class Executor:
     # -- internals ----------------------------------------------------------
 
     def _scan(self, db: Database, tables):
-        """Cross product: list of (bindings, multiplicity)."""
+        """Cross product in stored row order: list of (bindings,
+        multiplicity).  No result depends on that order."""
         rows = [({}, 1)]
         for t in tables:
             table = db[t]
+            keys = [(t, col) for col, _ in table.columns]
             new = []
             for bind, mult in rows:
-                for row, m in sorted(table.rows.items(),
-                                     key=lambda kv: row_sort_key(kv[0])):
+                for row, m in table.rows.items():
                     b = dict(bind)
-                    for (col, _), v in zip(table.columns, row):
-                        b[(t, col)] = v
+                    b.update(zip(keys, row))
                     new.append((b, mult * m))
             rows = new
         return rows
@@ -306,26 +301,12 @@ class Executor:
 
         columns = tuple(str(it) for it in q.select)
 
-        if q.has_aggregates():
+        if q.is_grouped():
             rel = self._eval_grouped(q, rows, columns)
         else:
             out = Counter()
             for b, m in rows:
                 out[tuple(b[(c.table, c.name)] for c in q.select)] += m
-            if q.group_by is not None:
-                groups = {}
-                for b, m in rows:
-                    key = tuple(b[(c.table, c.name)] for c in q.group_by)
-                    groups.setdefault(key, []).append((b, m))
-                out = Counter()
-                for key, members in groups.items():
-                    kb = {(c.table, c.name): v
-                          for c, v in zip(q.group_by, key)}
-                    if q.having is not None and \
-                            eval_pred(q.having, kb) is not TruthValue.TRUE:
-                        continue
-                    b0 = members[0][0]
-                    out[tuple(b0[(c.table, c.name)] for c in q.select)] += 1
             rel = Relation(columns, dict(out))
 
         if q.distinct and self.fault != "drop-distinct":
@@ -340,7 +321,7 @@ class Executor:
                 key = tuple(b[(c.table, c.name)] for c in keys)
                 groups.setdefault(key, []).append((b, m))
         else:
-            groups = {(): [(b, m) for b, m in rows]}
+            groups = {(): rows}
 
         pre_group_having = (self.fault == "having-pre-group"
                             and q.having is not None)
@@ -375,9 +356,7 @@ class Executor:
                     seen.add(sig)
                     deduped.append((b, 1))
             members = deduped
-        return eval_agg(call, members,
-                        bindings_of=lambda r: r[0],
-                        multiplicity_of=lambda r: r[1])
+        return eval_agg(call, members)
 
 
 # ---------------------------------------------------------------------------

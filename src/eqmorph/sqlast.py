@@ -7,8 +7,7 @@ functions: COUNT, SUM, MIN, MAX, AVG.  No joins, subqueries, ORDER BY.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from decimal import Decimal
+from dataclasses import dataclass, replace
 from typing import Optional, Union as TUnion
 
 from .values import TruthValue, is_numeric, render_literal

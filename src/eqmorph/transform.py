@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .algebra import (
-    Agg, Dedup, Filter, Project, Scan, Union, UnionAll, commute_normal,
-    join_conjuncts, lower, pred_refs, remap_to_sql, split_conjuncts, _refset,
+    Agg, Dedup, Filter, Project, Union, UnionAll, join_conjuncts, lower,
+    pred_refs, remap_to_sql, split_conjuncts, _refset,
 )
 from .dbgen import RANDOM_POOLS
 from .sensitivity import Sensitivity, classify

@@ -1,9 +1,12 @@
+import random
 import sqlite3
 from collections import Counter
 from decimal import Decimal
 
 import pytest
 
+from eqmorph.dbgen import random_database
+from eqmorph.harness import GeneratorConfig, generate_schema, generate_seed
 from eqmorph.parser import parse
 from eqmorph.refdb import (
     FAULTS, ExecError, Executor, ScriptError, TableData, UnknownFault,
@@ -195,16 +198,24 @@ class TestFaults:
         # without HAVING the engine behaves
         sql = "SELECT a, SUM(b) FROM t0 GROUP BY a"
         assert rows(clean, db, sql) == rows(bad, db, sql)
+        # grouped queries without aggregates keep their ghost groups too
+        sql = "SELECT a FROM t0 GROUP BY a HAVING a > 1"
+        assert rows(bad, db, sql) == {(1,): 1, (2,): 1, (None,): 1}
+        assert rows(clean, db, sql) == {(2,): 1}
 
     def test_having_pre_group_skips_grouped_column_check(self, db):
         clean, bad = Executor(), Executor("having-pre-group")
-        sql = "SELECT a, SUM(b) FROM t0 GROUP BY a HAVING b > 0"
-        assert rows(bad, db, sql) == {
-            (1, Decimal("0.0010")): 1, (2, None): 1,
-            (None, Decimal("1.5")): 1}
-        with pytest.raises(ExecError) as exc:
-            clean.execute(db, sql)
-        assert exc.value.code == "NON_GROUPED_COLUMN"
+        for sql, expected in [
+            ("SELECT a, SUM(b) FROM t0 GROUP BY a HAVING b > 0",
+             {(1, Decimal("0.0010")): 1, (2, None): 1,
+              (None, Decimal("1.5")): 1}),
+            ("SELECT a FROM t0 GROUP BY a HAVING b > 0",
+             {(1,): 1, (2,): 1, (None,): 1}),
+        ]:
+            assert rows(bad, db, sql) == expected, sql
+            with pytest.raises(ExecError) as exc:
+                clean.execute(db, sql)
+            assert exc.value.code == "NON_GROUPED_COLUMN", sql
 
     @pytest.mark.parametrize("fault", [None, "having-pre-group"])
     def test_having_unknown_column_fails_with_or_without_fault(self, db,
@@ -247,6 +258,38 @@ class TestFaults:
         q2 = parse("SELECT SUM(b) FROM t0")
         assert bad.rendered_rows(bad.execute(db, q2), q2) == \
             clean.rendered_rows(clean.execute(db, q2), q2)
+
+
+def _outcome(ex, db, q):
+    try:
+        rel = ex.run(db, q)
+    except ExecError as e:
+        return ("error", e.code)
+    return ("rows", rel.rows, ex.rendered_rows(rel, q))
+
+
+def test_scan_order_does_not_reach_results():
+    """Tables are scanned in stored order, so a database whose tables hold
+    the same rows in reverse order must give equal results, on the clean
+    engine and under every fault."""
+    cfg = GeneratorConfig()
+    executors = [Executor()] + [Executor(f) for f in sorted(FAULTS)]
+    reordered = 0
+    for n in range(300):
+        rng = random.Random(f"scan-order:{n}")
+        schema = generate_schema(rng, cfg)
+        db = random_database(schema, rng)
+        rev = {name: TableData(t.columns,
+                               Counter(dict(reversed(t.rows.items()))))
+               for name, t in db.items()}
+        reordered += any(list(rev[name].rows) != list(t.rows)
+                         for name, t in db.items())
+        q = generate_seed(rng, schema, cfg)
+        for ex in executors:
+            prepared = ex.prepare(q, schema)
+            assert _outcome(ex, db, prepared) == \
+                _outcome(ex, rev, prepared), (ex.fault, n)
+    assert reordered > 250
 
 
 class TestLoaders:
