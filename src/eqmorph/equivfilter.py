@@ -11,6 +11,7 @@ the pair out as not-equivalent, keeping false alarms out of bug reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .dbgen import databases_for_search
 from .refdb import Database, ExecError, Executor
@@ -43,12 +44,14 @@ def check_bounded(q1: SqlQuery, q2: SqlQuery, schema: Schema,
     Execution errors count as distinguishing outcomes: equivalence here
     means both queries succeed with the same result multiset on every
     probed database, which is the property the downstream comparison
-    relies on.
+    relies on.  Calls that repeat (schema, budget, seed) probe the same
+    databases, built once; a NotEquivalent witness is one of them and is
+    shared, so treat it as read-only.
     """
     ex = Executor()
     p1, p2 = _prepared(ex, q1, schema), _prepared(ex, q2, schema)
     used = 0
-    for db in databases_for_search(schema, budget, seed):
+    for db in _corpus(schema, budget, seed):
         used += 1
         left = _outcome(ex, db, p1)
         right = _outcome(ex, db, p2)
@@ -57,6 +60,14 @@ def check_bounded(q1: SqlQuery, q2: SqlQuery, schema: Schema,
         if left != right:
             return NotEquivalent(db, left, right, used)
     return NoCounterexample(used)
+
+
+@lru_cache(maxsize=1)
+def _corpus(schema: Schema, budget: int, seed) -> tuple:
+    """The probe databases, kept for the last (schema, budget, seed) only:
+    a campaign iteration probes all its pairs with one seed, so memory
+    stays at one corpus."""
+    return tuple(databases_for_search(schema, budget, seed))
 
 
 def _prepared(ex: Executor, q: SqlQuery, schema: Schema):

@@ -419,9 +419,10 @@ def run_iteration(endpoint, cfg: GeneratorConfig, campaign_seed: str,
         except NoRuleApplies:
             continue
 
+        # one probe corpus for every pair of the iteration
         verdict = check_bounded(pair.left, pair.right, schema,
                                 budget=cfg.filter_budget,
-                                seed=f"{campaign_seed}:{iteration}:{i}")
+                                seed=f"{campaign_seed}:{iteration}")
         if isinstance(verdict, NotEquivalent):
             stats.pairsFiltered += 1
             continue

@@ -7,6 +7,13 @@ single group under GROUP BY.  COUNT(*) counts every row, the other
 aggregates skip NULLs; SUM/AVG over no non-null input yield NULL while
 COUNT yields 0.
 
+Executor.prepare validates and table-qualifies a query once, then compiles
+it for its schema into a Plan: column references become positions in a
+row tuple (a cross-product row is its tables' stored rows concatenated),
+and WHERE and HAVING become functions of that tuple.  Executor.run
+evaluates a plan over the stored row tuples of any database of that
+schema.
+
 Faults are deliberate, named deviations used to exercise the detection
 pipeline.  Each is shape-triggered so that a broken behavior shows up on
 one side of an equivalent pair but not the other.
@@ -15,15 +22,16 @@ one side of an equivalent pair but not the other.
 from __future__ import annotations
 
 import json
+import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .parser import parse, tokenize
 from .sqlast import (
-    AggCall, ColumnRef, Const, InvalidQuery, Schema, SqlQuery, qualify,
+    ColumnRef, Const, InvalidQuery, Schema, SqlQuery, qualify,
     render_pred, And, Or, Not, Cmp, TruthLit, _qualify_pred, _Resolver,
 )
 # unused here; bound because perfbench/spans.py traces refdb.validate by name
@@ -118,38 +126,82 @@ def check_fault(fault: Optional[str]) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# predicate evaluation
+# compiled predicates
+#
+# A row is a tuple: a cross-product row is its tables' stored rows
+# concatenated, so a column reference compiles to a position in it.
+
+_TRUE, _FALSE, _UNKNOWN = TruthValue.TRUE, TruthValue.FALSE, TruthValue.UNKNOWN
+
+_CMP_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def _term_value(t, bind):
-    if isinstance(t, Const):
-        return t.value
-    return bind[(t.table, t.name)]
-
-
-def eval_pred(p, bind) -> TruthValue:
+def _compile_pred(p, positions: dict) -> Callable:
+    """p as a function from a row to a TruthValue; positions maps
+    (table, column) to a position in the row.  AND and OR evaluate both
+    operands, so a comparison that raises does so whatever its sibling
+    yields."""
     if isinstance(p, TruthLit):
-        return p.value
+        value = p.value
+        return lambda row: value
     if isinstance(p, Not):
-        return kleene_not(eval_pred(p.child, bind))
-    if isinstance(p, And):
-        return kleene_and(eval_pred(p.left, bind), eval_pred(p.right, bind))
-    if isinstance(p, Or):
-        return kleene_or(eval_pred(p.left, bind), eval_pred(p.right, bind))
+        child = _compile_pred(p.child, positions)
+        return lambda row: kleene_not(child(row))
+    if isinstance(p, (And, Or)):
+        left = _compile_pred(p.left, positions)
+        right = _compile_pred(p.right, positions)
+        combine = kleene_and if isinstance(p, And) else kleene_or
+        return lambda row: combine(left(row), right(row))
     if isinstance(p, Cmp):
-        lv = _term_value(p.left, bind)
-        rv = _term_value(p.right, bind)
-        if lv is None or rv is None:
-            return TruthValue.UNKNOWN
-        if is_numeric(lv) != is_numeric(rv):
-            raise ExecError(TYPE_MISMATCH, render_pred(p))
-        op = p.op
-        res = {
-            "=": lv == rv, "!=": lv != rv, "<": lv < rv,
-            "<=": lv <= rv, ">": lv > rv, ">=": lv >= rv,
-        }[op]
-        return TruthValue.TRUE if res else TruthValue.FALSE
+        return _compile_cmp(p, positions)
     raise TypeError(f"not a predicate: {p!r}")
+
+
+def _compile_cmp(p: Cmp, positions: dict) -> Callable:
+    op = _CMP_OPS[p.op]
+    message = render_pred(p)
+    if isinstance(p.left, ColumnRef) and isinstance(p.right, Const):
+        # the common shape, column against a constant, without term calls
+        i, const = positions[(p.left.table, p.left.name)], p.right.value
+        if const is None:
+            return lambda row: _UNKNOWN
+        const_numeric = is_numeric(const)
+
+        def column_vs_const(row):
+            v = row[i]
+            if v is None:
+                return _UNKNOWN
+            if is_numeric(v) != const_numeric:
+                raise ExecError(TYPE_MISMATCH, message)
+            return _TRUE if op(v, const) else _FALSE
+        return column_vs_const
+
+    left, right = _term(p.left, positions), _term(p.right, positions)
+
+    def compare(row):
+        lv, rv = left(row), right(row)
+        if lv is None or rv is None:
+            return _UNKNOWN
+        if is_numeric(lv) != is_numeric(rv):
+            raise ExecError(TYPE_MISMATCH, message)
+        return _TRUE if op(lv, rv) else _FALSE
+    return compare
+
+
+def _term(t, positions: dict) -> Callable:
+    if isinstance(t, Const):
+        value = t.value
+        return lambda row: value
+    return operator.itemgetter(positions[(t.table, t.name)])
+
+
+def _picker(positions) -> Callable:
+    """row -> tuple of its cells at positions."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda row: (row[i],)
+    return operator.itemgetter(*positions)
 
 
 # ---------------------------------------------------------------------------
@@ -163,38 +215,67 @@ def _quantized(fr: Fraction) -> Decimal:
     return (num / den).quantize(scale, rounding=ROUND_HALF_EVEN)
 
 
-def eval_agg(call: AggCall, members):
-    """members is a list of (bindings, multiplicity) pairs."""
-    if call.fn == "COUNT" and call.arg is None:
+def eval_agg(fn: str, pos: Optional[int], members):
+    """Aggregate fn over position pos of members, a list of (row,
+    multiplicity) pairs; pos None is COUNT(*)."""
+    if pos is None:
         return sum(m for _, m in members)
-    key = (call.arg.table, call.arg.name)
-    present = [(b[key], m) for b, m in members if b[key] is not None]
-    if call.fn == "COUNT":
+    present = [(r[pos], m) for r, m in members if r[pos] is not None]
+    if fn == "COUNT":
         return sum(m for _, m in present)
     if not present:
         return None
-    if call.fn == "MIN":
+    if fn == "MIN":
         return min(v for v, _ in present)
-    if call.fn == "MAX":
+    if fn == "MAX":
         return max(v for v, _ in present)
-    if call.fn == "SUM":
+    if fn == "SUM":
         total = None
         for v, m in present:
             contrib = v * m
             total = contrib if total is None else total + contrib
         return total
-    if call.fn == "AVG":
+    if fn == "AVG":
         total = Fraction(0)
         count = 0
         for v, m in present:
             total += Fraction(v) * m
             count += m
         return _quantized(total / count)
-    raise TypeError(f"unknown aggregate {call.fn!r}")
+    raise TypeError(f"unknown aggregate {fn!r}")
+
+
+def _distinct_rows(members):
+    """members with each distinct formatted row once, in first-seen
+    order (the sum-skips-duplicates fault)."""
+    seen = set()
+    out = []
+    for r, _ in members:
+        sig = tuple(map(format_value, r))
+        if sig not in seen:
+            seen.add(sig)
+            out.append((r, 1))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # executor
+
+
+class Plan(NamedTuple):
+    """A query compiled by Executor.prepare for one schema.  Every field
+    holding a function takes a row tuple.  (A NamedTuple because building
+    a frozen dataclass of these fields at import takes longer than running
+    the rest of this module's body.)"""
+    columns: tuple  # output column labels
+    tables: tuple  # scanned in this order
+    where: Optional[Callable]  # row -> TruthValue
+    project: Optional[Callable]  # ungrouped: row -> output row
+    key: Optional[Callable]  # grouped with GROUP BY: row -> group key
+    items: tuple  # grouped: (aggregate fn | None, position, dedup) each
+    having: Optional[Callable]  # row -> TruthValue
+    distinct: bool
+    set_op: Optional[tuple]  # (UNION | UNION ALL, Plan)
 
 
 class Executor:
@@ -214,9 +295,9 @@ class Executor:
         q = parse(query) if isinstance(query, str) else query
         return self.run(db, self.prepare(q, schema_of(db)))
 
-    def prepare(self, q: SqlQuery, schema: Schema) -> SqlQuery:
-        """Validate and table-qualify q once, for running on any database
-        of this schema; a semantic error raises ExecError."""
+    def prepare(self, q: SqlQuery, schema: Schema) -> Plan:
+        """Validate, table-qualify and compile q once, for running on any
+        database of this schema; a semantic error raises ExecError."""
         try:
             if self.fault == "having-pre-group" and q.having is not None:
                 # the faulty engine skips the grouped-column check on HAVING
@@ -225,32 +306,32 @@ class Executor:
                 having = _qualify_pred(q.having, _Resolver(q, schema, errors))
                 if errors:
                     raise InvalidQuery(errors)
-                return replace(qq, having=having)
-            return qualify(q, schema)
+                qq = replace(qq, having=having)
+            else:
+                qq = qualify(q, schema)
         except InvalidQuery as exc:
             e = exc.errors[0]
             raise ExecError(_KIND_TO_CODE[e.kind], e.detail)
+        return self._compile(qq, schema)
 
-    def run(self, db: Database, q: SqlQuery) -> Relation:
-        """Evaluate a query returned by prepare on a database of its
+    def run(self, db: Database, plan: Plan) -> Relation:
+        """Evaluate a plan returned by prepare on a database of its
         schema."""
-        rel = self._eval_core(db, q)
-        if q.set_op is not None:
-            op, rhs = q.set_op
-            right = self._eval_core(db, rhs)
-            if len(rel.columns) != len(right.columns):
-                raise ExecError(TYPE_MISMATCH, "set operand arity mismatch")
-            merged = Counter(rel.rows)
-            merged.update(right.rows)
-            if op == "UNION":
-                merged = Counter({r: 1 for r in merged})
-            elif self.fault == "union-all-as-union" and q.where is not None:
-                merged = Counter({r: 1 for r in merged})
-            rel = Relation(rel.columns, dict(merged))
-        return rel
+        rows = self._run_core(db, plan)
+        if plan.set_op is not None:
+            op, rhs = plan.set_op
+            merged = Counter(rows)
+            merged.update(self._run_core(db, rhs))
+            if op == "UNION" or (self.fault == "union-all-as-union"
+                                 and plan.where is not None):
+                rows = {r: 1 for r in merged}
+            else:
+                rows = dict(merged)
+        return Relation(plan.columns, rows)
 
     def rendered_rows(self, rel: Relation, q) -> list:
-        """Row tuples as engine-formatted strings, expanded and sorted.
+        """Row tuples as engine-formatted strings, expanded and sorted; q
+        is the query or its plan.
 
         The float-format-split fault lives here: with a HAVING clause
         present, decimal cells pass through a binary float before
@@ -272,91 +353,108 @@ class Executor:
 
     # -- internals ----------------------------------------------------------
 
-    def _scan(self, db: Database, tables):
-        """Cross product in stored row order: list of (bindings,
-        multiplicity).  No result depends on that order."""
-        rows = [({}, 1)]
-        for t in tables:
-            table = db[t]
-            keys = [(t, col) for col, _ in table.columns]
-            new = []
-            for bind, mult in rows:
-                for row, m in table.rows.items():
-                    b = dict(bind)
-                    b.update(zip(keys, row))
-                    new.append((b, mult * m))
-            rows = new
-        return rows
+    def _compile(self, q: SqlQuery, schema: Schema) -> Plan:
+        positions = {}
+        width = 0
+        for t in q.from_tables:
+            cols = schema.columns(t)
+            for i, (col, _) in enumerate(cols):
+                positions[(t, col)] = width + i
+            width += len(cols)
 
-    def _where_pass(self, tv: TruthValue) -> bool:
-        if self.fault == "null-where-true":
-            return tv is not TruthValue.FALSE
-        return tv is TruthValue.TRUE
+        def pos(ref):
+            return positions[(ref.table, ref.name)]
 
-    def _eval_core(self, db: Database, q: SqlQuery) -> Relation:
-        rows = self._scan(db, q.from_tables)
-        if q.where is not None:
-            rows = [(b, m) for b, m in rows
-                    if self._where_pass(eval_pred(q.where, b))]
-
-        columns = tuple(str(it) for it in q.select)
-
+        project = key = None
+        items = ()
         if q.is_grouped():
-            rel = self._eval_grouped(q, rows, columns)
+            if q.group_by:
+                key = _picker([pos(c) for c in q.group_by])
+            dedup = (self.fault == "sum-skips-duplicates"
+                     and q.where is not None)
+            items = tuple(
+                (None, pos(it), False) if isinstance(it, ColumnRef)
+                else (it.fn, pos(it.arg) if it.arg is not None else None,
+                      dedup and it.fn == "SUM")
+                for it in q.select)
         else:
-            out = Counter()
-            for b, m in rows:
-                out[tuple(b[(c.table, c.name)] for c in q.select)] += m
-            rel = Relation(columns, dict(out))
+            project = _picker([pos(c) for c in q.select])
 
-        if q.distinct and self.fault != "drop-distinct":
-            rel = Relation(rel.columns, {r: 1 for r in rel.rows})
-        return rel
+        set_op = None
+        if q.set_op is not None:
+            op, rhs = q.set_op
+            if len(q.select) != len(rhs.select):
+                raise ExecError(TYPE_MISMATCH, "set operand arity mismatch")
+            set_op = (op, self._compile(rhs, schema))
 
-    def _eval_grouped(self, q: SqlQuery, rows, columns) -> Relation:
-        keys = q.group_by or ()
-        if keys:
-            groups = {}
-            for b, m in rows:
-                key = tuple(b[(c.table, c.name)] for c in keys)
-                groups.setdefault(key, []).append((b, m))
+        return Plan(
+            columns=tuple(str(it) for it in q.select),
+            tables=q.from_tables,
+            where=(_compile_pred(q.where, positions)
+                   if q.where is not None else None),
+            project=project, key=key, items=items,
+            having=(_compile_pred(q.having, positions)
+                    if q.having is not None else None),
+            distinct=q.distinct and self.fault != "drop-distinct",
+            set_op=set_op)
+
+    def _run_core(self, db: Database, plan: Plan) -> dict:
+        """The result rows of one set operand: scan in stored row order
+        (no result depends on it), filter, then project or group."""
+        rows = list(db[plan.tables[0]].rows.items())
+        for t in plan.tables[1:]:
+            stored = db[t].rows.items()
+            rows = [(r + s, m * n) for r, m in rows for s, n in stored]
+
+        where = plan.where
+        if where is not None:
+            if self.fault == "null-where-true":
+                rows = [(r, m) for r, m in rows if where(r) is not _FALSE]
+            else:
+                rows = [(r, m) for r, m in rows if where(r) is _TRUE]
+
+        if plan.project is not None:
+            project = plan.project
+            out = {}
+            for r, m in rows:
+                k = project(r)
+                out[k] = out.get(k, 0) + m
         else:
+            out = self._run_grouped(plan, rows)
+
+        if plan.distinct:
+            return {r: 1 for r in out}
+        return out
+
+    def _run_grouped(self, plan: Plan, rows) -> dict:
+        if plan.key is None:
             groups = {(): rows}
+        else:
+            key = plan.key
+            groups = {}
+            for r, m in rows:
+                groups.setdefault(key(r), []).append((r, m))
 
+        having = plan.having
         pre_group_having = (self.fault == "having-pre-group"
-                            and q.having is not None)
+                            and having is not None)
 
-        out = Counter()
-        for key, members in groups.items():
-            kb = {(c.table, c.name): v for c, v in zip(keys, key)}
+        out = {}
+        for members in groups.values():
+            # grouped select columns are group keys, so the first member
+            # row holds the group's values for them
+            first = members[0][0] if members else ()
             if pre_group_having:
-                members = [(b, m) for b, m in members
-                           if eval_pred(q.having, b) is TruthValue.TRUE]
-            elif q.having is not None:
-                if eval_pred(q.having, kb) is not TruthValue.TRUE:
-                    continue
-            cells = []
-            for it in q.select:
-                if isinstance(it, ColumnRef):
-                    cells.append(kb[(it.table, it.name)])
-                else:
-                    cells.append(self._agg_value(q, it, members))
-            out[tuple(cells)] += 1
-        return Relation(columns, dict(out))
-
-    def _agg_value(self, q: SqlQuery, call: AggCall, members):
-        if (self.fault == "sum-skips-duplicates" and call.fn == "SUM"
-                and q.where is not None):
-            seen = set()
-            deduped = []
-            for b, m in members:
-                sig = tuple(sorted((k, format_value(v))
-                                   for k, v in b.items()))
-                if sig not in seen:
-                    seen.add(sig)
-                    deduped.append((b, 1))
-            members = deduped
-        return eval_agg(call, members)
+                members = [(r, m) for r, m in members if having(r) is _TRUE]
+            elif having is not None and having(first) is not _TRUE:
+                continue
+            cells = tuple(
+                first[p] if fn is None
+                else eval_agg(fn, p, _distinct_rows(members) if dedup
+                              else members)
+                for fn, p, dedup in plan.items)
+            out[cells] = out.get(cells, 0) + 1
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +463,11 @@ class Executor:
 _DDL_TYPES = {"int": "int", "integer": "int", "decimal": "dec",
               "dec": "dec", "numeric": "dec", "varchar": "str",
               "text": "str", "string": "str"}
+
+
+# literal types each column type stores; dump_script writes a decimal with
+# no fractional digits, such as Decimal("2"), as an integer literal
+_FITS = {"int": (int,), "dec": (int, Decimal), "str": (str,)}
 
 
 class ScriptError(Exception):
@@ -473,6 +576,10 @@ def _load_insert(toks, db):
         if len(row) != len(table.columns):
             raise ScriptError(
                 f"row arity {len(row)} != {len(table.columns)} for {name!r}")
+        for v, (col, ty) in zip(row, table.columns):
+            if v is not None and type(v) not in _FITS[ty]:
+                raise ScriptError(
+                    f"{render_literal(v)} does not fit {name}.{col} ({ty})")
         table.rows[tuple(row)] += 1
         t = ts.next()
         if t.kind == "eof":
@@ -515,15 +622,22 @@ def load_json_fixture(obj) -> Database:
             if len(row) != len(cols):
                 raise ScriptError("row arity mismatch")
             vals = []
-            for v, (_, ty) in zip(row, cols):
-                if v is None:
-                    vals.append(None)
-                elif ty == "dec":
-                    vals.append(Decimal(str(v)))
-                elif ty == "int":
-                    vals.append(int(v))
-                else:
-                    vals.append(str(v))
+            for v, (col, ty) in zip(row, cols):
+                try:
+                    if v is None:
+                        vals.append(None)
+                    elif ty == "dec":
+                        d = Decimal(str(v))
+                        if not d.is_finite():
+                            raise ValueError(v)
+                        vals.append(d)
+                    elif ty == "int":
+                        vals.append(int(v))
+                    else:
+                        vals.append(str(v))
+                except (ValueError, TypeError, ArithmeticError):
+                    raise ScriptError(
+                        f"{v!r} does not fit {t['name']}.{col} ({ty})")
             table.rows[tuple(vals)] += 1
         db[t["name"]] = table
     return db

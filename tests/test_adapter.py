@@ -15,6 +15,13 @@ CREATE TABLE t0 (a INT, b DECIMAL, c VARCHAR);
 INSERT INTO t0 VALUES (1, 0.0005, 'x'), (1, 0.0005, 'x'), (NULL, NULL, 'it''s');
 """
 
+# values that do not fit their column; loaded, they would make SUM(b) and
+# MAX(b) raise TypeError
+ILL_TYPED = [
+    "CREATE TABLE t (a INT, b INT); INSERT INTO t VALUES (0, 'x');",
+    "CREATE TABLE t (a INT, b DECIMAL); INSERT INTO t VALUES (0, 'x');",
+]
+
 
 @pytest.fixture
 def extern():
@@ -52,6 +59,8 @@ class TestBuiltin:
     ("reset", "CREATE TABLE t (a INT); INSERT INTO t VALUES (1 @ 2);",
      "SYNTAX"),
     ("reset", "DROP TABLE t0", "SCRIPT"),
+    ("reset", ILL_TYPED[0], "SCRIPT"),
+    ("reset", ILL_TYPED[1], "SCRIPT"),
     ("exec", "SELECT @", "SYNTAX"),
     ("exec", "SELECT zz FROM t0", "UNKNOWN_COLUMN"),
     ("drop", "", "PROTOCOL"),
@@ -90,6 +99,16 @@ class TestExternal:
             extern.exec_sql("SELECT a FROM missing")
         assert exc.value.code == "UNKNOWN_TABLE"
         # still usable afterwards
+        assert extern.exec_sql("SELECT COUNT(*) FROM t0") == [("3",)]
+
+    def test_ill_typed_script_is_rejected_and_shim_stays_up(self, extern):
+        for script in ILL_TYPED:
+            with pytest.raises(EngineError) as exc:
+                extern.reset(script)
+            assert exc.value.code == "SCRIPT"
+            with pytest.raises(EngineError):
+                extern.exec_sql("SELECT SUM(b), MAX(b) FROM t")
+        extern.reset(SCRIPT)
         assert extern.exec_sql("SELECT COUNT(*) FROM t0") == [("3",)]
 
     def test_faulty_shim(self):

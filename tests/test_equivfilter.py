@@ -1,6 +1,13 @@
+import subprocess
+import sys
+
+from eqmorph import equivfilter
+from eqmorph.adapter import BuiltinEndpoint
+from eqmorph.dbgen import databases_for_search
 from eqmorph.equivfilter import (
     DEFAULT_BUDGET, NoCounterexample, NotEquivalent, check_bounded,
 )
+from eqmorph.harness import GeneratorConfig, run_iteration
 from eqmorph.parser import parse
 from eqmorph.refdb import ExecError, Executor
 from eqmorph.sqlast import Schema, qualify
@@ -60,3 +67,53 @@ def test_budget_and_seed_are_respected():
     b = check_bounded(q("SELECT a FROM t0"), q("SELECT a FROM t0"),
                       SCHEMA, budget=5, seed="s")
     assert a == b
+
+
+def test_one_probe_corpus_per_iteration(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return databases_for_search(*args, **kwargs)
+
+    equivfilter._corpus.cache_clear()
+    monkeypatch.setattr(equivfilter, "databases_for_search", counting)
+    cfg = GeneratorConfig(queries_per_iteration=50, filter_budget=32)
+    stats = run_iteration(BuiltinEndpoint(), cfg, "corpus", 0).stats
+    assert stats.pairsEmitted + stats.pairsFiltered > 1
+    assert len(calls) == 1
+
+
+# Prints check_bounded's verdicts and witnesses for each seed argument, in
+# one process; pairs of one seed share a corpus.
+_VERDICTS = """
+import sys
+from eqmorph.equivfilter import check_bounded
+from eqmorph.parser import parse
+from eqmorph.refdb import dump_script
+from eqmorph.sqlast import Schema, qualify
+
+schema = Schema.of({"t0": (("a", "int"), ("b", "dec"))})
+pairs = [("SELECT a FROM t0", "SELECT DISTINCT a FROM t0"),
+         ("SELECT a FROM t0 WHERE b > 0", "SELECT a FROM t0 WHERE b > 1"),
+         ("SELECT a FROM t0", "SELECT a FROM t0")]
+for seed in sys.argv[1:]:
+    for left, right in pairs:
+        v = check_bounded(qualify(parse(left), schema),
+                          qualify(parse(right), schema), schema,
+                          budget=4, seed=seed)
+        print(seed, v.budget_used, repr(getattr(v, "left_outcome", None)),
+              repr(getattr(v, "right_outcome", None)),
+              dump_script(v.witness) if hasattr(v, "witness") else None)
+"""
+
+
+def test_alternating_seeds_match_fresh_processes():
+    def verdicts(*seeds):
+        return subprocess.run(
+            [sys.executable, "-c", _VERDICTS, *seeds], capture_output=True,
+            text=True, check=True).stdout
+
+    fresh_a, fresh_b = verdicts("A"), verdicts("B")
+    assert fresh_a.replace("A ", "B ") != fresh_b  # witnesses differ
+    assert verdicts("A", "B", "A", "A") == fresh_a + fresh_b + fresh_a * 2

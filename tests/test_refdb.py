@@ -160,6 +160,18 @@ class TestErrors:
             ex.execute(db, sql)
         assert exc.value.code == code
 
+    @pytest.mark.parametrize("fault", [None, "null-where-true"])
+    @pytest.mark.parametrize("where", ["a > 5 AND b > 1", "a < 5 OR b > 1"])
+    def test_runtime_mismatch_evaluates_both_operands(self, fault, where):
+        # b holds a string the schema calls INT; the left operand alone
+        # decides the predicate, but the right one is still compared
+        db = {"t": TableData((("a", "int"), ("b", "int")),
+                             Counter({(0, "x"): 1}))}
+        with pytest.raises(ExecError) as exc:
+            Executor(fault).execute(db, f"SELECT a FROM t WHERE {where}")
+        assert (exc.value.code, exc.value.message) == \
+            ("TYPE_MISMATCH", "t.b > 1")
+
     def test_unknown_fault_rejected(self):
         with pytest.raises(UnknownFault):
             Executor("no-such-fault")
@@ -310,6 +322,23 @@ class TestLoaders:
         with pytest.raises(ScriptError):
             load_script("DROP TABLE t;")
 
+    @pytest.mark.parametrize("ddl,values", [
+        ("a INT, b INT", "(0, 'x')"),
+        ("a DECIMAL", "('x')"),
+        ("a VARCHAR", "(1)"),
+        ("a VARCHAR", "(1.5)"),
+        ("a INT", "(1.5)"),
+    ])
+    def test_values_must_fit_their_column(self, ddl, values):
+        with pytest.raises(ScriptError):
+            load_script(f"CREATE TABLE t ({ddl}); "
+                        f"INSERT INTO t VALUES {values};")
+
+    def test_integer_literal_fits_decimal_column(self):
+        # dump_script writes Decimal("2") as 2
+        db = {"t": TableData((("a", "dec"),), Counter({(Decimal("2"),): 1}))}
+        assert load_script(dump_script(db))["t"].rows == Counter({(2,): 1})
+
     def test_string_literal_with_semicolon(self):
         db = load_script(
             "CREATE TABLE t (s VARCHAR); INSERT INTO t VALUES ('a;b');")
@@ -331,3 +360,11 @@ class TestLoaders:
             load_json_fixture({"tables": [{
                 "name": "t", "columns": [{"name": "a", "type": "float"}],
                 "rows": []}]})
+
+    @pytest.mark.parametrize("ty,cell", [
+        ("int", "x"), ("dec", "x"), ("dec", "NaN"), ("int", [1])])
+    def test_json_fixture_non_numeric_cell(self, ty, cell):
+        with pytest.raises(ScriptError):
+            load_json_fixture({"tables": [{
+                "name": "t", "columns": [{"name": "a", "type": ty}],
+                "rows": [[cell]]}]})
