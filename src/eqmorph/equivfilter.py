@@ -10,6 +10,7 @@ the pair out as not-equivalent, keeping false alarms out of bug reports.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,8 +46,8 @@ def check_bounded(q1: SqlQuery, q2: SqlQuery, schema: Schema,
     means both queries succeed with the same result multiset on every
     probed database, which is the property the downstream comparison
     relies on.  Calls that repeat (schema, budget, seed) probe the same
-    databases, built once; a NotEquivalent witness is one of them and is
-    shared, so treat it as read-only.
+    databases, built once; a NotEquivalent witness is a copy of one, so a
+    caller may change it without touching the databases later calls probe.
     """
     ex = Executor()
     p1, p2 = _prepared(ex, q1, schema), _prepared(ex, q2, schema)
@@ -55,10 +56,9 @@ def check_bounded(q1: SqlQuery, q2: SqlQuery, schema: Schema,
         used += 1
         left = _outcome(ex, db, p1)
         right = _outcome(ex, db, p2)
-        if isinstance(left, ExecError) or isinstance(right, ExecError):
-            return NotEquivalent(db, left, right, used)
-        if left != right:
-            return NotEquivalent(db, left, right, used)
+        if (isinstance(left, ExecError) or isinstance(right, ExecError)
+                or left != right):
+            return NotEquivalent(copy.deepcopy(db), left, right, used)
     return NoCounterexample(used)
 
 

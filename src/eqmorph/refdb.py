@@ -153,30 +153,10 @@ def _compile_pred(p, positions: dict) -> Callable:
         right = _compile_pred(p.right, positions)
         combine = kleene_and if isinstance(p, And) else kleene_or
         return lambda row: combine(left(row), right(row))
-    if isinstance(p, Cmp):
-        return _compile_cmp(p, positions)
-    raise TypeError(f"not a predicate: {p!r}")
-
-
-def _compile_cmp(p: Cmp, positions: dict) -> Callable:
+    if not isinstance(p, Cmp):
+        raise TypeError(f"not a predicate: {p!r}")
     op = _CMP_OPS[p.op]
     message = render_pred(p)
-    if isinstance(p.left, ColumnRef) and isinstance(p.right, Const):
-        # the common shape, column against a constant, without term calls
-        i, const = positions[(p.left.table, p.left.name)], p.right.value
-        if const is None:
-            return lambda row: _UNKNOWN
-        const_numeric = is_numeric(const)
-
-        def column_vs_const(row):
-            v = row[i]
-            if v is None:
-                return _UNKNOWN
-            if is_numeric(v) != const_numeric:
-                raise ExecError(TYPE_MISMATCH, message)
-            return _TRUE if op(v, const) else _FALSE
-        return column_vs_const
-
     left, right = _term(p.left, positions), _term(p.right, positions)
 
     def compare(row):
@@ -383,8 +363,6 @@ class Executor:
         set_op = None
         if q.set_op is not None:
             op, rhs = q.set_op
-            if len(q.select) != len(rhs.select):
-                raise ExecError(TYPE_MISMATCH, "set operand arity mismatch")
             set_op = (op, self._compile(rhs, schema))
 
         return Plan(

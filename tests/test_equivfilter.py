@@ -69,6 +69,16 @@ def test_budget_and_seed_are_respected():
     assert a == b
 
 
+def test_editing_a_witness_leaves_later_probes_alone():
+    left, right = q("SELECT a FROM t0"), q("SELECT DISTINCT a FROM t0")
+    first = check_bounded(left, right, SCHEMA, budget=8, seed="w")
+    first.witness["t0"].rows.clear()
+    again = check_bounded(left, right, SCHEMA, budget=8, seed="w")
+    assert again.budget_used == first.budget_used
+    assert again.left_outcome == first.left_outcome
+    assert again.witness["t0"].rows
+
+
 def test_one_probe_corpus_per_iteration(monkeypatch):
     calls = []
 
