@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple, Optional
 from .parser import parse, tokenize
 from .sqlast import (
     ColumnRef, Const, InvalidQuery, Schema, SqlQuery, qualify,
-    render_pred, And, Or, Not, Cmp, TruthLit, _qualify_pred, _Resolver,
+    render_pred, And, Or, Not, Cmp, TruthLit,
 )
 # unused here; bound because perfbench/spans.py traces refdb.validate by name
 from .sqlast import validate  # noqa: F401
@@ -280,12 +280,11 @@ class Executor:
         database of this schema; a semantic error raises ExecError."""
         try:
             if self.fault == "having-pre-group" and q.having is not None:
-                # the faulty engine skips the grouped-column check on HAVING
+                # the faulty engine resolves HAVING like a WHERE clause,
+                # skipping the grouped-column check
                 qq = qualify(replace(q, having=None), schema)
-                errors: list = []
-                having = _qualify_pred(q.having, _Resolver(q, schema, errors))
-                if errors:
-                    raise InvalidQuery(errors)
+                having = qualify(replace(q, where=q.having, having=None),
+                                 schema).where
                 qq = replace(qq, having=having)
             else:
                 qq = qualify(q, schema)
@@ -609,10 +608,12 @@ def load_json_fixture(obj) -> Database:
                         if not d.is_finite():
                             raise ValueError(v)
                         vals.append(d)
-                    elif ty == "int":
+                    elif ty == "int" and not isinstance(v, (bool, float)):
                         vals.append(int(v))
+                    elif ty == "str" and isinstance(v, str):
+                        vals.append(v)
                     else:
-                        vals.append(str(v))
+                        raise TypeError(v)
                 except (ValueError, TypeError, ArithmeticError):
                     raise ScriptError(
                         f"{v!r} does not fit {t['name']}.{col} ({ty})")

@@ -7,7 +7,7 @@ functions: COUNT, SUM, MIN, MAX, AVG.  No joins, subqueries, ORDER BY.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union as TUnion
 
 from .values import TruthValue, is_numeric, render_literal
@@ -185,24 +185,33 @@ def render(q: SqlQuery) -> str:
 VALID_COL_TYPES = ("int", "dec", "str")
 
 
+def type_kind(col_type: str) -> str:
+    """What a column of this type compares with: "num" or "str"."""
+    return "num" if col_type in ("int", "dec") else "str"
+
+
 @dataclass(frozen=True)
 class Schema:
-    """Tables with ordered (column, type) pairs; types are int / dec / str."""
+    """Tables with ordered (column, type) pairs; types are int / dec / str.
+    Equality and hashing look at tables only."""
 
     tables: tuple  # of (table_name, ((col, type), ...))
+    # table name -> {column: type}, in declaration order
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
+        index = {}
         for name, cols in self.tables:
-            if name in seen:
+            if name in index:
                 raise ValueError(f"duplicate table {name!r}")
-            seen.add(name)
-            colnames = [c for c, _ in cols]
-            if len(set(colnames)) != len(colnames):
+            types = dict(cols)
+            if len(types) != len(cols):
                 raise ValueError(f"duplicate column in {name!r}")
-            for _, t in cols:
+            for t in types.values():
                 if t not in VALID_COL_TYPES:
                     raise ValueError(f"unknown column type {t!r}")
+            index[name] = types
+        object.__setattr__(self, "_index", index)
 
     @staticmethod
     def of(mapping) -> "Schema":
@@ -210,26 +219,19 @@ class Schema:
             (name, tuple(cols)) for name, cols in mapping.items()))
 
     def table_names(self):
-        return tuple(name for name, _ in self.tables)
+        return tuple(self._index)
 
     def has_table(self, name: str) -> bool:
-        return any(name == n for n, _ in self.tables)
+        return name in self._index
 
     def columns(self, table: str):
-        for name, cols in self.tables:
-            if name == table:
-                return cols
-        raise KeyError(table)
+        return tuple(self._index[table].items())
 
     def col_type(self, table: str, col: str) -> str:
-        for c, t in self.columns(table):
-            if c == col:
-                return t
-        raise KeyError((table, col))
+        return self._index[table][col]
 
     def has_column(self, table: str, col: str) -> bool:
-        return self.has_table(table) and any(
-            c == col for c, _ in self.columns(table))
+        return col in self._index.get(table, ())
 
 
 @dataclass(frozen=True)
@@ -257,23 +259,25 @@ def _value_type(v) -> str:
 
 
 class _Resolver:
+    """Resolves the column refs of one select core against its FROM list,
+    appending what fails to errors."""
+
     def __init__(self, q: SqlQuery, schema: Schema, errors: list):
-        self.q = q
+        self.from_tables = q.from_tables
         self.schema = schema
         self.errors = errors
 
     def resolve(self, ref: ColumnRef) -> Optional[ColumnRef]:
         if ref.table is not None:
-            if ref.table not in self.q.from_tables:
+            if ref.table not in self.from_tables:
                 self.errors.append(SemanticError("UnknownTable", ref.table))
                 return None
             if not self.schema.has_column(ref.table, ref.name):
                 self.errors.append(SemanticError("UnknownColumn", str(ref)))
                 return None
             return ref
-        owners = [t for t in self.q.from_tables
-                  if self.schema.has_table(t)
-                  and self.schema.has_column(t, ref.name)]
+        owners = [t for t in self.from_tables
+                  if self.schema.has_column(t, ref.name)]
         if not owners:
             self.errors.append(SemanticError("UnknownColumn", ref.name))
             return None
@@ -282,74 +286,44 @@ class _Resolver:
             return None
         return ColumnRef(ref.name, owners[0])
 
-    def term_type(self, t: Term) -> Optional[str]:
+    def pred(self, p: Predicate, mismatches: list,
+             group_keys=None) -> Predicate:
+        """p with its column refs qualified (a ref that fails stays as
+        written).  A comparison of a number with a string goes to
+        mismatches; with group_keys, a ref outside them is a
+        NonGroupedColumn."""
+        if isinstance(p, TruthLit):
+            return p
+        if isinstance(p, Cmp):
+            left, lk = self._term(p.left, group_keys)
+            right, rk = self._term(p.right, group_keys)
+            if lk and rk and "null" not in (lk, rk) and lk != rk:
+                mismatches.append(SemanticError(
+                    "TypeMismatch", f"{p.left} {p.op} {p.right}"))
+            return Cmp(left, p.op, right)
+        if isinstance(p, Not):
+            return Not(self.pred(p.child, mismatches, group_keys))
+        return type(p)(self.pred(p.left, mismatches, group_keys),
+                       self.pred(p.right, mismatches, group_keys))
+
+    def _term(self, t: Term, group_keys):
+        """(t qualified, its kind); the kind is None if t does not
+        resolve."""
         if isinstance(t, Const):
-            return _value_type(t.value)
+            return t, _value_type(t.value)
         r = self.resolve(t)
         if r is None:
-            return None
-        ct = self.schema.col_type(r.table, r.name)
-        return "num" if ct in ("int", "dec") else "str"
+            return t, None
+        if group_keys is not None and r not in group_keys:
+            self.errors.append(SemanticError("NonGroupedColumn", str(t)))
+        return r, type_kind(self.schema.col_type(r.table, r.name))
 
 
-def _check_pred(p: Predicate, res: _Resolver):
-    if isinstance(p, TruthLit):
-        return
-    if isinstance(p, Cmp):
-        lt = res.term_type(p.left)
-        rt = res.term_type(p.right)
-        if lt and rt and "null" not in (lt, rt) and lt != rt:
-            res.errors.append(SemanticError(
-                "TypeMismatch", f"{p.left} {p.op} {p.right}"))
-        return
-    if isinstance(p, Not):
-        _check_pred(p.child, res)
-        return
-    _check_pred(p.left, res)
-    _check_pred(p.right, res)
-
-
-def _core_output_types(q: SqlQuery, schema: Schema):
-    out = []
-    for it in q.select:
-        if isinstance(it, AggCall):
-            out.append("num" if it.fn in ("COUNT", "SUM", "AVG") else "any")
-        else:
-            owners = [t for t in q.from_tables
-                      if it.table is None and schema.has_table(t)
-                      and schema.has_column(t, it.name)]
-            table = it.table or (owners[0] if len(owners) == 1 else None)
-            if table is not None and schema.has_column(table, it.name):
-                ct = schema.col_type(table, it.name)
-                out.append("num" if ct in ("int", "dec") else "str")
-            else:
-                out.append("any")
-    return out
-
-
-def validate(q: SqlQuery, schema: Schema):
-    """Return a list of SemanticError; empty means the query is valid."""
+def _resolve(q: SqlQuery, schema: Schema):
+    """(q with every column ref table-qualified, its SemanticErrors): one
+    walk over each select core.  The qualified query is meaningful only
+    when the error list is empty."""
     errors: list = []
-    _validate_core(q, schema, errors)
-    if q.set_op is not None:
-        _, rhs = q.set_op
-        errors.extend(validate(rhs, schema))
-        if not errors:
-            lt = _core_output_types(q, schema)
-            rt = _core_output_types(rhs, schema)
-            if len(lt) != len(rt):
-                errors.append(SemanticError(
-                    "TypeMismatch",
-                    f"set operands have arity {len(lt)} vs {len(rt)}"))
-            else:
-                for i, (a, b) in enumerate(zip(lt, rt)):
-                    if "any" not in (a, b) and a != b:
-                        errors.append(SemanticError(
-                            "TypeMismatch", f"set operand column {i}"))
-    return errors
-
-
-def _validate_core(q: SqlQuery, schema: Schema, errors: list):
     for t in q.from_tables:
         if not schema.has_table(t):
             errors.append(SemanticError("UnknownTable", t))
@@ -360,34 +334,77 @@ def _validate_core(q: SqlQuery, schema: Schema, errors: list):
         errors.append(SemanticError(
             "GroupedMultiTable", ", ".join(q.from_tables)))
 
+    group_by = None
     group_keys = set()
     if q.group_by is not None:
-        for c in q.group_by:
-            r = res.resolve(c)
-            if r is not None:
-                group_keys.add((r.table, r.name))
+        keys = [res.resolve(c) for c in q.group_by]
+        group_keys = {r for r in keys if r is not None}
+        group_by = tuple(r or c for r, c in zip(keys, q.group_by))
 
+    select = []
     for it in q.select:
         if isinstance(it, AggCall):
-            if it.arg is not None:
-                r = res.resolve(it.arg)
-                if r is not None and it.fn in ("SUM", "AVG"):
-                    if schema.col_type(r.table, r.name) == "str":
-                        errors.append(SemanticError(
-                            "TypeMismatch", f"{it.fn} over string column"))
+            arg = res.resolve(it.arg) if it.arg is not None else None
+            if arg is not None and it.fn in ("SUM", "AVG") \
+                    and schema.col_type(arg.table, arg.name) == "str":
+                errors.append(SemanticError(
+                    "TypeMismatch", f"{it.fn} over string column"))
+            select.append(AggCall(it.fn, arg or it.arg))
         else:
             r = res.resolve(it)
-            if r is not None and grouped and (r.table, r.name) not in group_keys:
+            if r is not None and grouped and r not in group_keys:
                 errors.append(SemanticError("NonGroupedColumn", str(it)))
+            select.append(r or it)
 
-    if q.where is not None:
-        _check_pred(q.where, res)
+    where = res.pred(q.where, errors) if q.where is not None else None
+    having = None
     if q.having is not None:
-        for ref in pred_column_refs(q.having):
-            r = res.resolve(ref)
-            if r is not None and (r.table, r.name) not in group_keys:
-                errors.append(SemanticError("NonGroupedColumn", str(ref)))
-        _check_pred(q.having, res)
+        # every grouped-column error of HAVING comes before its type errors
+        mismatches: list = []
+        having = res.pred(q.having, mismatches, group_keys)
+        errors.extend(mismatches)
+
+    set_op = None
+    if q.set_op is not None:
+        op, rhs = q.set_op
+        rhs, rhs_errors = _resolve(rhs, schema)
+        errors.extend(rhs_errors)
+        if not errors:
+            errors.extend(_set_operand_errors(select, rhs.select, schema))
+        set_op = (op, rhs)
+    return replace(q, select=tuple(select), where=where, group_by=group_by,
+                   having=having, set_op=set_op), errors
+
+
+def _set_operand_errors(left, right, schema: Schema) -> list:
+    """Errors of combining two qualified select lists by a set operation;
+    MIN and MAX match either kind."""
+    def kinds(select):
+        return [("num" if it.fn in ("COUNT", "SUM", "AVG") else "any")
+                if isinstance(it, AggCall)
+                else type_kind(schema.col_type(it.table, it.name))
+                for it in select]
+
+    lk, rk = kinds(left), kinds(right)
+    if len(lk) != len(rk):
+        return [SemanticError(
+            "TypeMismatch", f"set operands have arity {len(lk)} vs {len(rk)}")]
+    return [SemanticError("TypeMismatch", f"set operand column {i}")
+            for i, (a, b) in enumerate(zip(lk, rk))
+            if "any" not in (a, b) and a != b]
+
+
+def validate(q: SqlQuery, schema: Schema):
+    """Return a list of SemanticError; empty means the query is valid."""
+    return _resolve(q, schema)[1]
+
+
+def qualify(q: SqlQuery, schema: Schema) -> SqlQuery:
+    """Return q with every column ref table-qualified; raises InvalidQuery."""
+    qualified, errors = _resolve(q, schema)
+    if errors:
+        raise InvalidQuery(errors)
+    return qualified
 
 
 def pred_column_refs(p: Predicate):
@@ -407,39 +424,3 @@ def pred_column_refs(p: Predicate):
 
     walk(p)
     return out
-
-
-def _qualify_pred(p: Predicate, res: _Resolver) -> Predicate:
-    if isinstance(p, TruthLit):
-        return p
-    if isinstance(p, Cmp):
-        left = res.resolve(p.left) if isinstance(p.left, ColumnRef) else p.left
-        right = (res.resolve(p.right)
-                 if isinstance(p.right, ColumnRef) else p.right)
-        return Cmp(left or p.left, p.op, right or p.right)
-    if isinstance(p, Not):
-        return Not(_qualify_pred(p.child, res))
-    cls = type(p)
-    return cls(_qualify_pred(p.left, res), _qualify_pred(p.right, res))
-
-
-def qualify(q: SqlQuery, schema: Schema) -> SqlQuery:
-    """Return q with every column ref table-qualified; raises InvalidQuery."""
-    errors = validate(q, schema)
-    if errors:
-        raise InvalidQuery(errors)
-    res = _Resolver(q, schema, [])
-    select = tuple(
-        AggCall(it.fn, res.resolve(it.arg) if it.arg is not None else None)
-        if isinstance(it, AggCall) else res.resolve(it)
-        for it in q.select)
-    where = _qualify_pred(q.where, res) if q.where is not None else None
-    group_by = (tuple(res.resolve(c) for c in q.group_by)
-                if q.group_by is not None else None)
-    having = _qualify_pred(q.having, res) if q.having is not None else None
-    set_op = None
-    if q.set_op is not None:
-        op, rhs = q.set_op
-        set_op = (op, qualify(rhs, schema))
-    return replace(q, select=select, where=where, group_by=group_by,
-                   having=having, set_op=set_op)

@@ -10,7 +10,7 @@ from eqmorph.harness import GeneratorConfig, generate_schema, generate_seed
 from eqmorph.parser import parse
 from eqmorph.refdb import (
     FAULTS, ExecError, Executor, ScriptError, TableData, UnknownFault,
-    dump_script, load_json_fixture, load_script,
+    dump_script, load_json_fixture, load_script, schema_of,
 )
 
 SCRIPT = """
@@ -229,6 +229,13 @@ class TestFaults:
                 clean.execute(db, sql)
             assert exc.value.code == "NON_GROUPED_COLUMN", sql
 
+    def test_having_pre_group_type_checks_having(self, db):
+        q = parse("SELECT a FROM t0 GROUP BY a HAVING a > 'x'")
+        for ex in (Executor(), Executor("having-pre-group")):
+            with pytest.raises(ExecError) as exc:
+                ex.prepare(q, schema_of(db))
+            assert exc.value.code == "TYPE_MISMATCH"
+
     @pytest.mark.parametrize("fault", [None, "having-pre-group"])
     def test_having_unknown_column_fails_with_or_without_fault(self, db,
                                                                 fault):
@@ -362,7 +369,8 @@ class TestLoaders:
                 "rows": []}]})
 
     @pytest.mark.parametrize("ty,cell", [
-        ("int", "x"), ("dec", "x"), ("dec", "NaN"), ("int", [1])])
+        ("int", "x"), ("dec", "x"), ("dec", "NaN"), ("int", [1]),
+        ("int", 1.5), ("int", True), ("str", 7)])
     def test_json_fixture_non_numeric_cell(self, ty, cell):
         with pytest.raises(ScriptError):
             load_json_fixture({"tables": [{

@@ -62,6 +62,27 @@ class TestValidate:
             "SELECT c FROM t0 UNION SELECT a FROM t1")
         assert errs("SELECT b FROM t0 UNION SELECT a FROM t1") == []
 
+    @pytest.mark.parametrize("sql,first", [
+        # grouped-column errors of HAVING come before its type errors
+        ("SELECT a FROM t0 GROUP BY a HAVING c > 1",
+         ("NonGroupedColumn", "c")),
+        ("SELECT a FROM t0 GROUP BY a HAVING a > 'x' AND c > 1",
+         ("NonGroupedColumn", "c")),
+        ("SELECT a FROM t0 GROUP BY a HAVING zz > 0", ("UnknownColumn", "zz")),
+        ("SELECT a FROM t0 GROUP BY a HAVING t0.zz > 0",
+         ("UnknownColumn", "t0.zz")),
+        # a bad operand leaves the set-operand check out
+        ("SELECT a FROM t0 UNION SELECT zz FROM t1", ("UnknownColumn", "zz")),
+        ("SELECT zz, a FROM t0 WHERE a = 'x'", ("UnknownColumn", "zz")),
+    ])
+    def test_first_error_and_no_repeats(self, sql, first):
+        found = [(e.kind, e.detail) for e in validate(parse(sql), SCHEMA)]
+        assert found[0] == first
+        assert len(found) == len(set(found)), found
+        with pytest.raises(InvalidQuery) as exc:
+            qualify(parse(sql), SCHEMA)
+        assert [(e.kind, e.detail) for e in exc.value.errors] == found
+
 
 class TestQualify:
     def test_adds_tables_everywhere(self):
@@ -119,3 +140,18 @@ def test_schema_lookups():
     assert SCHEMA.col_type("t0", "b") == "dec"
     assert SCHEMA.has_column("t1", "d")
     assert not SCHEMA.has_column("t1", "b")
+    assert SCHEMA.table_names() == ("t0", "t1")
+    assert SCHEMA.columns("t1") == (("a", "int"), ("d", "dec"))
+    # an unknown table
+    assert not SCHEMA.has_table("t9")
+    assert not SCHEMA.has_column("t9", "a")
+    with pytest.raises(KeyError):
+        SCHEMA.columns("t9")
+    # an unknown column
+    with pytest.raises(KeyError):
+        SCHEMA.col_type("t1", "b")
+    # equality and hashing ignore the lookups made
+    fresh = Schema(SCHEMA.tables)
+    assert fresh == SCHEMA and hash(fresh) == hash(SCHEMA)
+    assert {fresh: 1}[SCHEMA] == 1
+    assert Schema(SCHEMA.tables[:1]) != SCHEMA
