@@ -283,7 +283,7 @@ def _canon_once(e):
     if isinstance(e, Scan):
         return e, False
     child, changed = _canon_once(e.child)
-    e = _rebuild(e, child)
+    e = rebuild(e, child)
 
     if isinstance(e, Project) and isinstance(child, Project):
         if _refset(e.cols) <= _refset(child.cols):
@@ -312,7 +312,8 @@ def _canon_once(e):
     return e, changed
 
 
-def _rebuild(e, child):
+def rebuild(e, child):
+    """The unary node e over a new child."""
     if isinstance(e, Project):
         return Project(e.cols, child)
     if isinstance(e, Filter):

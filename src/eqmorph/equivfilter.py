@@ -49,10 +49,13 @@ def check_bounded(q1: SqlQuery, q2: SqlQuery, schema: Schema,
     databases, built once; a NotEquivalent witness is a copy of one, so a
     caller may change it without touching the databases later calls probe.
     """
+    corpus = _corpus(schema, budget, seed)
+    if not corpus:
+        return NoCounterexample(0)
     ex = Executor()
     p1, p2 = _prepared(ex, q1, schema), _prepared(ex, q2, schema)
     used = 0
-    for db in _corpus(schema, budget, seed):
+    for db in corpus:
         used += 1
         left = _outcome(ex, db, p1)
         right = _outcome(ex, db, p2)

@@ -28,8 +28,8 @@ from .equivfilter import DEFAULT_BUDGET, NotEquivalent, check_bounded
 from .parser import parse  # noqa: F401
 from .refdb import STABLE_ERROR_CODES, dump_script
 from .sqlast import (
-    AggCall, And, Cmp, ColumnRef, Const, Not, Or, Schema, SqlQuery, TruthLit,
-    render, type_kind,
+    CMP_OPS, AggCall, And, Cmp, ColumnRef, Const, Not, Or, Schema, SqlQuery,
+    TruthLit, render, type_kind,
 )
 from .transform import NoRuleApplies, TransformContext, transform_query
 from .values import TruthValue, parse_rendered, row_sort_key
@@ -120,7 +120,7 @@ def _gen_leaf_pred(rng, cols, schema):
                                     TruthValue.UNKNOWN)))
     col = rng.choice(cols)
     ty = schema.col_type(col.table, col.name)
-    op = rng.choice(("=", "!=", "<", "<=", ">", ">="))
+    op = rng.choice(CMP_OPS)
     kind = type_kind(ty)
     peers = [c for c in cols
              if type_kind(schema.col_type(c.table, c.name)) == kind]

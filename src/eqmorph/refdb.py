@@ -608,8 +608,9 @@ def load_json_fixture(obj) -> Database:
                         if not d.is_finite():
                             raise ValueError(v)
                         vals.append(d)
-                    elif ty == "int" and not isinstance(v, (bool, float)):
-                        vals.append(int(v))
+                    elif ty == "int" and isinstance(v, int) \
+                            and not isinstance(v, bool):
+                        vals.append(v)
                     elif ty == "str" and isinstance(v, str):
                         vals.append(v)
                     else:

@@ -13,6 +13,13 @@ transform_query walks the rule catalog in order and returns the first
 pair a rule can build for the seed, mirroring a transform-once policy:
 specific rules come before the generic rendering rule so that each seed
 shape feeds the rule that stresses it best.
+
+Rewrites of the lowered algebra tree live in one table, _IR_TABLE: each
+entry says whether the rule rewrites at a node and what node it rewrites
+it to; ir_sites, ir_rewrite and enumerate_mutants all read it.  The rules
+that pair the seed with another surface rendering of a lowered tree
+(dedup-filter-commute, projection-pull-up, projection-cascade) come from
+one builder, _rendering_rule, and differ only in the trees they render.
 """
 
 from __future__ import annotations
@@ -23,12 +30,13 @@ from typing import Optional
 
 from .algebra import (
     Agg, Dedup, Filter, Project, Union, UnionAll, join_conjuncts, lower,
-    pred_refs, remap_to_sql, split_conjuncts, _refset,
+    pred_refs, rebuild, remap_to_sql, split_conjuncts, _refset,
 )
 from .dbgen import RANDOM_POOLS
 from .sensitivity import Sensitivity, classify
 from .sqlast import (
-    And, Cmp, ColumnRef, Const, Schema, SqlQuery, qualify, render, validate,
+    CMP_OPS, And, Cmp, ColumnRef, Const, Schema, SqlQuery, qualify, render,
+    validate,
 )
 
 
@@ -77,9 +85,6 @@ RULE_CATALOG = (
     "projection-cascade",
 )
 
-CMP_OPS_FOR_INSERTION = ("=", "!=", "<", "<=", ">", ">=")
-
-
 def _texts_differ(a: SqlQuery, b: SqlQuery) -> bool:
     return render(a) != render(b)
 
@@ -88,6 +93,13 @@ def _text_distance(a: str, b: str) -> int:
     ta, tb = a.split(), b.split()
     common = len(set(ta) & set(tb))
     return len(set(ta)) + len(set(tb)) - 2 * common + abs(len(ta) - len(tb))
+
+
+def _furthest(text: str, cands):
+    """The candidate whose rendering is furthest from text; the greater
+    rendering wins a tie."""
+    return max(cands, key=lambda c: (_text_distance(text, render(c)),
+                                     render(c)))
 
 
 def pick_constant(ctx: TransformContext, schema: Schema, col: ColumnRef):
@@ -110,7 +122,7 @@ def _grouped_filter_insertion(q, e, ctx, schema):
     if q.group_by is None or not q.group_by or q.set_op is not None:
         return None
     key = ctx.rng.choice(q.group_by)
-    op = ctx.rng.choice(CMP_OPS_FOR_INSERTION)
+    op = ctx.rng.choice(CMP_OPS)
     p = Cmp(key, op, Const(pick_constant(ctx, schema, key)))
     left = replace(q, where=And(q.where, p) if q.where is not None else p)
     right = replace(q, having=And(q.having, p) if q.having is not None else p)
@@ -135,25 +147,8 @@ def _dedup_insertion(q, e, ctx, schema):
     if not distinct_forms or not grouped_forms:
         return None
     left = distinct_forms[0]
-    right = max(grouped_forms,
-                key=lambda c: (_text_distance(render(left), render(c)),
-                               render(c)))
-    return QueryPair(left, right, "dedup-insertion", MUTANT_VS_MUTANT)
-
-
-def _dedup_filter_commute(q, e, ctx, schema):
-    """Move a filter across a dedup whose keys cover the predicate."""
-    if q.set_op is not None:
-        return None
-    if not _ir_sites_dedup_filter(e):
-        return None
-    cands = [c for c in _valid_candidates(e, schema) if _texts_differ(q, c)]
-    if not cands:
-        return None
-    seed_text = render(q)
-    right = max(cands, key=lambda c: (_text_distance(seed_text, render(c)),
-                                      render(c)))
-    return QueryPair(q, right, "dedup-filter-commute", SEED_VS_MUTANT)
+    return QueryPair(left, _furthest(render(left), grouped_forms),
+                     "dedup-insertion", MUTANT_VS_MUTANT)
 
 
 def _union_commute(q, e, ctx, schema):
@@ -184,40 +179,39 @@ def _selection_commute(q, e, ctx, schema):
     return None
 
 
-def _projection_pull_up(q, e, ctx, schema):
-    """Alternative surface rendering of the same algebra tree."""
-    if q.set_op is not None:
-        return None
-    cands = [c for c in _valid_candidates(e, schema) if _texts_differ(q, c)]
-    if not cands:
-        return None
-    seed_text = render(q)
-    right = max(cands, key=lambda c: (_text_distance(seed_text, render(c)),
-                                      render(c)))
-    return QueryPair(q, right, "projection-pull-up", SEED_VS_MUTANT)
+def _rendering_rule(rule: str, trees):
+    """A seed-vs-mutant rule that pairs the seed with the valid surface
+    rendering of trees(q, e) furthest from the seed's text."""
+    def build(q, e, ctx, schema):
+        cands = [c for t in trees(q, e) for c in _valid_candidates(t, schema)
+                 if _texts_differ(q, c)]
+        if not cands:
+            return None
+        return QueryPair(q, _furthest(render(q), cands), rule, SEED_VS_MUTANT)
+    return build
 
 
-def _projection_cascade(q, e, ctx, schema):
-    """Collapse nested projections; lowered surface queries never contain
-    a projection chain, so this only fires on synthetic algebra seeds."""
-    sites = ir_sites("projection-cascade", e)
-    for site in sites:
-        m = ir_rewrite("projection-cascade", e, site)
-        cands = [c for c in _valid_candidates(m, schema) if _texts_differ(q, c)]
-        if cands:
-            return QueryPair(q, cands[0], "projection-cascade",
-                             SEED_VS_MUTANT)
-    return None
+def _seed_tree(q, e):
+    """The seed's own tree; set operations are left to union-commute."""
+    return [e] if q.set_op is None else []
 
 
 _RULE_FNS = {
     "grouped-filter-insertion": _grouped_filter_insertion,
     "dedup-insertion": _dedup_insertion,
-    "dedup-filter-commute": _dedup_filter_commute,
+    # a filter covered by the dedup keys moves across the dedup
+    "dedup-filter-commute": _rendering_rule(
+        "dedup-filter-commute",
+        lambda q, e: [t for t in _seed_tree(q, e)
+                      if ir_sites("dedup-filter-commute", t)]),
     "union-commute": _union_commute,
     "selection-commute": _selection_commute,
-    "projection-pull-up": _projection_pull_up,
-    "projection-cascade": _projection_cascade,
+    # an alternative surface rendering of the same algebra tree
+    "projection-pull-up": _rendering_rule("projection-pull-up", _seed_tree),
+    # lowered surface queries never contain a projection chain, so this
+    # only fires on synthetic algebra seeds
+    "projection-cascade": _rendering_rule(
+        "projection-cascade", lambda q, e: _rewrites("projection-cascade", e)),
 }
 
 
@@ -260,75 +254,63 @@ def _get(e, path):
 
 
 def _set(e, path, new):
+    """e with the node at path replaced by new."""
     if not path:
         return new
     head, rest = path[0], path[1:]
     child = _set(getattr(e, head), rest, new)
-    if isinstance(e, (Union, UnionAll)):
-        return type(e)(child, e.right) if head == "left" \
-            else type(e)(e.left, child)
-    if isinstance(e, Project):
-        return Project(e.cols, child)
-    if isinstance(e, Filter):
-        return Filter(e.pred, child)
-    if isinstance(e, Dedup):
-        return Dedup(e.keys, child)
-    if isinstance(e, Agg):
-        return Agg(e.select, e.keys, child)
-    raise TypeError(e)
+    if head == "left":
+        return type(e)(child, e.right)
+    if head == "right":
+        return type(e)(e.left, child)
+    return rebuild(e, child)
 
 
-def _ir_sites_dedup_filter(e):
-    out = []
-    for path, node in _paths(e):
-        if isinstance(node, Filter) and isinstance(node.child, Dedup) \
-                and pred_refs(node.pred) <= _refset(node.child.keys):
-            out.append(path)
-        elif isinstance(node, Dedup) and isinstance(node.child, Filter) \
-                and pred_refs(node.child.pred) <= _refset(node.keys):
-            out.append(path)
-    return out
+def _swap(n):
+    """n and its child trade places."""
+    return rebuild(n.child, rebuild(n, n.child.child))
+
+
+def _covers(keys, pred) -> bool:
+    return pred_refs(pred) <= _refset(keys)
+
+
+# rule -> (does it rewrite this node?, the node it rewrites it to)
+_IR_TABLE = {
+    "selection-commute": (
+        lambda n: isinstance(n, Filter) and isinstance(n.child, Filter)
+        and n.pred != n.child.pred,
+        _swap),
+    "projection-cascade": (
+        lambda n: isinstance(n, Project) and isinstance(n.child, Project)
+        and _refset(n.cols) <= _refset(n.child.cols),
+        lambda n: Project(n.cols, n.child.child)),
+    "union-commute": (
+        lambda n: isinstance(n, (Union, UnionAll)),
+        lambda n: type(n)(n.right, n.left)),
+    "dedup-filter-commute": (
+        lambda n: isinstance(n, Filter) and isinstance(n.child, Dedup)
+        and _covers(n.child.keys, n.pred)
+        or isinstance(n, Dedup) and isinstance(n.child, Filter)
+        and _covers(n.keys, n.child.pred),
+        _swap),
+}
+
+IR_RULES = tuple(_IR_TABLE)
 
 
 def ir_sites(rule: str, e) -> list:
     """Paths where an algebra-level rule can rewrite the tree."""
-    if rule == "selection-commute":
-        return [p for p, n in _paths(e)
-                if isinstance(n, Filter) and isinstance(n.child, Filter)
-                and n.pred != n.child.pred]
-    if rule == "projection-cascade":
-        return [p for p, n in _paths(e)
-                if isinstance(n, Project) and isinstance(n.child, Project)
-                and _refset(n.cols) <= _refset(n.child.cols)]
-    if rule == "union-commute":
-        return [p for p, n in _paths(e) if isinstance(n, (Union, UnionAll))]
-    if rule == "dedup-filter-commute":
-        return _ir_sites_dedup_filter(e)
-    raise KeyError(rule)
+    applies, _ = _IR_TABLE[rule]
+    return [p for p, n in _paths(e) if applies(n)]
 
 
 def ir_rewrite(rule: str, e, site):
-    node = _get(e, site)
-    if rule == "selection-commute":
-        new = Filter(node.child.pred, Filter(node.pred, node.child.child))
-    elif rule == "projection-cascade":
-        new = Project(node.cols, node.child.child)
-    elif rule == "union-commute":
-        new = type(node)(node.right, node.left)
-    elif rule == "dedup-filter-commute":
-        if isinstance(node, Filter):
-            d = node.child
-            new = Dedup(d.keys, Filter(node.pred, d.child))
-        else:
-            f = node.child
-            new = Filter(f.pred, Dedup(node.keys, f.child))
-    else:
-        raise KeyError(rule)
-    return _set(e, site, new)
+    return _set(e, site, _IR_TABLE[rule][1](_get(e, site)))
 
 
-IR_RULES = ("selection-commute", "projection-cascade", "union-commute",
-            "dedup-filter-commute")
+def _rewrites(rule: str, e) -> list:
+    return [ir_rewrite(rule, e, site) for site in ir_sites(rule, e)]
 
 
 def enumerate_mutants(e, limit: int = 16) -> list:
@@ -336,8 +318,7 @@ def enumerate_mutants(e, limit: int = 16) -> list:
     out = []
     seen = {e}
     for rule in IR_RULES:
-        for site in ir_sites(rule, e):
-            m = ir_rewrite(rule, e, site)
+        for m in _rewrites(rule, e):
             if m not in seen:
                 seen.add(m)
                 out.append(m)

@@ -37,8 +37,7 @@ from eqmorph.sensitivity import (
 )
 from eqmorph.sqlast import Cmp, ColumnRef, Const, qualify, render
 from eqmorph.transform import (
-    NoRuleApplies, RULE_CATALOG, TransformContext, _projection_cascade,
-    transform_query,
+    NoRuleApplies, RULE_CATALOG, TransformContext, _RULE_FNS, transform_query,
 )
 
 STATE = {}
@@ -151,7 +150,7 @@ def _synthetic_cascade_pairs(schema, count):
         e = Dedup(tuple(inner), e)
         e = Project(tuple(keep), Project(tuple(inner), e))
         q = remap_to_sql(e)[0]
-        pair = _projection_cascade(
+        pair = _RULE_FNS["projection-cascade"](
             q, e, TransformContext(rng=rng), schema)
         if pair is not None:
             out.append(pair)
@@ -190,10 +189,10 @@ def test_criterion_4_rules_emit_equivalent_pairs(capsys):
     divergences = 0
     for rule in RULE_CATALOG:
         for pair in pairs[rule]:
-            left = qualify(pair.left, schema)
-            right = qualify(pair.right, schema)
+            left = ex.prepare(pair.left, schema)
+            right = ex.prepare(pair.right, schema)
             for db in corpus:
-                if ex.execute(db, left).rows != ex.execute(db, right).rows:
+                if ex.run(db, left).rows != ex.run(db, right).rows:
                     divergences += 1
                     break
     counts = {r: len(ps) for r, ps in pairs.items()}

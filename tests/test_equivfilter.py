@@ -94,6 +94,22 @@ def test_one_probe_corpus_per_iteration(monkeypatch):
     assert len(calls) == 1
 
 
+def test_budget_zero_prepares_nothing(monkeypatch):
+    prepared = []
+
+    def counting(self, q, schema):
+        prepared.append(q)
+        return real_prepare(self, q, schema)
+
+    real_prepare = Executor.prepare
+    monkeypatch.setattr(Executor, "prepare", counting)
+    sel = q("SELECT a FROM t0")
+    assert check_bounded(sel, sel, SCHEMA, budget=0) == NoCounterexample(0)
+    assert prepared == []
+    assert check_bounded(sel, sel, SCHEMA, budget=1) == NoCounterexample(1)
+    assert len(prepared) == 2
+
+
 # Prints check_bounded's verdicts and witnesses for each seed argument, in
 # one process; pairs of one seed share a corpus.
 _VERDICTS = """

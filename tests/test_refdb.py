@@ -370,7 +370,8 @@ class TestLoaders:
 
     @pytest.mark.parametrize("ty,cell", [
         ("int", "x"), ("dec", "x"), ("dec", "NaN"), ("int", [1]),
-        ("int", 1.5), ("int", True), ("str", 7)])
+        ("int", 1.5), ("int", True), ("str", 7), ("int", "7"),
+        ("int", "1_000")])
     def test_json_fixture_non_numeric_cell(self, ty, cell):
         with pytest.raises(ScriptError):
             load_json_fixture({"tables": [{

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ SCHEMA = Schema.of({
 })
 
 RULE_NAMES = list(RULE_CATALOG)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def ctx(seed=0, rules=None):
@@ -45,6 +48,16 @@ class TestCatalog:
     def test_has_at_least_five_rules(self):
         assert len(RULE_CATALOG) >= 5
         assert len(set(RULE_NAMES)) == len(RULE_NAMES)
+
+    def test_benchmark_declares_a_pairs_metric_per_rule(self):
+        # perfbench/spans.py counts pairs under each rule name, and
+        # BENCHMARK.json must declare exactly those metrics
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        names = tuple(m["name"][len("transform.rule."):-len(".pairs")]
+                      for m in spec["per_layer"]
+                      if m["name"].startswith("transform.rule.")
+                      and m["name"].endswith(".pairs"))
+        assert names == RULE_CATALOG
 
     @pytest.mark.parametrize("rule,sql", [
         ("grouped-filter-insertion", "SELECT a, SUM(b) FROM t0 GROUP BY a"),
@@ -195,9 +208,14 @@ class TestIrRules:
         seeds = [
             "SELECT DISTINCT a FROM t0 WHERE a > 0 AND b < 1",
             "SELECT a FROM t0 UNION SELECT d FROM t1",
+            # a Filter over a Dedup (HAVING) and a Dedup over a Filter (WHERE)
+            "SELECT a FROM t0 WHERE a > 1 GROUP BY a HAVING a > 0",
         ]
+        rewritten = []
         for sql in seeds:
             e = lower(qualify(parse(sql), SCHEMA))
             for rule in IR_RULES:
                 for site in ir_sites(rule, e):
+                    rewritten.append(rule)
                     self.assert_ir_equivalent(e, ir_rewrite(rule, e, site))
+        assert rewritten.count("dedup-filter-commute") == 2
