@@ -279,6 +279,9 @@ def _canon_once(e):
     if isinstance(e, (Union, UnionAll)):
         l, c1 = _canon_once(e.left)
         r, c2 = _canon_once(e.right)
+        # operand order never changes the result multiset
+        if repr(r) < repr(l):
+            return type(e)(r, l), True
         return type(e)(l, r), c1 or c2
     if isinstance(e, Scan):
         return e, False
@@ -329,7 +332,9 @@ def commute_normal(e):
     """Normal form under the equivalence-preserving commutations.
 
     Two pipelines that differ only in filter/dedup/projection placement
-    allowed by the side conditions map to the same normal form.
+    allowed by the side conditions map to the same normal form, and so do
+    two set operations that differ only in the order of their operands
+    (the operands of Union and UnionAll are ordered by repr).
     """
     while True:
         e, changed = _canon_once(e)

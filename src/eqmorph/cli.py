@@ -105,7 +105,8 @@ def _add_campaign_flags(ap):
                     help="comma-separated rule subset")
     ap.add_argument("--filter-budget", dest="filter_budget", type=int,
                     default=None,
-                    help="databases probed by the equivalence filter")
+                    help="databases probed for a pair the equivalence "
+                    "filter cannot prove; 0 turns the filter off")
     ap.add_argument("--compare", default=None,
                     choices=COMPARE_MODES)
     ap.add_argument("--out", default=None, help="report output directory")

@@ -1,11 +1,15 @@
-"""Bounded counterexample search used to vet candidate query pairs.
+"""Equivalence vetting of candidate query pairs: prove first, then probe.
 
 Transformed pairs are meant to be equivalent by construction, but the pair
 pipeline is exactly the kind of code that can be subtly wrong, so every
-pair is cross-checked by executing both queries on a budgeted sequence of
-small databases before it reaches the target engine.  Any database where
-the two result multisets differ — or where either query errors — filters
-the pair out as not-equivalent, keeping false alarms out of bug reports.
+pair is vetted before it reaches the target engine.  ``proven`` settles a
+pair exactly when both queries qualify, lower, and share a commute-normal
+form: a qualified query cannot fail on the reference executor, so such a
+pair returns the same multiset on every database.  A pair the proof
+cannot settle goes to ``check_bounded``, which executes both queries on a
+budgeted sequence of small databases; any database where the two result
+multisets differ — or where either query errors — filters the pair out as
+not-equivalent, keeping false alarms out of bug reports.
 """
 
 from __future__ import annotations
@@ -14,9 +18,12 @@ import copy
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .algebra import (
+    AlgebraTypeError, LoweringError, equivalent_mod_commute, lower,
+)
 from .dbgen import databases_for_search
 from .refdb import Database, ExecError, Executor
-from .sqlast import Schema, SqlQuery
+from .sqlast import InvalidQuery, Schema, SqlQuery, qualify
 
 DEFAULT_BUDGET = 32
 
@@ -36,6 +43,18 @@ class NoCounterexample:
 
 
 Verdict = object
+
+
+def proven(q1: SqlQuery, q2: SqlQuery, schema: Schema) -> bool:
+    """True when both queries qualify on schema, lower, and have the same
+    commute-normal form, which proves them equivalent; False means not
+    proven, not different."""
+    try:
+        e1 = lower(qualify(q1, schema))
+        e2 = lower(qualify(q2, schema))
+    except (InvalidQuery, LoweringError, AlgebraTypeError):
+        return False
+    return equivalent_mod_commute(e1, e2)
 
 
 def check_bounded(q1: SqlQuery, q2: SqlQuery, schema: Schema,

@@ -3,9 +3,9 @@ generate/transform/filter/execute/compare loop.
 
 Each iteration builds a fresh random schema and database, loads it into
 the target engine, then streams generated seed queries through the rule
-catalog.  Pairs that survive the bounded equivalence filter run on the
-target; result multisets that differ become persisted bug reports with a
-self-contained SQL reproducer.
+catalog.  Pairs that the equivalence filter proves, or that survive its
+bounded probe, run on the target; result multisets that differ become
+persisted bug reports with a self-contained SQL reproducer.
 
 Everything is driven by a string seed so a campaign replays byte-for-byte
 (timestamps aside).
@@ -23,7 +23,9 @@ from pathlib import Path
 
 from . import dbgen
 from .adapter import EngineError
-from .equivfilter import DEFAULT_BUDGET, NotEquivalent, check_bounded
+from .equivfilter import (
+    DEFAULT_BUDGET, NoCounterexample, NotEquivalent, check_bounded, proven,
+)
 # unused here; bound because perfbench/spans.py traces harness.parse by name
 from .parser import parse  # noqa: F401
 from .refdb import STABLE_ERROR_CODES, dump_script
@@ -409,10 +411,14 @@ def run_iteration(endpoint, cfg: GeneratorConfig, campaign_seed: str,
         except NoRuleApplies:
             continue
 
-        # one probe corpus for every pair of the iteration
-        verdict = check_bounded(pair.left, pair.right, schema,
-                                budget=cfg.filter_budget,
-                                seed=f"{campaign_seed}:{iteration}")
+        # a proven pair probes no database; the others share one probe
+        # corpus per iteration
+        if cfg.filter_budget > 0 and proven(pair.left, pair.right, schema):
+            verdict = NoCounterexample(0)
+        else:
+            verdict = check_bounded(pair.left, pair.right, schema,
+                                    budget=cfg.filter_budget,
+                                    seed=f"{campaign_seed}:{iteration}")
         if isinstance(verdict, NotEquivalent):
             stats.pairsFiltered += 1
             continue

@@ -585,7 +585,10 @@ def dump_script(db: Database) -> str:
 
 
 def load_json_fixture(obj) -> Database:
-    """{"tables": [{"name", "columns": [{"name","type"}], "rows": [[..]]}]}"""
+    """{"tables": [{"name", "columns": [{"name","type"}], "rows": [[..]]}]}
+
+    A cell is null or a JSON value of its column's kind: an integer for
+    int, an integer or a finite number for dec, a string for str."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     db: Database = {}
@@ -603,7 +606,8 @@ def load_json_fixture(obj) -> Database:
                 try:
                     if v is None:
                         vals.append(None)
-                    elif ty == "dec":
+                    elif ty == "dec" and isinstance(v, (int, float)) \
+                            and not isinstance(v, bool):
                         d = Decimal(str(v))
                         if not d.is_finite():
                             raise ValueError(v)

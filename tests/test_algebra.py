@@ -134,9 +134,24 @@ class TestCommuteNormal:
 
     def test_idempotent(self):
         for sql in ["SELECT DISTINCT a FROM t0 WHERE a > 0 AND b < 1",
-                    "SELECT a, SUM(b) FROM t0 GROUP BY a HAVING a > 0"]:
+                    "SELECT a, SUM(b) FROM t0 GROUP BY a HAVING a > 0",
+                    "SELECT a FROM t0 WHERE b < 1 AND a > 0 "
+                    "UNION ALL SELECT a FROM t0",
+                    "SELECT a FROM t0 UNION SELECT a FROM t0 WHERE a > 0"]:
             n = commute_normal(low(sql))
             assert commute_normal(n) == n
+
+    def test_union_operand_order_is_normalized(self):
+        for op in ("UNION ALL", "UNION"):
+            e1 = low(f"SELECT a FROM t0 WHERE a > 0 {op} SELECT b FROM t0")
+            e2 = low(f"SELECT b FROM t0 {op} SELECT a FROM t0 WHERE a > 0")
+            assert e1 != e2
+            assert equivalent_mod_commute(e1, e2)
+
+    def test_union_and_union_all_stay_distinct(self):
+        e1 = low("SELECT a FROM t0 UNION ALL SELECT b FROM t0")
+        e2 = low("SELECT a FROM t0 UNION SELECT b FROM t0")
+        assert not equivalent_mod_commute(e1, e2)
 
 
 class TestRemap:

@@ -1,16 +1,27 @@
+import random
 import subprocess
 import sys
+from dataclasses import replace
 
-from eqmorph import equivfilter
+import pytest
+
+from eqmorph import algebra, equivfilter, harness
 from eqmorph.adapter import BuiltinEndpoint
+from eqmorph.algebra import (
+    Dedup, Scan, Union, UnionAll, join_conjuncts, rebuild, split_conjuncts,
+)
 from eqmorph.dbgen import databases_for_search
 from eqmorph.equivfilter import (
-    DEFAULT_BUDGET, NoCounterexample, NotEquivalent, check_bounded,
+    DEFAULT_BUDGET, NoCounterexample, NotEquivalent, check_bounded, proven,
 )
-from eqmorph.harness import GeneratorConfig, run_iteration
+from eqmorph.harness import (
+    GeneratorConfig, generate_database, generate_schema, generate_seed,
+    run_iteration, value_hints_of,
+)
 from eqmorph.parser import parse
-from eqmorph.refdb import ExecError, Executor
-from eqmorph.sqlast import Schema, qualify
+from eqmorph.refdb import ExecError, Executor, load_script, schema_of
+from eqmorph.sqlast import UNION, UNION_ALL, Schema, qualify
+from eqmorph.transform import NoRuleApplies, TransformContext, transform_query
 
 SCHEMA = Schema.of({"t0": (("a", "int"), ("b", "dec"))})
 
@@ -91,6 +102,25 @@ def test_one_probe_corpus_per_iteration(monkeypatch):
     cfg = GeneratorConfig(queries_per_iteration=50, filter_budget=32)
     stats = run_iteration(BuiltinEndpoint(), cfg, "corpus", 0).stats
     assert stats.pairsEmitted + stats.pairsFiltered > 1
+    # proven pairs probe nothing, so an iteration builds at most one corpus
+    assert len(calls) <= 1
+
+    def parenthesised_and(rng, schema, cfg):
+        # selection-commute swaps the two conjuncts; the parenthesised AND
+        # then re-lowers as two filters, so the normal forms differ
+        cols = dict(schema.columns("t0"))
+        a = next(c for c, ty in cols.items() if ty == "int")
+        b = next(c for c, ty in cols.items() if ty == "dec")
+        return parse(f"SELECT {a} FROM t0 WHERE {a} > 0 AND "
+                     f"({b} < 1 AND {a} < 5)")
+
+    calls.clear()
+    equivfilter._corpus.cache_clear()
+    monkeypatch.setattr(harness, "generate_seed", parenthesised_and)
+    cfg = GeneratorConfig(queries_per_iteration=3, filter_budget=32)
+    stats = run_iteration(BuiltinEndpoint(), cfg, "corpus", 1,
+                          enabled_rules=["selection-commute"]).stats
+    assert stats.pairsEmitted == 3
     assert len(calls) == 1
 
 
@@ -143,3 +173,118 @@ def test_alternating_seeds_match_fresh_processes():
     fresh_a, fresh_b = verdicts("A"), verdicts("B")
     assert fresh_a.replace("A ", "B ") != fresh_b  # witnesses differ
     assert verdicts("A", "B", "A", "A") == fresh_a + fresh_b + fresh_a * 2
+
+
+# ---------------------------------------------------------------------------
+# the proof: soundness guard and the loop
+
+
+def test_proven_settles_commuted_pairs_only():
+    assert proven(q("SELECT a FROM t0 WHERE a > 0 AND b > 0"),
+                  q("SELECT a FROM t0 WHERE b > 0 AND a > 0"), SCHEMA)
+    assert not proven(q("SELECT a FROM t0"),
+                      q("SELECT DISTINCT a FROM t0"), SCHEMA)
+    # a query that does not qualify is never proven, even against itself
+    bad = parse("SELECT z FROM t0")
+    assert not proven(bad, bad, SCHEMA)
+
+
+def _variants(seed):
+    """Deliberately non-equivalent variants of a seed: DISTINCT toggled,
+    UNION and UNION ALL swapped, one WHERE conjunct dropped."""
+    out = [replace(seed, distinct=not seed.distinct)]
+    if seed.set_op is not None:
+        op, rhs = seed.set_op
+        out.append(replace(
+            seed, set_op=(UNION_ALL if op == UNION else UNION, rhs)))
+    conj = split_conjuncts(seed.where)
+    if conj:
+        out.append(replace(seed, where=join_conjuncts(conj[:-1])))
+    return out
+
+
+@pytest.fixture(scope="module")
+def soundness_candidates():
+    """(schema, left, right) for each of 1,000 generated seeds: the pair of
+    its rule, and the seed against each of its variants."""
+    cfg = GeneratorConfig()
+    out = []
+    for s in range(25):
+        rng = random.Random(f"prove-sound:{s}")
+        schema = generate_schema(rng, cfg)
+        ctx = TransformContext(
+            rng=rng,
+            value_hints=value_hints_of(generate_database(rng, schema, cfg)))
+        for _ in range(40):
+            seed = generate_seed(rng, schema, cfg)
+            try:
+                pair = transform_query(seed, schema, ctx)
+                out.append((schema, pair.left, pair.right))
+            except NoRuleApplies:
+                pass
+            out.extend((schema, seed, v) for v in _variants(seed))
+    return out
+
+
+def _proven_divergences(candidates):
+    """The proven candidates that check_bounded separates on a
+    256-database corpus."""
+    for schema, left, right in candidates:
+        if proven(left, right, schema) and isinstance(
+                check_bounded(left, right, schema, budget=256,
+                              seed="prove-sound"), NotEquivalent):
+            yield left, right
+
+
+def test_proven_pairs_never_diverge(soundness_candidates):
+    assert list(_proven_divergences(soundness_candidates)) == []
+    # not vacuous: most rule pairs are proven, and so is DISTINCT toggled
+    # over a GROUP BY that already deduplicates the select list
+    assert sum(proven(left, right, schema)
+               for schema, left, right in soundness_candidates) >= 500
+
+
+def _rewriting_normal_form(monkeypatch, rewrite):
+    """Install a commute_normal that first rewrites every node."""
+    real = algebra.commute_normal
+
+    def walk(e):
+        if isinstance(e, (Union, UnionAll)):
+            return rewrite(type(e)(walk(e.left), walk(e.right)))
+        if isinstance(e, Scan):
+            return e
+        return rewrite(rebuild(e, walk(e.child)))
+
+    monkeypatch.setattr(algebra, "commute_normal", lambda e: real(walk(e)))
+
+
+@pytest.mark.parametrize("rewrite", [
+    lambda n: n.child if isinstance(n, Dedup) else n,
+    lambda n: Union(n.left, n.right) if isinstance(n, UnionAll) else n,
+], ids=["ignores-dedup", "union-all-as-union"])
+def test_guard_catches_a_broken_normal_form(soundness_candidates,
+                                            monkeypatch, rewrite):
+    _rewriting_normal_form(monkeypatch, rewrite)
+    assert next(_proven_divergences(soundness_candidates), None) is not None
+
+
+def test_proven_pairs_are_never_probed(monkeypatch):
+    probed = []
+
+    def recording(left, right, schema, **kwargs):
+        probed.append((left, right, schema))
+        return check_bounded(left, right, schema, **kwargs)
+
+    monkeypatch.setattr(harness, "check_bounded", recording)
+    cfg = GeneratorConfig(queries_per_iteration=200)
+    res = run_iteration(BuiltinEndpoint("drop-distinct"), cfg, "prove", 0)
+    assert res.stats.pairsEmitted > len(probed)
+    assert not any(proven(*args) for args in probed)
+
+    proven_reports = 0
+    for rep in res.reports:
+        schema = schema_of(load_script(rep.schemaDdl))
+        if proven(parse(rep.leftSql), parse(rep.rightSql), schema):
+            proven_reports += 1
+            assert rep.filterBudgetUsed == 0
+    assert proven_reports

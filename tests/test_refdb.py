@@ -357,7 +357,7 @@ class TestLoaders:
                 "name": "t",
                 "columns": [{"name": "a", "type": "int"},
                             {"name": "b", "type": "dec"}],
-                "rows": [[1, "0.5"], [1, "0.5"], [None, None]],
+                "rows": [[1, 0.5], [1, 0.5], [None, None]],
             }]})
         assert db["t"].rows == Counter({(1, Decimal("0.5")): 2,
                                         (None, None): 1})
@@ -371,7 +371,7 @@ class TestLoaders:
     @pytest.mark.parametrize("ty,cell", [
         ("int", "x"), ("dec", "x"), ("dec", "NaN"), ("int", [1]),
         ("int", 1.5), ("int", True), ("str", 7), ("int", "7"),
-        ("int", "1_000")])
+        ("int", "1_000"), ("dec", "1_0.5"), ("dec", " 2 "), ("dec", True)])
     def test_json_fixture_non_numeric_cell(self, ty, cell):
         with pytest.raises(ScriptError):
             load_json_fixture({"tables": [{

@@ -120,14 +120,13 @@ class TestCatalog:
                                 "selection-commute", "projection-pull-up"}
 
     def test_pairs_are_equivalent_mod_commute(self):
-        # union-commute pairs are excluded: swapping set-operation
-        # operands changes the tree shape, so they are vetted by
-        # execution instead (see test_rule_applies_and_pair_is_equivalent)
         for sql in [
             "SELECT a, SUM(b) FROM t0 GROUP BY a",
             "SELECT a FROM t0 WHERE a > 0 AND b < 1",
             "SELECT DISTINCT a FROM t0 WHERE a > 0",
             "SELECT DISTINCT a, b FROM t0 WHERE b > 0",
+            # the normal form orders set-operation operands
+            "SELECT a FROM t0 UNION SELECT d FROM t1",
         ]:
             pair = pair_for(sql)
             assert equivalent_mod_commute(
@@ -194,8 +193,7 @@ class TestIrRules:
     @staticmethod
     def assert_ir_equivalent(e, m):
         """Canonical-form equality where the rewrite is commutation-only;
-        execution-level equality otherwise (operand swaps of a set
-        operation change the tree but not the result)."""
+        execution-level equality otherwise."""
         from eqmorph.algebra import remap_to_sql
         if commute_normal(m) == commute_normal(e):
             return
