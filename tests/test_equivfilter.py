@@ -244,8 +244,13 @@ def test_proven_pairs_never_diverge(soundness_candidates):
                for schema, left, right in soundness_candidates) >= 500
 
 
-def _rewriting_normal_form(monkeypatch, rewrite):
-    """Install a commute_normal that first rewrites every node."""
+@pytest.mark.parametrize("rewrite", [
+    lambda n: n.child if isinstance(n, Dedup) else n,
+    lambda n: Union(n.left, n.right) if isinstance(n, UnionAll) else n,
+], ids=["ignores-dedup", "union-all-as-union"])
+def test_guard_catches_a_broken_normal_form(soundness_candidates,
+                                            monkeypatch, rewrite):
+    # a commute_normal that first rewrites every node of the tree
     real = algebra.commute_normal
 
     def walk(e):
@@ -256,15 +261,6 @@ def _rewriting_normal_form(monkeypatch, rewrite):
         return rewrite(rebuild(e, walk(e.child)))
 
     monkeypatch.setattr(algebra, "commute_normal", lambda e: real(walk(e)))
-
-
-@pytest.mark.parametrize("rewrite", [
-    lambda n: n.child if isinstance(n, Dedup) else n,
-    lambda n: Union(n.left, n.right) if isinstance(n, UnionAll) else n,
-], ids=["ignores-dedup", "union-all-as-union"])
-def test_guard_catches_a_broken_normal_form(soundness_candidates,
-                                            monkeypatch, rewrite):
-    _rewriting_normal_form(monkeypatch, rewrite)
     assert next(_proven_divergences(soundness_candidates), None) is not None
 
 
