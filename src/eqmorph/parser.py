@@ -19,15 +19,19 @@ KEYWORDS = {
     "CREATE", "TABLE", "INSERT", "INTO", "VALUES",
 }
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
+# One match per token; leading whitespace is part of the match.  A name,
+# a dot and a name with no space between them lex as one qualified ref
+# (most generated column refs are); \S catches any other character.
+_TOKEN_RE = re.compile(r"""\s*(?:
+    (?P<qref>[A-Za-z_][A-Za-z_0-9]*\.[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<word>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<punct>[(),.;*])
+  | (?P<op><=|>=|!=|=|<|>)
   | (?P<dec>-?\d+\.\d+)
   | (?P<int>-?\d+)
   | (?P<str>'(?:[^']|'')*')
-  | (?P<word>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op><=|>=|!=|=|<|>)
-  | (?P<punct>[(),.;*])
-""", re.VERBOSE)
+  | (?P<bad>\S)
+)""", re.VERBOSE)
 
 
 class Token:
@@ -42,57 +46,81 @@ class Token:
         return f"Token({self.kind}, {self.value!r}, {self.pos})"
 
 
+def _word(value: str, pos: int) -> Token:
+    upper = value.upper()
+    if upper in KEYWORDS:
+        return Token("kw", upper, pos)
+    return Token("ident", value.lower(), pos)
+
+
 def tokenize(text: str):
+    """Tokens of text, ending with an eof token.  A "qref" token's value
+    is a ColumnRef; unfold turns it back into ident, ".", ident."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise SqlSyntaxError(f"unexpected character {text[i]!r}", i)
-        i = m.end()
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "ws":
-            continue
-        value = m.group()
+        value = m.group(kind)
+        pos = m.start(kind)
         if kind == "word":
-            upper = value.upper()
-            if upper in KEYWORDS:
-                tokens.append(Token("kw", upper, m.start()))
+            append(_word(value, pos))
+        elif kind == "qref":
+            table, _, name = value.partition(".")
+            if table.upper() in KEYWORDS or name.upper() in KEYWORDS:
+                append(_word(table, pos))
+                append(Token("punct", ".", pos + len(table)))
+                append(_word(name, pos + len(table) + 1))
             else:
-                tokens.append(Token("ident", value.lower(), m.start()))
+                append(Token("qref", ColumnRef(name.lower(), table.lower()),
+                             pos))
+        elif kind == "punct" or kind == "op":
+            append(Token(kind, value, pos))
         elif kind == "int":
-            tokens.append(Token("int", int(value), m.start()))
+            append(Token("int", int(value), pos))
         elif kind == "dec":
-            tokens.append(Token("dec", Decimal(value), m.start()))
+            append(Token("dec", Decimal(value), pos))
         elif kind == "str":
-            tokens.append(Token("str", value[1:-1].replace("''", "'"),
-                                m.start()))
+            append(Token("str", value[1:-1].replace("''", "'"), pos))
         else:
-            tokens.append(Token(kind, value, m.start()))
-    tokens.append(Token("eof", None, n))
+            raise SqlSyntaxError(f"unexpected character {value!r}", pos)
+    append(Token("eof", None, len(text)))
     return tokens
+
+
+def unfold(tok: Token) -> list:
+    """A qref token as the three tokens it was lexed from."""
+    ref = tok.value
+    dot = tok.pos + len(ref.table)
+    return [Token("ident", ref.table, tok.pos), Token("punct", ".", dot),
+            Token("ident", ref.name, dot + 1)]
 
 
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
-
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.i]
+        self.cur = tokens[0]
 
     def advance(self) -> Token:
         t = self.cur
         self.i += 1
+        self.cur = self.tokens[self.i]
         return t
 
+    def unfold_cur(self):
+        """Split a current qref token where a lone name is expected, so
+        the parse goes on, or fails, as on the three tokens."""
+        if self.cur.kind == "qref":
+            self.tokens[self.i:self.i + 1] = unfold(self.cur)
+            self.cur = self.tokens[self.i]
+
     def at_kw(self, *kws) -> bool:
-        return self.cur.kind == "kw" and self.cur.value in kws
+        t = self.cur
+        return t.kind == "kw" and t.value in kws
 
     def accept_kw(self, *kws):
-        if self.at_kw(*kws):
+        t = self.cur
+        if t.kind == "kw" and t.value in kws:
             return self.advance()
         return None
 
@@ -103,10 +131,13 @@ class _Parser:
 
     def expect(self, kind):
         if self.cur.kind != kind:
-            self.fail(f"expected {kind}", {kind})
+            self.unfold_cur()
+            if self.cur.kind != kind:
+                self.fail(f"expected {kind}", {kind})
         return self.advance()
 
     def fail(self, message, expected=()):
+        self.unfold_cur()
         got = self.cur.value if self.cur.kind != "eof" else "end of input"
         raise SqlSyntaxError(f"{message}, got {got!r}", self.cur.pos, expected)
 
@@ -178,6 +209,8 @@ class _Parser:
         return self.column_ref()
 
     def column_ref(self) -> ColumnRef:
+        if self.cur.kind == "qref":
+            return self.advance().value
         first = self.expect("ident").value
         if self.cur.kind == "punct" and self.cur.value == ".":
             self.advance()
@@ -238,7 +271,7 @@ class _Parser:
 
     def term(self):
         t = self.cur
-        if t.kind == "ident":
+        if t.kind == "ident" or t.kind == "qref":
             return self.column_ref()
         if t.kind in ("int", "dec", "str"):
             self.advance()

@@ -29,7 +29,7 @@ from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .parser import parse, tokenize
+from .parser import parse, tokenize, unfold
 from .sqlast import (
     ColumnRef, Const, InvalidQuery, Schema, SqlQuery, qualify,
     render_pred, And, Or, Not, Cmp, TruthLit,
@@ -156,7 +156,6 @@ def _compile_pred(p, positions: dict) -> Callable:
     if not isinstance(p, Cmp):
         raise TypeError(f"not a predicate: {p!r}")
     op = _CMP_OPS[p.op]
-    message = render_pred(p)
     left, right = _term(p.left, positions), _term(p.right, positions)
 
     def compare(row):
@@ -164,7 +163,7 @@ def _compile_pred(p, positions: dict) -> Callable:
         if lv is None or rv is None:
             return _UNKNOWN
         if is_numeric(lv) != is_numeric(rv):
-            raise ExecError(TYPE_MISMATCH, message)
+            raise ExecError(TYPE_MISMATCH, render_pred(p))
         return _TRUE if op(lv, rv) else _FALSE
     return compare
 
@@ -327,7 +326,8 @@ class Executor:
         out = []
         for row, mult in rel.rows.items():
             out.extend([tuple(fmt(v) for v in row)] * mult)
-        out.sort(key=row_sort_key)
+        # every cell is a str, so plain tuple order is row_sort_key order
+        out.sort()
         return out
 
     # -- internals ----------------------------------------------------------
@@ -487,7 +487,10 @@ def _split_statements(text: str):
 
 class _Toks:
     def __init__(self, toks):
-        self.toks = toks
+        # the script grammar reads a qualified ref as the tokens it was
+        # lexed from, so its errors name the same tokens
+        self.toks = [u for t in toks
+                     for u in (unfold(t) if t.kind == "qref" else (t,))]
         self.i = 0
 
     def next(self):
@@ -588,9 +591,12 @@ def load_json_fixture(obj) -> Database:
     """{"tables": [{"name", "columns": [{"name","type"}], "rows": [[..]]}]}
 
     A cell is null or a JSON value of its column's kind: an integer for
-    int, an integer or a finite number for dec, a string for str."""
+    int, an integer or a finite number for dec, a string for str.  Text
+    is read with its numbers as exact Decimals, so a dec cell keeps every
+    digit; a number too large for a binary double, such as 1e400, is
+    still finite and loads as written."""
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        obj = json.loads(obj, parse_float=Decimal)
     db: Database = {}
     for t in obj["tables"]:
         cols = tuple((c["name"], c["type"]) for c in t["columns"])
@@ -606,9 +612,9 @@ def load_json_fixture(obj) -> Database:
                 try:
                     if v is None:
                         vals.append(None)
-                    elif ty == "dec" and isinstance(v, (int, float)) \
+                    elif ty == "dec" and isinstance(v, (int, float, Decimal)) \
                             and not isinstance(v, bool):
-                        d = Decimal(str(v))
+                        d = v if isinstance(v, Decimal) else Decimal(str(v))
                         if not d.is_finite():
                             raise ValueError(v)
                         vals.append(d)

@@ -7,7 +7,7 @@ functions: COUNT, SUM, MIN, MAX, AVG.  No joins, subqueries, ORDER BY.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Union as TUnion
 
 from .values import TruthValue, is_numeric, render_literal
@@ -372,8 +372,8 @@ def _resolve(q: SqlQuery, schema: Schema):
         if not errors:
             errors.extend(_set_operand_errors(select, rhs.select, schema))
         set_op = (op, rhs)
-    return replace(q, select=tuple(select), where=where, group_by=group_by,
-                   having=having, set_op=set_op), errors
+    return SqlQuery(tuple(select), q.from_tables, q.distinct, where, group_by,
+                    having, set_op), errors
 
 
 def _set_operand_errors(left, right, schema: Schema) -> list:

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqmorph.parser import parse, tokenize
+from eqmorph.refdb import ScriptError, load_script
 from eqmorph.sqlast import (
-    AggCall, And, Cmp, ColumnRef, Const, Not, Or, SqlSyntaxError, TruthLit,
-    render,
+    AggCall, And, Cmp, ColumnRef, Const, Not, Or, SqlQuery, SqlSyntaxError,
+    TruthLit, render,
 )
 from eqmorph.values import TruthValue
 
@@ -154,3 +155,52 @@ def test_tokenize_skips_whitespace_and_positions():
     toks = tokenize("SELECT  a")
     assert [t.kind for t in toks] == ["kw", "ident", "eof"]
     assert toks[1].pos == 8
+
+
+# A name, a dot and a name lex as one token unless space or a keyword
+# splits them; either way the parser sees the same statement.
+@pytest.mark.parametrize("sql,ast", [
+    ("SELECT t0\n.\tc1 FROM t0", SqlQuery((ColumnRef("c1", "t0"),), ("t0",))),
+    ("SELECT t0 . c1 FROM t0", SqlQuery((ColumnRef("c1", "t0"),), ("t0",))),
+    ("SELECT T0.C1 FROM T0", SqlQuery((ColumnRef("c1", "t0"),), ("t0",))),
+    ("SELECT a FROM t  \n\t ", SqlQuery((ColumnRef("a"),), ("t",))),
+    ("SELECT a FROM t WHERE t.a>-5",
+     SqlQuery((ColumnRef("a"),), ("t",),
+              where=Cmp(ColumnRef("a", "t"), ">", Const(-5)))),
+])
+def test_lexer_edge_cases_parse(sql, ast):
+    assert parse(sql) == ast
+
+
+@pytest.mark.parametrize("sql,position,message", [
+    ("SELECT t.FROM FROM t", 9, "expected ident, got 'FROM'"),
+    ("SELECT FROM.a FROM t", 7, "expected ident, got 'FROM'"),
+    ("SELECT t.c.d FROM t", 10, "expected FROM, got '.'"),
+    ("SELECT t0.1 FROM t0", 10, "expected ident, got 1"),
+    ("SELECT a FROM t WHERE a - 1", 24, "unexpected character '-'"),
+    ("SELECT 'abc FROM t", 7, "unexpected character \"'\""),
+    ("SELECT a FROM t.x", 15, "trailing input after query, got '.'"),
+    ("SELECT a FROM t t.x", 16, "trailing input after query, got 't'"),
+    ("SELECT a FROM t WHERE t . a.b = 1", 27,
+     "expected comparison operator, got '.'"),
+])
+def test_lexer_edge_cases_fail(sql, position, message):
+    with pytest.raises(SqlSyntaxError) as exc:
+        parse(sql)
+    assert exc.value.position == position
+    assert str(exc.value) == f"{message} at position {position}"
+
+
+@pytest.mark.parametrize("script,message", [
+    ("CREATE TABLE t.x (a INT);", "expected (, got '.'"),
+    ("CREATE TABLE t (a.b INT);", "expected ident, got '.'"),
+    ("CREATE TABLE t (a int.x);", "expected , or ), got '.'"),
+    ("CREATE TABLE t (a INT); INSERT INTO t.q VALUES (1);",
+     "expected VALUES, got '.'"),
+    ("CREATE TABLE t (a INT); INSERT INTO t VALUES (t.c);",
+     "bad literal 't'"),
+])
+def test_script_loader_sees_qualified_names_as_three_tokens(script, message):
+    with pytest.raises(ScriptError) as exc:
+        load_script(script)
+    assert str(exc.value) == message

@@ -5,6 +5,7 @@ from decimal import Decimal
 
 import pytest
 
+from eqmorph import refdb
 from eqmorph.dbgen import random_database
 from eqmorph.harness import GeneratorConfig, generate_schema, generate_seed
 from eqmorph.parser import parse
@@ -12,6 +13,7 @@ from eqmorph.refdb import (
     FAULTS, ExecError, Executor, ScriptError, TableData, UnknownFault,
     dump_script, load_json_fixture, load_script, schema_of,
 )
+from eqmorph.values import row_sort_key
 
 SCRIPT = """
 CREATE TABLE t0 (a INT, b DECIMAL, c VARCHAR);
@@ -172,6 +174,25 @@ class TestErrors:
         assert (exc.value.code, exc.value.message) == \
             ("TYPE_MISMATCH", "t.b > 1")
 
+    def test_comparisons_render_no_message_unless_one_fails(
+            self, monkeypatch, db):
+        rendered = []
+        render_pred = refdb.render_pred
+        monkeypatch.setattr(refdb, "render_pred",
+                            lambda p: rendered.append(p) or render_pred(p))
+        ex = Executor()
+        q = parse("SELECT a, COUNT(*) FROM t0 WHERE b > 0 AND c != 'q' "
+                  "OR a < 5 GROUP BY a HAVING a >= 1")
+        plan = ex.prepare(q, schema_of(db))
+        assert ex.run(db, plan).rows == {(1, 2): 1, (2, 1): 1}
+        assert rendered == []
+        bad = {"t": TableData((("a", "int"), ("b", "int")),
+                              Counter({(0, "x"): 1}))}
+        with pytest.raises(ExecError) as exc:
+            ex.execute(bad, "SELECT a FROM t WHERE a < 5 OR b > 1")
+        assert exc.value.message == "t.b > 1"
+        assert len(rendered) == 1
+
     def test_unknown_fault_rejected(self):
         with pytest.raises(UnknownFault):
             Executor("no-such-fault")
@@ -279,6 +300,26 @@ class TestFaults:
             clean.rendered_rows(clean.execute(db, q2), q2)
 
 
+@pytest.mark.parametrize("fault", [None, "float-format-split"])
+def test_rendered_rows_in_row_sort_key_order(fault):
+    db = {"t": TableData(
+        (("a", "int"), ("b", "dec"), ("c", "str")),
+        Counter({(None, Decimal("-1.5"), "b"): 1, (-3, Decimal("10"), "a"): 2,
+                 (2, None, "B"): 1, (-10, Decimal("2.25"), None): 1,
+                 (2, Decimal("0.5"), "a"): 1, (0, Decimal("-0.125"), ""): 1}))}
+    ex = Executor(fault)
+    # HAVING switches the float-format-split fault on
+    q = parse("SELECT a, b, c FROM t GROUP BY a, b, c HAVING TRUE")
+    got = ex.rendered_rows(ex.execute(db, q), q)
+    assert got == sorted(got, key=row_sort_key)
+    assert len(got) == 6
+    if fault is None:
+        assert got == [
+            ("-10", "2.25", "NULL"), ("-3", "10", "a"),
+            ("0", "-0.125", ""), ("2", "0.5", "a"), ("2", "NULL", "B"),
+            ("NULL", "-1.5", "b")]
+
+
 def _outcome(ex, db, q):
     try:
         rel = ex.run(db, q)
@@ -361,6 +402,28 @@ class TestLoaders:
             }]})
         assert db["t"].rows == Counter({(1, Decimal("0.5")): 2,
                                         (None, None): 1})
+
+    def test_json_fixture_text_keeps_every_decimal_digit(self):
+        db = load_json_fixture(
+            '{"tables": [{"name": "t", "columns": [{"name": "a", '
+            '"type": "dec"}], "rows": [[0.12345678901234567890], '
+            '[12345678901234567890.5]]}]}')
+        assert list(db["t"].rows) == [(Decimal("0.12345678901234567890"),),
+                                      (Decimal("12345678901234567890.5"),)]
+
+    def test_json_fixture_text_beyond_double_range_is_finite(self):
+        # 1e400 overflows a binary double, but it is an exact decimal
+        db = load_json_fixture(
+            '{"tables": [{"name": "t", "columns": [{"name": "a", '
+            '"type": "dec"}], "rows": [[1e400]]}]}')
+        assert db["t"].rows == Counter({(Decimal("1e400"),): 1})
+
+    @pytest.mark.parametrize("cell", ["1.0", "1.5", "1e400", "NaN"])
+    def test_json_fixture_text_number_in_int_column(self, cell):
+        with pytest.raises(ScriptError):
+            load_json_fixture(
+                '{"tables": [{"name": "t", "columns": [{"name": "a", '
+                f'"type": "int"}}], "rows": [[{cell}]]}}]}}')
 
     def test_json_fixture_bad_type(self):
         with pytest.raises(ScriptError):
