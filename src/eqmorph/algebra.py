@@ -269,63 +269,129 @@ def lower(q: SqlQuery):
 # ---------------------------------------------------------------------------
 # commute-normal form
 
-def _pred_key(p: Predicate) -> str:
-    return render_pred(p)
-
-
-def _canon_once(e):
-    """One bottom-up pass; returns (expr, changed)."""
-    changed = False
-    if isinstance(e, (Union, UnionAll)):
-        l, c1 = _canon_once(e.left)
-        r, c2 = _canon_once(e.right)
-        # operand order never changes the result multiset
-        if repr(r) < repr(l):
-            return type(e)(r, l), True
-        return type(e)(l, r), c1 or c2
-    if isinstance(e, Scan):
-        return e, False
-    child, changed = _canon_once(e.child)
-    e = rebuild(e, child)
-
-    if isinstance(e, Project) and isinstance(child, Project):
-        if _refset(e.cols) <= _refset(child.cols):
-            return Project(e.cols, child.child), True
-    if isinstance(e, Dedup):
-        # key order never affects which rows collapse
-        ordered = tuple(sorted(e.keys, key=str))
-        if ordered != e.keys:
-            return Dedup(ordered, child), True
-        if isinstance(child, Dedup) and _refset(e.keys) == _refset(child.keys):
-            return child, True
-        if isinstance(child, Project) and _refset(e.keys) == _refset(child.cols):
-            return Project(child.cols,
-                           Dedup(_unique_refs(child.cols), child.child)), True
-    if isinstance(e, Filter):
-        refs = pred_refs(e.pred)
-        if isinstance(child, Dedup) and refs <= _refset(child.keys):
-            return Dedup(child.keys, Filter(e.pred, child.child)), True
-        if isinstance(child, Project) and refs <= _refset(child.cols):
-            return Project(child.cols, Filter(e.pred, child.child)), True
-        if isinstance(child, Agg) and refs <= _refset(child.keys):
-            return Agg(child.select, child.keys,
-                       Filter(e.pred, child.child)), True
-        if isinstance(child, Filter) and _pred_key(e.pred) < _pred_key(child.pred):
-            return Filter(child.pred, Filter(e.pred, child.child)), True
-    return e, changed
-
-
 def rebuild(e, child):
     """The unary node e over a new child."""
-    if isinstance(e, Project):
+    t = type(e)
+    if t is Project:
         return Project(e.cols, child)
-    if isinstance(e, Filter):
+    if t is Filter:
         return Filter(e.pred, child)
-    if isinstance(e, Dedup):
+    if t is Dedup:
         return Dedup(e.keys, child)
-    if isinstance(e, Agg):
+    if t is Agg:
         return Agg(e.select, e.keys, child)
     raise TypeError(e)
+
+
+def _cached(table: dict, obj, fn):
+    """fn(obj), computed once per table.  Entries are keyed by identity
+    (hashing a tree costs about as much as normalising it) and hold their
+    object, so no id is reused while the table lives."""
+    hit = table.get(id(obj))
+    if hit is None or hit[0] is not obj:
+        hit = table[id(obj)] = (obj, fn(obj))
+    return hit[1]
+
+
+def _sorted_keys(keys: tuple) -> tuple:
+    """keys in canonical order; keys itself when already in it."""
+    ordered = tuple(sorted(keys, key=str))
+    return keys if ordered == keys else ordered
+
+
+class _Keys:
+    """What one commute_normal call computes at most once: per predicate
+    its refs and sort key, per column tuple its ref set and sorted order."""
+
+    __slots__ = ("refs", "pred_key", "cols", "sorted")
+
+    def __init__(self):
+        self.refs = {}
+        self.pred_key = {}
+        self.cols = {}
+        self.sorted = {}
+
+
+def _canon_once(spine: list, k: _Keys):
+    """One bottom-up pass of the commutations over a unary spine (leaf
+    first).  Only an element's operator and payload count, not its child.
+    Returns the new spine, or None when no commutation applied."""
+    out = []
+    changed = False
+    for e in spine:
+        child = out[-1] if out else None
+        t, ct = type(e), type(child)
+        if t is Filter:
+            if ct is Filter:
+                moves = (_cached(k.pred_key, e.pred, render_pred)
+                         < _cached(k.pred_key, child.pred, render_pred))
+            elif ct is Dedup or ct is Agg:
+                moves = (_cached(k.refs, e.pred, pred_refs)
+                         <= _cached(k.cols, child.keys, _refset))
+            elif ct is Project:
+                moves = (_cached(k.refs, e.pred, pred_refs)
+                         <= _cached(k.cols, child.cols, _refset))
+            else:
+                moves = False
+            if moves:  # the filter sinks below its child
+                out[-1] = e
+                out.append(child)
+                changed = True
+                continue
+        elif t is Dedup:
+            # key order never affects which rows collapse
+            ordered = _cached(k.sorted, e.keys, _sorted_keys)
+            if ordered is not e.keys:
+                out.append(Dedup(ordered, None))
+                changed = True
+                continue
+            if ct is Dedup and _cached(k.cols, e.keys, _refset) == \
+                    _cached(k.cols, child.keys, _refset):
+                changed = True
+                continue
+            if ct is Project and _cached(k.cols, e.keys, _refset) == \
+                    _cached(k.cols, child.cols, _refset):
+                out[-1] = Dedup(_unique_refs(child.cols), None)
+                out.append(child)
+                changed = True
+                continue
+        elif t is Project and ct is Project and _cached(
+                k.cols, e.cols, _refset) <= _cached(k.cols, child.cols,
+                                                    _refset):
+            out[-1] = e
+            changed = True
+            continue
+        out.append(e)
+    return out if changed else None
+
+
+def _normal(e, k: _Keys):
+    """The normal form of e.  A commutation looks only at a unary node and
+    its child, never into the Scan or set operation the unary spine stands
+    on, so the spine and the operands of a set operation normalise apart:
+    the spine pass by pass as a list, the operands first and then ordered
+    by repr.  That is where rewriting the whole tree pass by pass until a
+    pass changes nothing leaves them."""
+    spine = []
+    while type(e) not in (Scan, Union, UnionAll):
+        spine.append(e)
+        e = e.child
+    if type(e) is not Scan:
+        l, r = _normal(e.left, k), _normal(e.right, k)
+        # operand order never changes the result multiset
+        if repr(r) < repr(l):
+            l, r = r, l
+        if l is not e.left or r is not e.right:
+            e = type(e)(l, r)
+    spine.reverse()
+    while True:
+        nxt = _canon_once(spine, k)
+        if nxt is None:
+            break
+        spine = nxt
+    for node in spine:
+        e = node if node.child is e else rebuild(node, e)
+    return e
 
 
 def commute_normal(e):
@@ -336,10 +402,7 @@ def commute_normal(e):
     two set operations that differ only in the order of their operands
     (the operands of Union and UnionAll are ordered by repr).
     """
-    while True:
-        e, changed = _canon_once(e)
-        if not changed:
-            return e
+    return _normal(e, _Keys())
 
 
 def equivalent_mod_commute(e1, e2) -> bool:

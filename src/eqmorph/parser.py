@@ -6,8 +6,8 @@ import re
 from decimal import Decimal
 
 from .sqlast import (
-    AGG_FNS, UNION, UNION_ALL, AggCall, And, ColumnRef, Cmp, Const, Not, Or,
-    SqlQuery, SqlSyntaxError, TruthLit,
+    AGG_FNS, CMP_OPS, UNION, UNION_ALL, AggCall, And, ColumnRef, Cmp, Const,
+    Not, Or, SqlQuery, SqlSyntaxError, TruthLit,
 )
 from .values import TruthValue
 
@@ -264,7 +264,7 @@ class _Parser:
 
     def finish_cmp(self, left):
         if self.cur.kind != "op":
-            self.fail("expected comparison operator", set("=<>"))
+            self.fail("expected comparison operator", CMP_OPS)
         op = self.advance().value
         right = self.term()
         return Cmp(left, op, right)

@@ -5,14 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from eqmorph.algebra import (
     Agg, AlgebraTypeError, Dedup, Filter, Project, RelType, RemapError, Scan,
-    Union, UnionAll, commute_normal, dump, equivalent_mod_commute, lower,
-    remap_to_sql, typecheck,
+    Union, UnionAll, _refset, _unique_refs, commute_normal, dump,
+    equivalent_mod_commute, lower, pred_refs, rebuild, remap_to_sql,
+    typecheck,
 )
 from eqmorph.dbgen import databases_for_search
 from eqmorph.parser import parse
 from eqmorph.refdb import Executor
-from eqmorph.sqlast import AggCall, Cmp, ColumnRef, Const, Schema, qualify, \
-    render
+from eqmorph.sqlast import AggCall, And, Cmp, ColumnRef, Const, Schema, \
+    qualify, render, render_pred
 
 SCHEMA = Schema.of({"t0": (("a", "int"), ("b", "dec"), ("c", "str"))})
 
@@ -230,3 +231,91 @@ def test_remap_lower_membership_random(data):
     q = qualify(generate_seed(rng, schema, cfg), schema)
     texts = {render(c) for c in remap_to_sql(lower(q))}
     assert render(q) in texts
+
+
+def _spec_pass(e):
+    """One bottom-up pass of the commutations, rebuilding every node:
+    the definition commute_normal must agree with.  (expr, changed)."""
+    if isinstance(e, (Union, UnionAll)):
+        l, c1 = _spec_pass(e.left)
+        r, c2 = _spec_pass(e.right)
+        if repr(r) < repr(l):
+            return type(e)(r, l), True
+        return type(e)(l, r), c1 or c2
+    if isinstance(e, Scan):
+        return e, False
+    child, changed = _spec_pass(e.child)
+    e = rebuild(e, child)
+    if isinstance(e, Project) and isinstance(child, Project):
+        if _refset(e.cols) <= _refset(child.cols):
+            return Project(e.cols, child.child), True
+    if isinstance(e, Dedup):
+        ordered = tuple(sorted(e.keys, key=str))
+        if ordered != e.keys:
+            return Dedup(ordered, child), True
+        if isinstance(child, Dedup) and _refset(e.keys) == _refset(child.keys):
+            return child, True
+        if isinstance(child, Project) and _refset(e.keys) == _refset(child.cols):
+            return Project(child.cols,
+                           Dedup(_unique_refs(child.cols), child.child)), True
+    if isinstance(e, Filter):
+        refs = pred_refs(e.pred)
+        if isinstance(child, Dedup) and refs <= _refset(child.keys):
+            return Dedup(child.keys, Filter(e.pred, child.child)), True
+        if isinstance(child, Project) and refs <= _refset(child.cols):
+            return Project(child.cols, Filter(e.pred, child.child)), True
+        if isinstance(child, Agg) and refs <= _refset(child.keys):
+            return Agg(child.select, child.keys,
+                       Filter(e.pred, child.child)), True
+        if isinstance(child, Filter) and \
+                render_pred(e.pred) < render_pred(child.pred):
+            return Filter(child.pred, Filter(e.pred, child.child)), True
+    return e, changed
+
+
+def _spec_normal(e):
+    while True:
+        e, changed = _spec_pass(e)
+        if not changed:
+            return e
+
+
+_COLS = [ColumnRef(n, "t0") for n in "abc"]
+_cols = st.lists(st.sampled_from(_COLS), min_size=1, max_size=3).map(tuple)
+_preds = st.tuples(st.sampled_from(_COLS), st.sampled_from(("<", ">")),
+                   st.integers(0, 2)).map(lambda t: Cmp(t[0], t[1],
+                                                        Const(t[2])))
+_preds = st.one_of(_preds, st.tuples(_preds, _preds).map(lambda t: And(*t)))
+_unary = st.one_of(
+    _cols.map(lambda c: lambda child: Project(c, child)),
+    _cols.map(lambda c: lambda child: Dedup(c, child)),
+    _preds.map(lambda p: lambda child: Filter(p, child)),
+    _cols.map(lambda c: lambda child: Agg(c, c, child)),
+)
+
+
+def _stacks(base):
+    def build(ops):
+        e = base
+        for op in ops:
+            e = op(e)
+        return e
+    return st.lists(_unary, max_size=7).map(build)
+
+
+_trees = st.recursive(
+    _stacks(Scan(("t0",))),
+    lambda inner: st.tuples(st.sampled_from((Union, UnionAll)), inner,
+                            inner).flatmap(
+        lambda t: _stacks(t[0](t[1], t[2]))),
+    max_leaves=3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_trees)
+def test_commute_normal_is_the_pass_fixpoint(e):
+    """Any tree, typed or not: the same normal form as rewriting the whole
+    tree pass by pass until a pass changes nothing."""
+    n = commute_normal(e)
+    assert n == _spec_normal(e)
+    assert commute_normal(n) == n

@@ -3,10 +3,12 @@ import random
 
 import pytest
 
-from eqmorph.adapter import BuiltinEndpoint
+from eqmorph import harness
+from eqmorph.adapter import BuiltinEndpoint, EngineError
+from eqmorph.equivfilter import NotEquivalent
 from eqmorph.harness import (
     DEFAULT_ERROR_LIST, DISCARD, KEEP_FOR_TRIAGE, BugReport, GeneratorConfig,
-    compare_results, filter_error, generate_database, generate_schema,
+    _judge, compare_results, filter_error, generate_database, generate_schema,
     generate_seed, persist_iteration, replay_report, run_iteration,
     value_hints_of,
 )
@@ -81,6 +83,51 @@ class TestCompare:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             compare_results([], [], "fuzzy")
+
+
+class TestJudgeBoth:
+    """_judge in "both" mode compares raw text first and parses cells only
+    to name the mode of a divergence."""
+
+    def judge(self, left, right):
+        return _judge(left, right, "both", DEFAULT_ERROR_LIST)
+
+    def test_equal_rows_agree_without_parsing(self, monkeypatch):
+        parsed = []
+        real = harness.parse_rendered
+        monkeypatch.setattr(harness, "parse_rendered",
+                            lambda c: parsed.append(c) or real(c))
+        rows = [("1", "0.5"), ("NULL", "x"), ("1", "0.5")]
+        assert self.judge(("rows", rows), ("rows", rows[::-1])) is None
+        assert parsed == []
+
+    def test_formatting_difference_is_raw_text(self):
+        out = self.judge(("rows", [("1.5",)]), ("rows", [("1.50",)]))
+        assert out[:2] == ("result-divergence", "raw-text")
+        assert out[2] == {"rows": [[["1.5"], 1]]}
+        assert out[3] == {"rows": [[["1.50"], 1]]}
+
+    def test_value_difference_is_canonical(self):
+        for right in ([("2",)], [("1",), ("1",)], [("1", "2")]):
+            out = self.judge(("rows", [("1",)]), ("rows", right))
+            assert out[:2] == ("result-divergence", "canonical")
+
+    def test_error_divergences_are_unchanged(self):
+        rows = ("rows", [("1",)])
+        known = ("error", EngineError("DIV_BY_ZERO", "division by zero"))
+        other = ("error", EngineError("SEGFAULT", "crashed"))
+        assert self.judge(known, ("error", EngineError("DIV_BY_ZERO", "")))\
+            is None
+        assert self.judge(known, other) == (
+            "error-divergence", "n/a",
+            {"error": {"code": "DIV_BY_ZERO",
+                       "message": "division by zero"}},
+            {"error": {"code": "SEGFAULT", "message": "crashed"}})
+        assert self.judge(rows, known) is None
+        assert self.judge(other, rows) == (
+            "error-divergence", "n/a",
+            {"error": {"code": "SEGFAULT", "message": "crashed"}},
+            {"rows": [[["1"], 1]]})
 
 
 def test_filter_error_policy():
@@ -163,3 +210,49 @@ class TestRunIteration:
         lines = (tmp_path / "stats.jsonl").read_text().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[0])["generated"] == 20
+
+
+@pytest.mark.parametrize("fault", [None, "drop-distinct"])
+def test_one_engine_run_per_distinct_statement(monkeypatch, fault):
+    """Each seed's turn sends a text to the engine at most once: a pair
+    side that renders to the seed's text reuses the seed's rows."""
+    turns = []
+
+    def wrap(name, on_result):
+        real = getattr(harness, name)
+
+        def traced(*args, **kwargs):
+            out = real(*args, **kwargs)
+            on_result(out)
+            return out
+        monkeypatch.setattr(harness, name, traced)
+
+    wrap("generate_seed", lambda q: turns.append(
+        {"seed": render(q), "sent": [], "pair": None, "filtered": False}))
+    wrap("transform_query", lambda p: turns[-1].update(pair=p))
+    wrap("check_bounded", lambda v: turns[-1].update(
+        filtered=isinstance(v, NotEquivalent)))
+    endpoint = BuiltinEndpoint(fault)
+    real_exec = endpoint.exec_sql
+
+    def exec_sql(sql):
+        turns[-1]["sent"].append(sql)
+        return real_exec(sql)
+    monkeypatch.setattr(endpoint, "exec_sql", exec_sql)
+
+    res = run_iteration(endpoint, GeneratorConfig(queries_per_iteration=150),
+                        "one-run", 0)
+    assert len(turns) == res.stats.generated == 150
+    differing = 0
+    for t in turns:
+        assert t["sent"][0] == t["seed"]
+        assert len(set(t["sent"])) == len(t["sent"])
+        if t["pair"] is not None and not t["filtered"]:
+            differing += sum(render(side) != t["seed"]
+                             for side in (t["pair"].left, t["pair"].right))
+    calls = sum(len(t["sent"]) for t in turns)
+    assert calls == res.stats.generated + differing
+    assert calls < res.stats.generated + 2 * res.stats.pairsEmitted
+    assert bool(res.reports) == (fault is not None)
+    for rep in res.reports:
+        assert replay_report(rep, BuiltinEndpoint(fault)).reproduced

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from eqmorph.parser import parse, tokenize
 from eqmorph.refdb import ScriptError, load_script
 from eqmorph.sqlast import (
-    AggCall, And, Cmp, ColumnRef, Const, Not, Or, SqlQuery, SqlSyntaxError,
-    TruthLit, render,
+    CMP_OPS, AggCall, And, Cmp, ColumnRef, Const, Not, Or, SqlQuery,
+    SqlSyntaxError, TruthLit, render,
 )
 from eqmorph.values import TruthValue
 
@@ -204,3 +204,11 @@ def test_script_loader_sees_qualified_names_as_three_tokens(script, message):
     with pytest.raises(ScriptError) as exc:
         load_script(script)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("sql", ["SELECT a FROM t WHERE a b",
+                                 "SELECT a FROM t WHERE a"])
+def test_missing_comparison_expects_every_operator_in_order(sql):
+    with pytest.raises(SqlSyntaxError) as exc:
+        parse(sql)
+    assert exc.value.expected == CMP_OPS
