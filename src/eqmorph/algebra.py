@@ -14,6 +14,7 @@ verified by lowering it back and comparing commute-normal forms.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -283,10 +284,13 @@ def rebuild(e, child):
     raise TypeError(e)
 
 
-def _cached(table: dict, obj, fn):
-    """fn(obj), computed once per table.  Entries are keyed by identity
-    (hashing a tree costs about as much as normalising it) and hold their
-    object, so no id is reused while the table lives."""
+def _cached(keys: dict, obj, fn):
+    """fn(obj), computed at most once per keys table: one commute_normal
+    call's predicate refs and sort keys, column ref sets and sorted key
+    orders.  Entries are keyed by identity (hashing a tree costs about as
+    much as normalising it) and hold their object, so no id is reused
+    while the table lives."""
+    table = keys[fn]
     hit = table.get(id(obj))
     if hit is None or hit[0] is not obj:
         hit = table[id(obj)] = (obj, fn(obj))
@@ -299,20 +303,7 @@ def _sorted_keys(keys: tuple) -> tuple:
     return keys if ordered == keys else ordered
 
 
-class _Keys:
-    """What one commute_normal call computes at most once: per predicate
-    its refs and sort key, per column tuple its ref set and sorted order."""
-
-    __slots__ = ("refs", "pred_key", "cols", "sorted")
-
-    def __init__(self):
-        self.refs = {}
-        self.pred_key = {}
-        self.cols = {}
-        self.sorted = {}
-
-
-def _canon_once(spine: list, k: _Keys):
+def _canon_once(spine: list, k: dict):
     """One bottom-up pass of the commutations over a unary spine (leaf
     first).  Only an element's operator and payload count, not its child.
     Returns the new spine, or None when no commutation applied."""
@@ -323,14 +314,14 @@ def _canon_once(spine: list, k: _Keys):
         t, ct = type(e), type(child)
         if t is Filter:
             if ct is Filter:
-                moves = (_cached(k.pred_key, e.pred, render_pred)
-                         < _cached(k.pred_key, child.pred, render_pred))
+                moves = (_cached(k, e.pred, render_pred)
+                         < _cached(k, child.pred, render_pred))
             elif ct is Dedup or ct is Agg:
-                moves = (_cached(k.refs, e.pred, pred_refs)
-                         <= _cached(k.cols, child.keys, _refset))
+                moves = (_cached(k, e.pred, pred_refs)
+                         <= _cached(k, child.keys, _refset))
             elif ct is Project:
-                moves = (_cached(k.refs, e.pred, pred_refs)
-                         <= _cached(k.cols, child.cols, _refset))
+                moves = (_cached(k, e.pred, pred_refs)
+                         <= _cached(k, child.cols, _refset))
             else:
                 moves = False
             if moves:  # the filter sinks below its child
@@ -340,24 +331,23 @@ def _canon_once(spine: list, k: _Keys):
                 continue
         elif t is Dedup:
             # key order never affects which rows collapse
-            ordered = _cached(k.sorted, e.keys, _sorted_keys)
+            ordered = _cached(k, e.keys, _sorted_keys)
             if ordered is not e.keys:
                 out.append(Dedup(ordered, None))
                 changed = True
                 continue
-            if ct is Dedup and _cached(k.cols, e.keys, _refset) == \
-                    _cached(k.cols, child.keys, _refset):
+            if ct is Dedup and _cached(k, e.keys, _refset) == \
+                    _cached(k, child.keys, _refset):
                 changed = True
                 continue
-            if ct is Project and _cached(k.cols, e.keys, _refset) == \
-                    _cached(k.cols, child.cols, _refset):
+            if ct is Project and _cached(k, e.keys, _refset) == \
+                    _cached(k, child.cols, _refset):
                 out[-1] = Dedup(_unique_refs(child.cols), None)
                 out.append(child)
                 changed = True
                 continue
-        elif t is Project and ct is Project and _cached(
-                k.cols, e.cols, _refset) <= _cached(k.cols, child.cols,
-                                                    _refset):
+        elif t is Project and ct is Project and \
+                _cached(k, e.cols, _refset) <= _cached(k, child.cols, _refset):
             out[-1] = e
             changed = True
             continue
@@ -365,7 +355,7 @@ def _canon_once(spine: list, k: _Keys):
     return out if changed else None
 
 
-def _normal(e, k: _Keys):
+def _normal(e, k: dict):
     """The normal form of e.  A commutation looks only at a unary node and
     its child, never into the Scan or set operation the unary spine stands
     on, so the spine and the operands of a set operation normalise apart:
@@ -402,7 +392,7 @@ def commute_normal(e):
     two set operations that differ only in the order of their operands
     (the operands of Union and UnionAll are ordered by repr).
     """
-    return _normal(e, _Keys())
+    return _normal(e, defaultdict(dict))
 
 
 def equivalent_mod_commute(e1, e2) -> bool:
