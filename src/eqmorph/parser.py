@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from decimal import Decimal
+from functools import lru_cache
 
 from .sqlast import (
     AGG_FNS, CMP_OPS, UNION, UNION_ALL, AggCall, And, ColumnRef, Cmp, Const,
@@ -46,11 +47,30 @@ class Token:
         return f"Token({self.kind}, {self.value!r}, {self.pos})"
 
 
-def _word(value: str, pos: int) -> Token:
-    upper = value.upper()
+# A statement's names come from a small vocabulary (keywords, table and
+# column names), so each distinct word and dotted name is classified once.
+# The caches are bounded; a hit gives the same result as a miss, and
+# ColumnRef is immutable, so sharing one across tokens is safe.
+_LEX_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_LEX_CACHE_SIZE)
+def _classify(word: str):
+    """(kind, value) of a word token."""
+    upper = word.upper()
     if upper in KEYWORDS:
-        return Token("kw", upper, pos)
-    return Token("ident", value.lower(), pos)
+        return "kw", upper
+    return "ident", word.lower()
+
+
+@lru_cache(maxsize=_LEX_CACHE_SIZE)
+def _qualified(dotted: str):
+    """The ColumnRef a dotted name lexes to, or None when either part is
+    a keyword and it lexes as name, ".", name."""
+    table, _, name = dotted.partition(".")
+    if table.upper() in KEYWORDS or name.upper() in KEYWORDS:
+        return None
+    return ColumnRef(name.lower(), table.lower())
 
 
 def tokenize(text: str):
@@ -63,16 +83,16 @@ def tokenize(text: str):
         value = m.group(kind)
         pos = m.start(kind)
         if kind == "word":
-            append(_word(value, pos))
+            append(Token(*_classify(value), pos))
         elif kind == "qref":
-            table, _, name = value.partition(".")
-            if table.upper() in KEYWORDS or name.upper() in KEYWORDS:
-                append(_word(table, pos))
-                append(Token("punct", ".", pos + len(table)))
-                append(_word(name, pos + len(table) + 1))
+            ref = _qualified(value)
+            if ref is not None:
+                append(Token("qref", ref, pos))
             else:
-                append(Token("qref", ColumnRef(name.lower(), table.lower()),
-                             pos))
+                table, _, name = value.partition(".")
+                append(Token(*_classify(table), pos))
+                append(Token("punct", ".", pos + len(table)))
+                append(Token(*_classify(name), pos + len(table) + 1))
         elif kind == "punct" or kind == "op":
             append(Token(kind, value, pos))
         elif kind == "int":

@@ -8,6 +8,7 @@ functions: COUNT, SUM, MIN, MAX, AVG.  No joins, subqueries, ORDER BY.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union as TUnion
 
 from .values import TruthValue, is_numeric, render_literal
@@ -128,6 +129,31 @@ class SqlQuery:
     def is_grouped(self) -> bool:
         return self.group_by is not None or self.has_aggregates()
 
+    @cached_property
+    def _text(self) -> str:
+        """render(self), built once: a query never changes, and the
+        cached text is not a field, so ==, hash and repr ignore it."""
+        parts = ["SELECT"]
+        if self.distinct:
+            parts.append("DISTINCT")
+        parts.append(", ".join(str(it) for it in self.select))
+        parts.append("FROM")
+        parts.append(", ".join(self.from_tables))
+        if self.where is not None:
+            parts.append("WHERE")
+            parts.append(render_pred(self.where))
+        if self.group_by is not None:
+            parts.append("GROUP BY")
+            parts.append(", ".join(str(c) for c in self.group_by))
+        if self.having is not None:
+            parts.append("HAVING")
+            parts.append(render_pred(self.having))
+        text = " ".join(parts)
+        if self.set_op is not None:
+            op, rhs = self.set_op
+            text = f"{text} {op} {rhs._text}"
+        return text
+
 
 # ---------------------------------------------------------------------------
 # rendering
@@ -157,26 +183,7 @@ def render_pred(p: Predicate, parent_prec: int = 0) -> str:
 
 def render(q: SqlQuery) -> str:
     """Deterministic canonical text; parse(render(q)) == q structurally."""
-    parts = ["SELECT"]
-    if q.distinct:
-        parts.append("DISTINCT")
-    parts.append(", ".join(str(it) for it in q.select))
-    parts.append("FROM")
-    parts.append(", ".join(q.from_tables))
-    if q.where is not None:
-        parts.append("WHERE")
-        parts.append(render_pred(q.where))
-    if q.group_by is not None:
-        parts.append("GROUP BY")
-        parts.append(", ".join(str(c) for c in q.group_by))
-    if q.having is not None:
-        parts.append("HAVING")
-        parts.append(render_pred(q.having))
-    text = " ".join(parts)
-    if q.set_op is not None:
-        op, rhs = q.set_op
-        text = f"{text} {op} {render(rhs)}"
-    return text
+    return q._text
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +296,8 @@ class _Resolver:
     def pred(self, p: Predicate, mismatches: list,
              group_keys=None) -> Predicate:
         """p with its column refs qualified (a ref that fails stays as
-        written).  A comparison of a number with a string goes to
+        written); a subtree that needs no change comes back as the same
+        object.  A comparison of a number with a string goes to
         mismatches; with group_keys, a ref outside them is a
         NonGroupedColumn."""
         if isinstance(p, TruthLit):
@@ -300,11 +308,17 @@ class _Resolver:
             if lk and rk and "null" not in (lk, rk) and lk != rk:
                 mismatches.append(SemanticError(
                     "TypeMismatch", f"{p.left} {p.op} {p.right}"))
+            if left is p.left and right is p.right:
+                return p
             return Cmp(left, p.op, right)
         if isinstance(p, Not):
-            return Not(self.pred(p.child, mismatches, group_keys))
-        return type(p)(self.pred(p.left, mismatches, group_keys),
-                       self.pred(p.right, mismatches, group_keys))
+            child = self.pred(p.child, mismatches, group_keys)
+            return p if child is p.child else Not(child)
+        left = self.pred(p.left, mismatches, group_keys)
+        right = self.pred(p.right, mismatches, group_keys)
+        if left is p.left and right is p.right:
+            return p
+        return type(p)(left, right)
 
     def _term(self, t: Term, group_keys):
         """(t qualified, its kind); the kind is None if t does not
@@ -321,8 +335,9 @@ class _Resolver:
 
 def _resolve(q: SqlQuery, schema: Schema):
     """(q with every column ref table-qualified, its SemanticErrors): one
-    walk over each select core.  The qualified query is meaningful only
-    when the error list is empty."""
+    walk over each select core.  Only what changes is rebuilt, so an
+    already-qualified query comes back as the same object.  The qualified
+    query is meaningful only when the error list is empty."""
     errors: list = []
     for t in q.from_tables:
         if not schema.has_table(t):
@@ -334,12 +349,13 @@ def _resolve(q: SqlQuery, schema: Schema):
         errors.append(SemanticError(
             "GroupedMultiTable", ", ".join(q.from_tables)))
 
-    group_by = None
+    group_by = q.group_by
     group_keys = set()
-    if q.group_by is not None:
-        keys = [res.resolve(c) for c in q.group_by]
+    if group_by is not None:
+        keys = [res.resolve(c) for c in group_by]
         group_keys = {r for r in keys if r is not None}
-        group_by = tuple(r or c for r, c in zip(keys, q.group_by))
+        if any(r is not None and r is not c for r, c in zip(keys, group_by)):
+            group_by = tuple(r or c for r, c in zip(keys, group_by))
 
     select = []
     for it in q.select:
@@ -349,12 +365,15 @@ def _resolve(q: SqlQuery, schema: Schema):
                     and schema.col_type(arg.table, arg.name) == "str":
                 errors.append(SemanticError(
                     "TypeMismatch", f"{it.fn} over string column"))
-            select.append(AggCall(it.fn, arg or it.arg))
+            select.append(it if arg is None or arg is it.arg
+                          else AggCall(it.fn, arg))
         else:
             r = res.resolve(it)
             if r is not None and grouped and r not in group_keys:
                 errors.append(SemanticError("NonGroupedColumn", str(it)))
             select.append(r or it)
+    select = q.select if all(a is b for a, b in zip(select, q.select)) \
+        else tuple(select)
 
     where = res.pred(q.where, errors) if q.where is not None else None
     having = None
@@ -364,15 +383,20 @@ def _resolve(q: SqlQuery, schema: Schema):
         having = res.pred(q.having, mismatches, group_keys)
         errors.extend(mismatches)
 
-    set_op = None
-    if q.set_op is not None:
-        op, rhs = q.set_op
-        rhs, rhs_errors = _resolve(rhs, schema)
+    set_op = q.set_op
+    if set_op is not None:
+        op, rhs = set_op
+        qualified_rhs, rhs_errors = _resolve(rhs, schema)
         errors.extend(rhs_errors)
         if not errors:
-            errors.extend(_set_operand_errors(select, rhs.select, schema))
-        set_op = (op, rhs)
-    return SqlQuery(tuple(select), q.from_tables, q.distinct, where, group_by,
+            errors.extend(_set_operand_errors(select, qualified_rhs.select,
+                                              schema))
+        if qualified_rhs is not rhs:
+            set_op = (op, qualified_rhs)
+    if (select is q.select and where is q.where and having is q.having
+            and group_by is q.group_by and set_op is q.set_op):
+        return q, errors
+    return SqlQuery(select, q.from_tables, q.distinct, where, group_by,
                     having, set_op), errors
 
 

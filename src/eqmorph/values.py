@@ -8,13 +8,20 @@ binary floats except the deliberately broken formatter in the fault layer.
 from __future__ import annotations
 
 import re
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from enum import Enum
 
 # Scale used when normalizing rendered decimal strings for canonical
 # comparison.  Engine formatting differences beyond this scale are a
 # raw-text concern, not a value concern.
 CANONICAL_SCALE = 6
+_QUANTUM = Decimal(1).scaleb(-CANONICAL_SCALE)
+
+# Rounds nothing and overflows nothing, so a value of any size keeps all
+# of its integer digits.  parse_rendered only quantizes a value that has
+# digits beyond CANONICAL_SCALE, so no result has more digits than the
+# text it came from (plus a carry): 1e400 is not widened to 407 digits.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 _INT_RE = re.compile(r"-?\d+\Z")
 _DEC_RE = re.compile(r"-?\d+\.\d+([eE][+-]?\d+)?\Z|-?\d+[eE][+-]?\d+\Z")
@@ -94,8 +101,9 @@ def parse_rendered(s: str):
         return int(s)
     if _DEC_RE.match(s):
         d = Decimal(s)
-        q = d.quantize(Decimal(1).scaleb(-CANONICAL_SCALE))
-        return q.normalize() + Decimal(0)
+        if d.as_tuple().exponent < -CANONICAL_SCALE:
+            d = d.quantize(_QUANTUM, context=_EXACT)
+        return d.normalize(_EXACT) if d else Decimal(0)
     return s
 
 

@@ -107,6 +107,13 @@ class TestJudgeBoth:
         assert out[2] == {"rows": [[["1.5"], 1]]}
         assert out[3] == {"rows": [[["1.50"], 1]]}
 
+    def test_wide_decimal_formatting_difference_is_raw_text(self):
+        wide = "1" * 30 + ".5"
+        out = self.judge(("rows", [(wide,)]), ("rows", [(wide + "0",)]))
+        assert out[:2] == ("result-divergence", "raw-text")
+        out = self.judge(("rows", [(wide,)]), ("rows", [("1" * 30 + ".6",)]))
+        assert out[:2] == ("result-divergence", "canonical")
+
     def test_value_difference_is_canonical(self):
         for right in ([("2",)], [("1",), ("1",)], [("1", "2")]):
             out = self.judge(("rows", [("1",)]), ("rows", right))
@@ -256,3 +263,26 @@ def test_one_engine_run_per_distinct_statement(monkeypatch, fault):
     assert bool(res.reports) == (fault is not None)
     for rep in res.reports:
         assert replay_report(rep, BuiltinEndpoint(fault)).reproduced
+
+
+def test_no_state_crosses_campaigns():
+    """What outlives one call (the lexer's caches, a query's kept text)
+    cannot change a campaign: iteration 0 of one seed gives the same
+    stats and reports before and after another seed ran in the process."""
+    cfg = GeneratorConfig(queries_per_iteration=150)
+
+    def run(seed, iteration):
+        res = run_iteration(BuiltinEndpoint("drop-distinct"), cfg, seed,
+                            iteration)
+        stats = json.loads(res.stats.to_json())
+        stats.pop("elapsed")
+        reports = [json.loads(rep.to_json()) for rep in res.reports]
+        for rep in reports:
+            rep.pop("timestamp")
+        return stats, reports
+
+    first = run("state-a", 0)
+    assert first[1]
+    for iteration in (0, 1):
+        run("state-b", iteration)
+    assert run("state-a", 0) == first

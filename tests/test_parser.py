@@ -3,6 +3,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eqmorph import parser
 from eqmorph.parser import parse, tokenize
 from eqmorph.refdb import ScriptError, load_script
 from eqmorph.sqlast import (
@@ -155,6 +156,46 @@ def test_tokenize_skips_whitespace_and_positions():
     toks = tokenize("SELECT  a")
     assert [t.kind for t in toks] == ["kw", "ident", "eof"]
     assert toks[1].pos == 8
+
+
+LEXER_TEXTS = [
+    "SELECT t0.c1, COUNT(*) FROM t0 WHERE t0.c1 > 1 GROUP BY t0.c1",
+    "select T0.C1 from T0 where t0.c1 = 'a.b' union all select t0.c1 from t0",
+    "SELECT select.x, x.from, t0.c1 FROM t0",
+    "SELECT Count ( Distinct ) FROM t . c1 WHERE NOT t0.c1 <= -1.5",
+]
+
+
+def _lexed(text):
+    return [(t.kind, t.value, t.pos) for t in tokenize(text)]
+
+
+def test_lexer_cache_gives_the_cold_tokens():
+    parser._classify.cache_clear()
+    parser._qualified.cache_clear()
+    cold = [_lexed(text) for text in LEXER_TEXTS]
+    assert parser._classify.cache_info().hits > 0
+    assert parser._qualified.cache_info().hits > 0
+    assert [_lexed(text) for text in LEXER_TEXTS] == cold
+    for text in LEXER_TEXTS:
+        parser._classify.cache_clear()
+        parser._qualified.cache_clear()
+        assert _lexed(text) == cold[LEXER_TEXTS.index(text)]
+
+
+def test_warm_cache_still_splits_keyword_names():
+    for _ in range(2):
+        assert _lexed("select.x") == [
+            ("kw", "SELECT", 0), ("punct", ".", 6), ("ident", "x", 7),
+            ("eof", None, 8)]
+        assert _lexed("  x.From") == [
+            ("ident", "x", 2), ("punct", ".", 3), ("kw", "FROM", 4),
+            ("eof", None, 8)]
+
+
+def test_lexer_caches_are_bounded():
+    for cached in (parser._classify, parser._qualified):
+        assert 0 < cached.cache_info().maxsize <= 4096
 
 
 # A name, a dot and a name lex as one token unless space or a keyword

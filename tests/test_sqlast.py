@@ -1,8 +1,14 @@
+import random
+from dataclasses import replace
+
 import pytest
 
+from eqmorph import sqlast
+from eqmorph.harness import GeneratorConfig, generate_schema, generate_seed
 from eqmorph.parser import parse
 from eqmorph.sqlast import (
-    ColumnRef, InvalidQuery, Schema, SqlQuery, qualify, render, validate,
+    And, ColumnRef, Cmp, Const, InvalidQuery, Schema, SqlQuery, qualify,
+    render, validate,
 )
 
 SCHEMA = Schema.of({
@@ -100,6 +106,43 @@ class TestQualify:
         assert qualify(q, SCHEMA) == q
 
 
+class TestQualifySharing:
+    """qualify rebuilds only the nodes whose refs it qualifies."""
+
+    def test_qualified_queries_come_back_as_themselves(self):
+        rng = random.Random("qualify-sharing")
+        cfg = GeneratorConfig()
+        for _ in range(6):
+            schema = generate_schema(rng, cfg)
+            for _ in range(50):
+                q = generate_seed(rng, schema, cfg)
+                assert qualify(q, schema) is q
+                parsed = parse(render(q))
+                assert qualify(parsed, schema) is parsed
+
+    def test_unqualified_refs_rebuild_only_their_path(self):
+        schema = Schema.of({"t": (("a", "int"),)})
+        q = parse("SELECT a FROM t WHERE a > 1 AND 'x' = 'x'")
+        out = qualify(q, schema)
+        a = ColumnRef("a", "t")
+        assert out == SqlQuery((a,), ("t",), where=And(
+            Cmp(a, ">", Const(1)), Cmp(Const("x"), "=", Const("x"))))
+        assert out.where.right is q.where.right
+        assert out.where.left.right is q.where.left.right
+        assert out.from_tables is q.from_tables
+
+    def test_set_operands_are_shared_apart(self):
+        schema = Schema.of({"t": (("a", "int"),)})
+        left_done = parse("SELECT t.a FROM t UNION SELECT a FROM t")
+        out = qualify(left_done, schema)
+        assert out == parse("SELECT t.a FROM t UNION SELECT t.a FROM t")
+        assert out.select is left_done.select
+        right_done = parse("SELECT a FROM t UNION ALL SELECT t.a FROM t")
+        out = qualify(right_done, schema)
+        assert out == parse("SELECT t.a FROM t UNION ALL SELECT t.a FROM t")
+        assert out.set_op is right_done.set_op
+
+
 class TestRender:
     @pytest.mark.parametrize("sql", [
         "SELECT a FROM t0",
@@ -117,6 +160,43 @@ class TestRender:
     def test_parens_only_where_needed(self):
         q = parse("SELECT a FROM t0 WHERE a = 1 OR a = 2 AND a = 3")
         assert render(q) == "SELECT a FROM t0 WHERE a = 1 OR a = 2 AND a = 3"
+
+
+class TestKeptText:
+    """A query keeps its rendered text; the text is not part of its
+    value."""
+
+    SQL = ("SELECT a, COUNT(*) FROM t0 WHERE b > 0 AND NOT c = 'q' "
+           "GROUP BY a HAVING a >= 1 UNION SELECT a, COUNT(*) FROM t1 "
+           "WHERE a < 5 OR d = 1 GROUP BY a")
+
+    def test_second_render_renders_no_predicate(self, monkeypatch):
+        rendered = []
+        real = sqlast.render_pred
+        monkeypatch.setattr(
+            sqlast, "render_pred",
+            lambda p, prec=0: rendered.append(p) or real(p, prec))
+        q = parse(self.SQL)
+        text = render(q)
+        assert text == self.SQL and rendered
+        rendered.clear()
+        assert render(q) == text
+        assert render(q.set_op[1]) == text.split(" UNION ")[1]
+        assert rendered == []
+
+    def test_text_is_not_part_of_the_value(self):
+        q, copy = parse(self.SQL), parse(self.SQL)
+        render(q)
+        assert q == copy
+        assert hash(q) == hash(copy)
+        assert repr(q) == repr(copy)
+
+    def test_replaced_query_renders_its_own_text(self):
+        q = parse("SELECT a FROM t0 WHERE a > 0")
+        render(q)
+        assert render(replace(q, distinct=True)) == \
+            "SELECT DISTINCT a FROM t0 WHERE a > 0"
+        assert render(replace(q, where=None)) == "SELECT a FROM t0"
 
 
 class TestSqlQueryInvariants:

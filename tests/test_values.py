@@ -99,6 +99,18 @@ class TestParseRendered:
     def test_string_passthrough(self):
         assert parse_rendered("abc") == "abc"
 
+    def test_wide_decimals_keep_every_integer_digit(self):
+        wide = "1" * 30 + ".5"
+        assert parse_rendered(wide) == Decimal(wide)
+        assert parse_rendered(wide + "0000001") == Decimal(wide)
+        assert parse_rendered(wide) != parse_rendered("1" * 30 + ".6")
+        assert parse_rendered("-" + wide) == Decimal("-" + wide)
+        assert parse_rendered("1e400") == parse_rendered("1E+400") \
+            == Decimal("1e400")
+        assert parse_rendered("1e999999999") == Decimal("1e999999999")
+        assert parse_rendered("9.9999999") == 10
+        assert parse_rendered("-0.0000001") == 0
+
     @given(st.integers(min_value=-10**9, max_value=10**9))
     def test_int_roundtrip(self, n):
         assert parse_rendered(format_value(n)) == n
