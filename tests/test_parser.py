@@ -177,10 +177,10 @@ def test_lexer_cache_gives_the_cold_tokens():
     assert parser._classify.cache_info().hits > 0
     assert parser._qualified.cache_info().hits > 0
     assert [_lexed(text) for text in LEXER_TEXTS] == cold
-    for text in LEXER_TEXTS:
+    for text, tokens in zip(LEXER_TEXTS, cold):
         parser._classify.cache_clear()
         parser._qualified.cache_clear()
-        assert _lexed(text) == cold[LEXER_TEXTS.index(text)]
+        assert _lexed(text) == tokens
 
 
 def test_warm_cache_still_splits_keyword_names():
