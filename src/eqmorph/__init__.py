@@ -4,55 +4,65 @@ Synthesizes pairs of equivalent queries by exploiting the many-to-one
 correspondence between SQL keywords and relational-algebra operators,
 guided by duplicate-sensitivity analysis; executes both queries against a
 target engine and reports any divergence in the result multisets.
+
+Public names are imported from their submodule on first use (PEP 562), so
+``python -m eqmorph.shim`` and a ``builtin`` endpoint load only the engine
+modules, not the campaign toolkit.
 """
 
-from .adapter import (
-    BuiltinEndpoint, EngineError, EngineTimeout, ExternalEndpoint,
-    ProtocolError, make_endpoint,
-)
-from .algebra import (
-    Agg, Dedup, Filter, Project, RemapError, Scan, Union, UnionAll,
-    commute_normal, dump, equivalent_mod_commute, lower, remap_to_sql,
-)
-from .equivfilter import NoCounterexample, NotEquivalent, check_bounded
-from .harness import (
-    BugReport, GeneratorConfig, IterationStats, compare_results,
-    generate_database, generate_schema, generate_seed, replay_report,
-    run_iteration,
-)
-from .parser import parse
-from .refdb import (
-    FAULTS, ExecError, Executor, dump_script, load_json_fixture,
-    load_script,
-)
-from .sensitivity import (
-    NoWitnessWithinBudget, Sensitivity, WitnessFound, classify,
-    operator_atoms, sensitivity_oracle,
-)
-from .sqlast import (
-    InvalidQuery, Schema, SemanticError, SqlQuery, SqlSyntaxError, qualify,
-    render, validate,
-)
-from .transform import (
-    NoRuleApplies, QueryPair, RULE_CATALOG, TransformContext,
-    enumerate_mutants, transform_query,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Agg", "BugReport", "BuiltinEndpoint", "Dedup", "EngineError",
-    "EngineTimeout", "ExecError", "Executor", "ExternalEndpoint", "FAULTS",
-    "Filter", "GeneratorConfig", "InvalidQuery", "IterationStats",
-    "NoCounterexample", "NoRuleApplies", "NoWitnessWithinBudget",
-    "NotEquivalent", "Project", "ProtocolError", "QueryPair",
-    "RULE_CATALOG", "RemapError", "Scan", "Schema", "SemanticError",
-    "Sensitivity", "SqlQuery", "SqlSyntaxError", "TransformContext",
-    "Union", "UnionAll", "WitnessFound", "check_bounded", "classify",
-    "commute_normal", "compare_results", "dump", "dump_script",
-    "enumerate_mutants", "equivalent_mod_commute", "generate_database",
-    "generate_schema", "generate_seed", "load_json_fixture", "load_script",
-    "lower", "make_endpoint", "operator_atoms", "parse", "qualify",
-    "remap_to_sql", "render", "replay_report", "run_iteration",
-    "sensitivity_oracle", "transform_query", "validate",
-]
+_EXPORTS = {
+    "adapter": (
+        "BuiltinEndpoint", "EngineError", "EngineTimeout", "ExternalEndpoint",
+        "ProtocolError", "make_endpoint",
+    ),
+    "algebra": (
+        "Agg", "Dedup", "Filter", "Project", "RemapError", "Scan", "Union",
+        "UnionAll", "commute_normal", "dump", "equivalent_mod_commute",
+        "lower", "remap_to_sql",
+    ),
+    "equivfilter": ("NoCounterexample", "NotEquivalent", "check_bounded"),
+    "harness": (
+        "BugReport", "GeneratorConfig", "IterationStats", "compare_results",
+        "generate_database", "generate_schema", "generate_seed",
+        "replay_report", "run_iteration",
+    ),
+    "parser": ("parse",),
+    "refdb": (
+        "FAULTS", "ExecError", "Executor", "dump_script", "load_json_fixture",
+        "load_script",
+    ),
+    "sensitivity": (
+        "NoWitnessWithinBudget", "Sensitivity", "WitnessFound", "classify",
+        "operator_atoms", "sensitivity_oracle",
+    ),
+    "sqlast": (
+        "InvalidQuery", "Schema", "SemanticError", "SqlQuery",
+        "SqlSyntaxError", "qualify", "render", "validate",
+    ),
+    "transform": (
+        "NoRuleApplies", "QueryPair", "RULE_CATALOG", "TransformContext",
+        "enumerate_mutants", "transform_query",
+    ),
+}
+
+_MODULE_OF = {name: module
+              for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

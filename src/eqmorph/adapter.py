@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import json
 import os
-import queue
+import select
 import shlex
 import subprocess
 import sys
-import threading
+import time
 from typing import Optional
 
 from .refdb import ExecError, Executor, load_script
@@ -73,15 +73,19 @@ class BuiltinEndpoint:
 
 
 class ExternalEndpoint:
-    """A child process speaking the line protocol on stdin/stdout."""
+    """A child process speaking the line protocol on stdin/stdout.
+
+    Replies are read on the calling thread: ``select`` waits on the pipe
+    until the request's deadline, and complete lines are split off a byte
+    buffer, so a reply may arrive in pieces or several in one read.
+    """
 
     def __init__(self, command: str, exec_timeout: float = 10.0):
         self.command = command
         self.exec_timeout = exec_timeout
         self.target_id = f"extern:{command}"
         self._proc = None
-        self._lines: "queue.Queue" = queue.Queue()
-        self._reader = None
+        self._buf = bytearray()
         self._next_id = 0
         self._debug = os.environ.get("EQMORPH_SHIM_DEBUG") == "1"
 
@@ -90,25 +94,16 @@ class ExternalEndpoint:
             return self
         self._proc = subprocess.Popen(
             shlex.split(self.command), stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE, text=True, bufsize=1)
-        self._reader = threading.Thread(target=self._pump, daemon=True)
-        self._reader.start()
+            stdout=subprocess.PIPE)
+        self._buf.clear()
         return self
-
-    def _pump(self):
-        try:
-            for line in self._proc.stdout:
-                self._lines.put(line)
-        finally:
-            self._lines.put(None)  # EOF marker
 
     def stop(self):
         proc, self._proc = self._proc, None
         if proc is None:
             return
         try:
-            if proc.stdin:
-                proc.stdin.close()
+            proc.stdin.close()
         except OSError:
             pass
         try:
@@ -120,40 +115,61 @@ class ExternalEndpoint:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
-        if self._reader is not None:
-            self._reader.join(timeout=2.0)
-            self._reader = None
+        proc.stdout.close()
+
+    def _read_line(self, deadline: float) -> bytes:
+        """The next reply line, without its newline."""
+        buf = self._buf
+        fd = self._proc.stdout.fileno()
+        scanned = 0
+        while (end := buf.find(b"\n", scanned)) < 0:
+            scanned = len(buf)
+            wait = deadline - time.monotonic()
+            if wait <= 0 or not select.select([fd], [], [], wait)[0]:
+                raise EngineTimeout(
+                    f"no response within {self.exec_timeout}s")
+            chunk = os.read(fd, 65536)
+            if not chunk:
+                raise ProtocolError("engine closed its output stream")
+            buf += chunk
+        line = bytes(buf[:end])
+        del buf[:end + 1]
+        return line
 
     def _request(self, op: str, sql: str) -> dict:
         if self._proc is None:
             self.start()
         self._next_id += 1
-        req = {"id": self._next_id, "op": op, "sql": sql}
-        line = json.dumps(req)
+        rid = self._next_id
+        line = json.dumps({"id": rid, "op": op, "sql": sql})
         if self._debug:
             print(f"eqmorph >> {line}", file=sys.stderr)
         try:
-            self._proc.stdin.write(line + "\n")
+            self._proc.stdin.write(line.encode() + b"\n")
             self._proc.stdin.flush()
         except (BrokenPipeError, OSError) as e:
             raise ProtocolError(f"engine process is gone: {e}")
-        try:
-            raw = self._lines.get(timeout=self.exec_timeout)
-        except queue.Empty:
-            raise EngineTimeout(f"no response within {self.exec_timeout}s")
-        if raw is None:
-            raise ProtocolError("engine closed its output stream")
-        if self._debug:
-            print(f"eqmorph << {raw.rstrip()}", file=sys.stderr)
-        try:
-            resp = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise ProtocolError(f"bad response line: {e}")
-        if resp.get("id") != req["id"]:
-            raise ProtocolError(
-                f"response id {resp.get('id')!r} does not match request "
-                f"id {req['id']} (stream out of sync)")
-        return resp
+        deadline = time.monotonic() + self.exec_timeout
+        while True:
+            raw = self._read_line(deadline)
+            if self._debug:
+                print(f"eqmorph << {raw.decode(errors='replace').rstrip()}",
+                      file=sys.stderr)
+            try:
+                resp = json.loads(raw.decode())
+            except ValueError as e:
+                raise ProtocolError(f"bad response line: {e}")
+            if not isinstance(resp, dict):
+                raise ProtocolError(f"bad response line: {resp!r}")
+            got = resp.get("id")
+            # a reply to an earlier request that timed out: drop it
+            if type(got) is int and got < rid:
+                continue
+            if got != rid:
+                raise ProtocolError(
+                    f"response id {got!r} does not match request "
+                    f"id {rid} (stream out of sync)")
+            return resp
 
     def reset(self, script: str):
         resp = self._request("reset", script)

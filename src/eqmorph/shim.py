@@ -46,19 +46,20 @@ def main(argv=None) -> int:
     except UnknownFault as e:
         print(str(e), file=sys.stderr)
         return 1
-    for line in sys.stdin:
+    out = sys.stdout.buffer
+    for line in sys.stdin.buffer:
         line = line.strip()
         if not line:
             continue
         try:
-            req = json.loads(line)
-        except json.JSONDecodeError as e:
+            req = json.loads(line.decode())
+        except ValueError as e:
             resp = {"id": None, "ok": False, "code": "PROTOCOL",
                     "message": f"bad request line: {e}"}
         else:
             resp = handle(endpoint, req)
-        sys.stdout.write(json.dumps(resp) + "\n")
-        sys.stdout.flush()
+        out.write(json.dumps(resp).encode() + b"\n")
+        out.flush()
     return 0
 
 

@@ -1,10 +1,13 @@
+import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
 from eqmorph.adapter import (
-    BuiltinEndpoint, EngineError, ExternalEndpoint, ProtocolError,
-    make_endpoint,
+    BuiltinEndpoint, EngineError, EngineTimeout, ExternalEndpoint,
+    ProtocolError, make_endpoint,
 )
 from eqmorph.shim import handle
 
@@ -133,6 +136,131 @@ class TestExternal:
     def test_stop_is_idempotent(self, extern):
         extern.stop()
         extern.stop()
+
+
+# A scripted engine: it answers request n with the row (n,), except where
+# its mode says otherwise.
+FAKE_ENGINE = r"""
+import json, sys, time
+mode = sys.argv[1]
+out = sys.stdout.buffer
+
+def reply(rid):
+    return json.dumps({"id": rid, "ok": True, "rows": [[str(rid)]]}
+                      ).encode() + b"\n"
+
+for n, line in enumerate(sys.stdin.buffer, 1):
+    rid = json.loads(line)["id"]
+    if mode == "silent":
+        continue
+    if n == 1 and mode == "late":
+        time.sleep(0.5)
+    if n == 1 and mode == "bad-utf8":
+        out.write(b"\xff\xfe\n")
+    elif n == 1 and mode == "not-object":
+        out.write(b"[1]\n")
+    elif n == 1 and mode == "future-id":
+        out.write(reply(rid + 1))
+    elif mode == "split":
+        data = reply(rid)
+        for i in range(0, len(data), 4):
+            out.write(data[i:i + 4])
+            out.flush()
+            time.sleep(0.01)
+    elif mode == "two-in-one":
+        # the first read holds both replies; the second request gets none
+        if n == 1:
+            out.write(reply(1) + reply(2))
+    else:
+        out.write(reply(rid))
+    out.flush()
+"""
+
+
+@pytest.fixture
+def fake_engine(tmp_path):
+    script = tmp_path / "fake_engine.py"
+    script.write_text(FAKE_ENGINE)
+    started = []
+
+    def start(mode, exec_timeout=5.0):
+        ep = ExternalEndpoint(f"{sys.executable} {script} {mode}",
+                              exec_timeout=exec_timeout)
+        started.append(ep)
+        return ep.start()
+
+    yield start
+    for ep in started:
+        ep.stop()
+
+
+class TestExternalReader:
+    def test_reply_split_across_writes(self, fake_engine):
+        ep = fake_engine("split")
+        assert ep.exec_sql("q") == [("1",)]
+        assert ep.exec_sql("q") == [("2",)]
+
+    def test_two_replies_in_one_read(self, fake_engine):
+        ep = fake_engine("two-in-one")
+        assert ep.exec_sql("q") == [("1",)]
+        assert ep.exec_sql("q") == [("2",)]
+
+    def test_silent_engine_times_out(self, fake_engine):
+        ep = fake_engine("silent", exec_timeout=0.3)
+        t0 = time.monotonic()
+        with pytest.raises(EngineTimeout, match="no response within 0.3s"):
+            ep.exec_sql("q")
+        assert 0.3 <= time.monotonic() - t0 < 2.0
+
+    def test_late_reply_is_skipped(self, fake_engine):
+        ep = fake_engine("late", exec_timeout=0.2)
+        with pytest.raises(EngineTimeout):
+            ep.exec_sql("q")
+        ep.exec_timeout = 5.0
+        assert ep.exec_sql("q") == [("2",)]
+
+    def test_bad_utf8_reply_is_a_protocol_error(self, fake_engine):
+        ep = fake_engine("bad-utf8")
+        with pytest.raises(ProtocolError, match="bad response line"):
+            ep.exec_sql("q")
+        # the engine is still up and the stream still in step
+        assert ep.exec_sql("q") == [("2",)]
+
+    @pytest.mark.parametrize("mode,message", [
+        ("not-object", "bad response line"),
+        ("future-id", "response id 2 does not match request id 1"),
+    ])
+    def test_unexpected_reply_is_a_protocol_error(self, fake_engine, mode,
+                                                  message):
+        with pytest.raises(ProtocolError, match=message):
+            fake_engine(mode).exec_sql("q")
+
+    def test_start_creates_no_thread(self):
+        before = threading.active_count()
+        ep = ExternalEndpoint(SHIM).start()
+        try:
+            assert threading.active_count() == before
+            ep.reset(SCRIPT)
+            assert threading.active_count() == before
+        finally:
+            ep.stop()
+
+    def test_stop_closes_every_pipe(self):
+        # unclosed pipes warn when collected; -W error makes that fatal
+        code = (
+            "import gc\n"
+            "from eqmorph.adapter import ExternalEndpoint\n"
+            f"ep = ExternalEndpoint({SHIM!r}).start()\n"
+            f"ep.reset({SCRIPT!r})\n"
+            "ep.stop()\n"
+            "ep.stop()\n"
+            "del ep\n"
+            "gc.collect()\n")
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+             "-c", code], capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "ResourceWarning" not in done.stderr
 
 
 def test_make_endpoint():
