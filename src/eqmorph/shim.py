@@ -53,6 +53,8 @@ def main(argv=None) -> int:
             continue
         try:
             req = json.loads(line.decode())
+            if not isinstance(req, dict):
+                raise ValueError(f"not a JSON object: {req!r}")
         except ValueError as e:
             resp = {"id": None, "ok": False, "code": "PROTOCOL",
                     "message": f"bad request line: {e}"}

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 import threading
@@ -73,6 +74,17 @@ def test_shim_error_codes(op, sql, code):
     assert handle(ep, {"id": 0, "op": "reset", "sql": SCRIPT})["ok"]
     resp = handle(ep, {"id": 1, "op": op, "sql": sql})
     assert (resp["id"], resp["ok"], resp["code"]) == (1, False, code)
+
+
+def test_shim_answers_malformed_request_lines():
+    done = subprocess.run(
+        [sys.executable, "-m", "eqmorph.shim"],
+        input=b'[1]\n\xff\n{"id": 3, "op": "drop"}\n',
+        capture_output=True, timeout=60, check=True)
+    replies = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [(r["id"], r["code"]) for r in replies] == \
+        [(None, "PROTOCOL"), (None, "PROTOCOL"), (3, "PROTOCOL")]
+    assert replies[0]["message"] == "bad request line: not a JSON object: [1]"
 
 
 class TestExternal:
