@@ -7,8 +7,10 @@ aggregate calls) so that mixed select lists stay representable.
 
 Remapping implements the many-to-one operator/keyword correspondence: a
 Dedup renders as DISTINCT or GROUP BY, a Filter renders as WHERE below the
-grouping operator and HAVING above it.  Every candidate surface query is
-verified by lowering it back and comparing commute-normal forms.
+grouping operator and HAVING above it.  A candidate surface query counts
+only once it is verified by lowering it back and comparing commute-normal
+forms; remap_to_sql verifies them all, a caller that needs one verifies
+them in its own order until one passes.
 """
 
 from __future__ import annotations
@@ -395,8 +397,42 @@ def commute_normal(e):
     return _normal(e, defaultdict(dict))
 
 
+def _filter_conjuncts(p: Predicate) -> list:
+    """The conjuncts of a filter predicate, with AND flattened at any
+    nesting, in reading order."""
+    if type(p) is And:
+        return _filter_conjuncts(p.left) + _filter_conjuncts(p.right)
+    return [p]
+
+
+def _split_filters(e):
+    """e with every filter replaced by one filter per conjunct of its
+    predicate, the first conjunct innermost, as lower splits a WHERE
+    clause.  Sound in Kleene logic: a filter keeps a row only when every
+    conjunct is TRUE.  Unchanged subtrees are kept, not copied."""
+    t = type(e)
+    if t is Scan:
+        return e
+    if t is Union or t is UnionAll:
+        l, r = _split_filters(e.left), _split_filters(e.right)
+        return e if l is e.left and r is e.right else t(l, r)
+    child = _split_filters(e.child)
+    if t is Filter:
+        conj = _filter_conjuncts(e.pred)
+        if conj != [e.pred]:
+            for p in conj:
+                child = Filter(p, child)
+            return child
+    return e if child is e.child else rebuild(e, child)
+
+
 def equivalent_mod_commute(e1, e2) -> bool:
-    return commute_normal(e1) == commute_normal(e2)
+    """Whether e1 and e2 share a commute-normal form once their filters
+    are split into conjuncts, which proves them equivalent.  Only the
+    comparison splits: commute_normal itself, which verifies remap
+    candidates, sees each filter as it is."""
+    return commute_normal(_split_filters(e1)) == \
+        commute_normal(_split_filters(e2))
 
 
 # ---------------------------------------------------------------------------
@@ -584,31 +620,38 @@ def _build_plain(select, scan, where_filters, having_filters, group_keys,
         return None
 
 
-def remap_to_sql(e) -> list:
-    """Every surface realization of e, verified by lowering each candidate
-    back and comparing commute-normal forms.  Deterministic order."""
+def surface_candidates(e) -> list:
+    """The surface queries e might render as, unverified, in generation
+    order; a candidate counts only when it realizes e (see realizes)."""
     typecheck(e)
     if isinstance(e, (Union, UnionAll)):
         op = UNION if isinstance(e, Union) else UNION_ALL
         lefts = _candidate_queries_core(e.left)
         rights = _candidate_queries_core(e.right)
-        raw = []
-        for lc in lefts:
-            for rc in rights:
-                raw.append(SqlQuery(lc.select, lc.from_tables, lc.distinct,
-                                    lc.where, lc.group_by, lc.having,
-                                    set_op=(op, rc)))
-    else:
-        raw = _candidate_queries_core(e)
+        return [SqlQuery(lc.select, lc.from_tables, lc.distinct, lc.where,
+                         lc.group_by, lc.having, set_op=(op, rc))
+                for lc in lefts for rc in rights]
+    return _candidate_queries_core(e)
 
+
+def realizes(q: SqlQuery, target) -> bool:
+    """Whether q lowers back to a tree whose commute-normal form is target
+    (commute_normal of the tree q was generated from)."""
+    try:
+        return commute_normal(lower(q)) == target
+    except (LoweringError, AlgebraTypeError):
+        return False
+
+
+def remap_to_sql(e) -> list:
+    """Every surface realization of e, verified by lowering each candidate
+    back and comparing commute-normal forms.  Deterministic order."""
+    raw = surface_candidates(e)
     target = commute_normal(e)
     out = []
     seen = set()
     for q in raw:
-        try:
-            if commute_normal(lower(q)) != target:
-                continue
-        except (LoweringError, AlgebraTypeError):
+        if not realizes(q, target):
             continue
         text = render(q)
         if text not in seen:

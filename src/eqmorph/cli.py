@@ -49,6 +49,9 @@ class CampaignConfig:
         if not self.rules:
             return None
         names = tuple(r.strip() for r in self.rules.split(",") if r.strip())
+        if not names:
+            raise ValueError(f"--rules {self.rules!r} names no rule; "
+                             f"known: {', '.join(RULE_CATALOG)}")
         for r in names:
             if r not in RULE_CATALOG:
                 raise ValueError(f"unknown rule {r!r}; "
@@ -87,6 +90,9 @@ def build_config(args) -> CampaignConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(cfg, key, flag)
+    if getattr(args, "rules", None) == "":
+        # leaving the flag out runs every rule; an empty one names none
+        raise ValueError("--rules '' names no rule")
     if cfg.compare not in COMPARE_MODES:
         raise ValueError(f"unknown compare mode {cfg.compare!r}")
     return cfg

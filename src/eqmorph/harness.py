@@ -392,8 +392,8 @@ def run_iteration(endpoint, cfg: GeneratorConfig, campaign_seed: str,
     ddl, inserts = _split_script(script)
 
     ctx = TransformContext(rng=rng, value_hints=value_hints_of(db),
-                           enabled_rules=(frozenset(enabled_rules)
-                                          if enabled_rules else None))
+                           enabled_rules=(None if enabled_rules is None
+                                          else frozenset(enabled_rules)))
     stats = IterationStats(iteration=iteration)
     reports = []
 
@@ -477,6 +477,9 @@ def _judge(left, right, compare_mode, error_list):
         lp = _error_payload(lv) if lk == "error" else _rows_payload(lv)
         rp = _error_payload(rv) if rk == "error" else _rows_payload(rv)
         return ("error-divergence", "n/a", lp, rp)
+    if lv == rv:
+        # equal lists are equal multisets, in every compare mode
+        return None
     if compare_mode != "both":
         if compare_results(lv, rv, compare_mode).equal:
             return None

@@ -29,21 +29,19 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .algebra import (
-    Agg, Dedup, Filter, Project, Union, UnionAll, join_conjuncts, lower,
-    pred_refs, rebuild, remap_to_sql, split_conjuncts, _refset,
+    Agg, Dedup, Filter, Project, Union, UnionAll, commute_normal,
+    join_conjuncts, lower, pred_refs, realizes, rebuild, split_conjuncts,
+    surface_candidates, _refset,
 )
+# unused here; bound because perfbench/spans.py traces
+# transform.remap_to_sql by name
+from .algebra import remap_to_sql  # noqa: F401
 from .dbgen import RANDOM_POOLS
 from .sensitivity import Sensitivity, classify
 from .sqlast import (
     CMP_OPS, And, Cmp, ColumnRef, Const, Schema, SqlQuery, qualify, render,
     validate,
 )
-
-
-def _valid_candidates(e, schema):
-    """Remap candidates that also pass semantic validation (e.g. grouped
-    forms are single-table only, so some renderings drop out)."""
-    return [c for c in remap_to_sql(e) if not validate(c, schema)]
 
 
 class NoRuleApplies(Exception):
@@ -95,11 +93,23 @@ def _text_distance(a: str, b: str) -> int:
     return len(set(ta)) + len(set(tb)) - 2 * common + abs(len(ta) - len(tb))
 
 
-def _furthest(text: str, cands):
-    """The candidate whose rendering is furthest from text; the greater
-    rendering wins a tie."""
-    return max(cands, key=lambda c: (_text_distance(text, render(c)),
-                                     render(c)))
+def _furthest_first(text: str, cands) -> list:
+    """cands ordered by how far their rendering is from text, furthest
+    first; the greater rendering wins a tie."""
+    return sorted(cands, key=lambda c: (_text_distance(text, render(c[0])),
+                                        render(c[0])), reverse=True)
+
+
+def _first_realized(cands, schema):
+    """The query of the first (query, target) in cands that is valid on
+    schema (grouped forms are single-table only, so some renderings drop
+    out) and realizes its target, or None.  Checking in preference order
+    and stopping at the first pass picks what checking every candidate
+    and then taking the preferred one would."""
+    for c, target in cands:
+        if not validate(c, schema) and realizes(c, target):
+            return c
+    return None
 
 
 def pick_constant(ctx: TransformContext, schema: Schema, col: ColumnRef):
@@ -140,15 +150,18 @@ def _dedup_insertion(q, e, ctx, schema):
         return None
     if classify(e) is not Sensitivity.INSENSITIVE:
         return None
-    cands = _valid_candidates(e, schema)
-    distinct_forms = [c for c in cands if c.distinct]
-    grouped_forms = [c for c in cands
-                     if c.group_by is not None and not c.distinct]
-    if not distinct_forms or not grouped_forms:
+    cands = surface_candidates(e)
+    target = commute_normal(e)
+    left = _first_realized(sorted(((c, target) for c in cands if c.distinct),
+                                  key=lambda c: render(c[0])), schema)
+    if left is None:
         return None
-    left = distinct_forms[0]
-    return QueryPair(left, _furthest(render(left), grouped_forms),
-                     "dedup-insertion", MUTANT_VS_MUTANT)
+    right = _first_realized(_furthest_first(
+        render(left), [(c, target) for c in cands
+                       if c.group_by is not None and not c.distinct]), schema)
+    if right is None:
+        return None
+    return QueryPair(left, right, "dedup-insertion", MUTANT_VS_MUTANT)
 
 
 def _union_commute(q, e, ctx, schema):
@@ -183,11 +196,18 @@ def _rendering_rule(rule: str, trees):
     """A seed-vs-mutant rule that pairs the seed with the valid surface
     rendering of trees(q, e) furthest from the seed's text."""
     def build(q, e, ctx, schema):
-        cands = [c for t in trees(q, e) for c in _valid_candidates(t, schema)
-                 if _texts_differ(q, c)]
-        if not cands:
+        seed_text = render(q)
+        cands = []
+        for t in trees(q, e):
+            others = [c for c in surface_candidates(t)
+                      if render(c) != seed_text]
+            if others:
+                target = commute_normal(t)
+                cands.extend((c, target) for c in others)
+        right = _first_realized(_furthest_first(seed_text, cands), schema)
+        if right is None:
             return None
-        return QueryPair(q, _furthest(render(q), cands), rule, SEED_VS_MUTANT)
+        return QueryPair(q, right, rule, SEED_VS_MUTANT)
     return build
 
 

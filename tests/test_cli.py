@@ -44,6 +44,15 @@ class TestRun:
                      "--queries", "5", "--out", str(tmp_path))
         assert rc == EXIT_OPERATIONAL
 
+    @pytest.mark.parametrize("rules", ["", ",", " , "])
+    def test_rules_naming_no_rule_is_operational_error(self, tmp_path,
+                                                       capsys, rules):
+        rc = run_cli("run", "--rules", rules, "--iterations", "1",
+                     "--queries", "5", "--out", str(tmp_path))
+        assert rc == EXIT_OPERATIONAL
+        assert "names no rule" in capsys.readouterr().err
+        assert not (tmp_path / "stats.jsonl").exists()
+
     def test_iterations_persist_before_engine_dies(self, tmp_path, capsys):
         # a fake engine that serves two iterations and dies on its third
         # start; what the first two found must already be on disk

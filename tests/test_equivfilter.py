@@ -21,8 +21,13 @@ from eqmorph.harness import (
 )
 from eqmorph.parser import parse
 from eqmorph.refdb import ExecError, Executor, load_script, schema_of
-from eqmorph.sqlast import UNION, UNION_ALL, InvalidQuery, Schema, qualify
-from eqmorph.transform import NoRuleApplies, TransformContext, transform_query
+from eqmorph.sqlast import (
+    UNION, UNION_ALL, And, InvalidQuery, Or, Schema, qualify,
+)
+from eqmorph.transform import (
+    SEED_VS_MUTANT, NoRuleApplies, QueryPair, TransformContext,
+    transform_query,
+)
 
 SCHEMA = Schema.of({"t0": (("a", "int"), ("b", "dec"))})
 
@@ -106,21 +111,25 @@ def test_one_probe_corpus_per_iteration(monkeypatch):
     # proven pairs probe nothing, so an iteration builds at most one corpus
     assert len(calls) <= 1
 
-    def parenthesised_and(rng, schema, cfg):
-        # selection-commute swaps the two conjuncts; the parenthesised AND
-        # then re-lowers as two filters, so the normal forms differ
+    def disjunction(rng, schema, cfg):
         cols = dict(schema.columns("t0"))
         a = next(c for c, ty in cols.items() if ty == "int")
         b = next(c for c, ty in cols.items() if ty == "dec")
-        return parse(f"SELECT {a} FROM t0 WHERE {a} > 0 AND "
-                     f"({b} < 1 AND {a} < 5)")
+        return parse(f"SELECT {a} FROM t0 WHERE {a} > 0 OR {b} < 1")
+
+    def or_swapped(seed, schema, ctx):
+        # the operands of the OR swapped: equivalent, but the proof does
+        # not look inside a predicate, so every pair is probed
+        left = qualify(seed, schema)
+        right = replace(left, where=Or(left.where.right, left.where.left))
+        return QueryPair(left, right, "selection-commute", SEED_VS_MUTANT)
 
     calls.clear()
     equivfilter._corpus.cache_clear()
-    monkeypatch.setattr(harness, "generate_seed", parenthesised_and)
+    monkeypatch.setattr(harness, "generate_seed", disjunction)
+    monkeypatch.setattr(harness, "transform_query", or_swapped)
     cfg = GeneratorConfig(queries_per_iteration=3, filter_budget=32)
-    stats = run_iteration(BuiltinEndpoint(), cfg, "corpus", 1,
-                          enabled_rules=["selection-commute"]).stats
+    stats = run_iteration(BuiltinEndpoint(), cfg, "corpus", 1).stats
     assert stats.pairsEmitted == 3
     assert len(calls) == 1
 
@@ -239,11 +248,11 @@ def _proven_divergences(candidates):
 
 def test_proven_pairs_never_diverge(soundness_candidates):
     assert list(_proven_divergences(soundness_candidates)) == []
-    # not vacuous: most rule pairs are proven, and so is DISTINCT toggled
+    # not vacuous: every rule pair is proven, and so is DISTINCT toggled
     # over a GROUP BY that already deduplicates the select list
     assert len(soundness_candidates) == 2181
     assert sum(proven(left, right, schema)
-               for schema, left, right in soundness_candidates) == 725
+               for schema, left, right in soundness_candidates) == 732
     # the normal form the proof compares is a fixpoint
     for schema, left, right in soundness_candidates:
         for side in (left, right):
@@ -273,6 +282,47 @@ def test_guard_catches_a_broken_normal_form(soundness_candidates,
 
     monkeypatch.setattr(algebra, "commute_normal", lambda e: real(walk(e)))
     assert next(_proven_divergences(soundness_candidates), None) is not None
+
+
+def _disjoined(candidates):
+    """Each left side whose WHERE clause has two conjuncts or more,
+    against the same query with its last AND turned into OR."""
+    for schema, left, _ in candidates:
+        conj = split_conjuncts(left.where)
+        if len(conj) > 1:
+            yield schema, left, replace(
+                left, where=Or(join_conjuncts(conj[:-1]), conj[-1]))
+
+
+def test_proven_splits_conjunctions_only(soundness_candidates):
+    assert proven(q("SELECT a FROM t0 WHERE a > 0 AND (b < 1 AND a < 5)"),
+                  q("SELECT a FROM t0 WHERE b < 1 AND a < 5 AND a > 0"),
+                  SCHEMA)
+    assert not proven(
+        q("SELECT a FROM t0 WHERE a > 0 OR (b < 1 AND a < 5)"),
+        q("SELECT a FROM t0 WHERE (a > 0 OR b < 1) AND a < 5"), SCHEMA)
+    disjoined = list(_disjoined(soundness_candidates))
+    assert len(disjoined) > 100
+    assert list(_proven_divergences(disjoined)) == []
+
+
+def _splits_or_too(p):
+    if isinstance(p, (And, Or)):
+        return _splits_or_too(p.left) + _splits_or_too(p.right)
+    return [p]
+
+
+@pytest.mark.parametrize("broken", [
+    lambda real: _splits_or_too,
+    lambda real: lambda p: real(p)[:-1],
+], ids=["splits-or-too", "drops-last-conjunct"])
+def test_guard_catches_a_broken_split(soundness_candidates, monkeypatch,
+                                      broken):
+    # a proof that splits each filter predicate into the wrong conjuncts
+    monkeypatch.setattr(algebra, "_filter_conjuncts",
+                        broken(algebra._filter_conjuncts))
+    candidates = list(_disjoined(soundness_candidates)) + soundness_candidates
+    assert next(_proven_divergences(candidates), None) is not None
 
 
 def test_proven_pairs_are_never_probed(monkeypatch):

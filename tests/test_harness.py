@@ -7,10 +7,10 @@ from eqmorph import harness
 from eqmorph.adapter import BuiltinEndpoint, EngineError
 from eqmorph.equivfilter import NotEquivalent
 from eqmorph.harness import (
-    DEFAULT_ERROR_LIST, DISCARD, KEEP_FOR_TRIAGE, BugReport, GeneratorConfig,
-    _judge, compare_results, filter_error, generate_database, generate_schema,
-    generate_seed, persist_iteration, replay_report, run_iteration,
-    value_hints_of,
+    COMPARE_MODES, DEFAULT_ERROR_LIST, DISCARD, KEEP_FOR_TRIAGE, BugReport,
+    GeneratorConfig, _judge, compare_results, filter_error, generate_database,
+    generate_schema, generate_seed, persist_iteration, replay_report,
+    run_iteration, value_hints_of,
 )
 from eqmorph.parser import parse
 from eqmorph.sqlast import render, validate
@@ -137,6 +137,14 @@ class TestJudgeBoth:
             {"rows": [[["1"], 1]]})
 
 
+@pytest.mark.parametrize("mode", COMPARE_MODES)
+def test_equal_lists_agree_without_counting(monkeypatch, mode):
+    monkeypatch.setattr(harness, "Counter", None)
+    rows = [("1", "0.5"), ("NULL", "x"), ("1", "0.5")]
+    assert _judge(("rows", rows), ("rows", list(rows)), mode,
+                  DEFAULT_ERROR_LIST) is None
+
+
 def test_filter_error_policy():
     assert filter_error("UNKNOWN_COLUMN") == DISCARD
     assert filter_error("SEGFAULT") == KEEP_FOR_TRIAGE
@@ -163,6 +171,12 @@ class TestRunIteration:
         assert rep.kind in ("result-divergence", "error-divergence")
         assert rep.targetId == "builtin:drop-distinct"
         assert rep.leftSql != rep.rightSql
+
+    def test_empty_rule_list_enables_no_rule(self):
+        s = run_iteration(BuiltinEndpoint(), self.CFG, "clean-h", 0,
+                          enabled_rules=[]).stats
+        assert s.validAfterExecution == s.generated
+        assert s.pairsEmitted == s.pairsFiltered == 0
 
     def test_deterministic_given_seed(self):
         a = run_iteration(BuiltinEndpoint("null-where-true"), self.CFG,
