@@ -4,8 +4,9 @@ Transformed pairs are meant to be equivalent by construction, but the pair
 pipeline is exactly the kind of code that can be subtly wrong, so every
 pair is vetted before it reaches the target engine.  ``proven`` settles a
 pair exactly when both queries qualify, lower, and share a commute-normal
-form: a qualified query cannot fail on the reference executor, so such a
-pair returns the same multiset on every database.  A pair the proof
+form once every AND filter is split into one filter per conjunct: a
+qualified query cannot fail on the reference executor, so such a pair
+returns the same multiset on every database.  A pair the proof
 cannot settle goes to ``check_bounded``, which executes both queries on a
 budgeted sequence of small databases; any database where the two result
 multisets differ — or where either query errors — filters the pair out as
@@ -47,8 +48,9 @@ Verdict = object
 
 def proven(q1: SqlQuery, q2: SqlQuery, schema: Schema) -> bool:
     """True when both queries qualify on schema, lower, and have the same
-    commute-normal form, which proves them equivalent; False means not
-    proven, not different."""
+    commute-normal form with their AND filters split (see
+    equivalent_mod_commute), which proves them equivalent; False means
+    not proven, not different."""
     try:
         e1 = lower(qualify(q1, schema))
         e2 = lower(qualify(q2, schema))
