@@ -21,7 +21,7 @@ import sys
 import time
 from typing import Optional
 
-from .refdb import ExecError, Executor, load_script
+from .refdb import ExecError, Executor, ScriptError, load_script
 from .sqlast import SqlSyntaxError
 
 
@@ -59,6 +59,8 @@ class BuiltinEndpoint:
             self.db = load_script(script)
         except SqlSyntaxError as e:
             raise EngineError("SYNTAX", str(e))
+        except ScriptError as e:
+            raise EngineError("SCRIPT", str(e))
 
     def exec_sql(self, sql: str):
         from .parser import parse

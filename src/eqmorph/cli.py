@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .adapter import EngineTimeout, ProtocolError, make_endpoint
+from .adapter import EngineError, EngineTimeout, ProtocolError, make_endpoint
 from .equivfilter import DEFAULT_BUDGET
 from .harness import (
     COMPARE_MODES, BugReport, GeneratorConfig, IterationResult,
@@ -95,6 +95,10 @@ def build_config(args) -> CampaignConfig:
         raise ValueError("--rules '' names no rule")
     if cfg.compare not in COMPARE_MODES:
         raise ValueError(f"unknown compare mode {cfg.compare!r}")
+    for key in ("iterations", "queries", "filter_budget"):
+        if getattr(cfg, key) < 0:
+            raise ValueError(f"{key} must not be negative, "
+                             f"got {getattr(cfg, key)}")
     return cfg
 
 
@@ -170,11 +174,10 @@ def cmd_replay(args) -> int:
 
 def cmd_gen(args) -> int:
     cfg = build_config(args)
-    gen_cfg = GeneratorConfig(queries_per_iteration=cfg.queries)
     rng = random.Random(f"{cfg.seed}:0")
-    schema = generate_schema(rng, gen_cfg)
+    schema = generate_schema(rng)
     for _ in range(cfg.queries):
-        print(render(generate_seed(rng, schema, gen_cfg)))
+        print(render(generate_seed(rng, schema)))
     return EXIT_CLEAN
 
 
@@ -202,7 +205,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ValueError, OSError, UnknownFault, ProtocolError,
-            EngineTimeout) as e:
+            EngineTimeout, EngineError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_OPERATIONAL
 

@@ -31,11 +31,15 @@ RANDOM_POOLS = {
 }
 
 NULL_PROBABILITY = 0.2
+# rows drawn per table of a random database, before the forced duplicate
+# and NULL
+MIN_ROWS = 1
+MAX_ROWS = 6
 
 
-def _tiny_rows(columns, per_column=2):
+def _tiny_rows(columns):
     """A deterministic, diverse prefix of the row space."""
-    pools = [TINY_POOLS[ty][:per_column + 1] for _, ty in columns]
+    pools = [TINY_POOLS[ty] for _, ty in columns]
     return list(itertools.islice(itertools.product(*pools), 0, 9))
 
 
@@ -60,14 +64,12 @@ def enumerate_small_databases(schema: Schema, limit: int = 8):
     return out
 
 
-def random_database(schema: Schema, rng: random.Random,
-                    min_rows: int = 1, max_rows: int = 6,
-                    force_duplicate: bool = True,
-                    force_null: bool = True) -> Database:
+def random_database(schema: Schema, rng: random.Random) -> Database:
+    """Every table gets a duplicated row, and a NULL if none was drawn."""
     db: Database = {}
     for name, columns in schema.tables:
         table = TableData(tuple(columns))
-        n = rng.randint(min_rows, max_rows)
+        n = rng.randint(MIN_ROWS, MAX_ROWS)
         made = []
         for _ in range(n):
             row = tuple(
@@ -76,10 +78,8 @@ def random_database(schema: Schema, rng: random.Random,
                 for _, ty in columns)
             made.append(row)
             table.rows[row] += 1
-        if force_duplicate and made and n > 0:
-            table.rows[rng.choice(made)] += 1
-        if force_null and made and columns and \
-                not any(v is None for r in table.rows for v in r):
+        table.rows[rng.choice(made)] += 1
+        if columns and not any(v is None for r in table.rows for v in r):
             row = list(rng.choice(made))
             row[rng.randrange(len(columns))] = None
             table.rows[tuple(row)] += 1

@@ -30,8 +30,8 @@ from .equivfilter import (
 from .parser import parse  # noqa: F401
 from .refdb import STABLE_ERROR_CODES, dump_script
 from .sqlast import (
-    CMP_OPS, AggCall, And, Cmp, ColumnRef, Const, Not, Or, Schema, SqlQuery,
-    TruthLit, render, type_kind,
+    CMP_OPS, UNION, UNION_ALL, VALID_COL_TYPES, AggCall, And, Cmp, ColumnRef,
+    Const, Not, Or, Schema, SqlQuery, TruthLit, render, type_kind,
 )
 from .transform import NoRuleApplies, TransformContext, transform_query
 from .values import TruthValue, parse_rendered, row_sort_key
@@ -46,41 +46,41 @@ COMPARE_MODES = ("canonical", "raw-text", "both")
 @dataclass
 class GeneratorConfig:
     queries_per_iteration: int = 2000
-    max_tables: int = 2
-    min_columns: int = 2
-    max_columns: int = 4
-    min_rows: int = 1
-    max_rows: int = 6
-    # production weights: plain select, filtered select, aggregate,
-    # grouped select without aggregates
-    w_plain: float = 0.2
-    w_filtered: float = 0.3
-    w_agg: float = 0.3
-    w_grouped: float = 0.2
-    p_distinct: float = 0.25
-    p_having: float = 0.5
-    p_where_on_grouped: float = 0.4
-    p_set_op: float = 0.15
-    p_two_tables: float = 0.2
-    pred_depth: int = 2
     filter_budget: int = DEFAULT_BUDGET
 
 
-_COLUMN_TYPES = ("int", "dec", "str")
+# The generator's fixed shape (dbgen owns the row bounds).  The W_* weights
+# pick a plain, filtered, aggregate or grouped select and sum to exactly
+# 1.0; the P_* values are the chances of optional clauses.
+MAX_TABLES = 2
+MIN_COLUMNS = 2
+MAX_COLUMNS = 4
+W_PLAIN = 0.2
+W_FILTERED = 0.3
+W_AGG = 0.3
+W_GROUPED = 0.2
+P_DISTINCT = 0.25
+P_HAVING = 0.5
+P_WHERE_ON_GROUPED = 0.4
+P_SET_OP = 0.15
+P_TWO_TABLES = 0.2
+PRED_DEPTH = 2
 
 
-def generate_schema(rng: random.Random, cfg: GeneratorConfig) -> Schema:
+def generate_schema(rng: random.Random,
+                    cfg: GeneratorConfig | None = None) -> Schema:
     """Random schema with globally unique column names (no ambiguity)."""
-    n_tables = rng.randint(1, cfg.max_tables)
+    # cfg is unread; perfbench/run.py still passes it
+    n_tables = rng.randint(1, MAX_TABLES)
     tables = []
     counter = 0
     for t in range(n_tables):
-        n_cols = rng.randint(cfg.min_columns, cfg.max_columns)
+        n_cols = rng.randint(MIN_COLUMNS, MAX_COLUMNS)
         # always at least one int and one dec column so grouping keys and
         # SUM/AVG arguments exist
         types = ["int", "dec"]
         while len(types) < n_cols:
-            types.append(rng.choice(_COLUMN_TYPES))
+            types.append(rng.choice(VALID_COL_TYPES))
         rng.shuffle(types)
         cols = []
         for ty in types:
@@ -91,8 +91,9 @@ def generate_schema(rng: random.Random, cfg: GeneratorConfig) -> Schema:
 
 
 def generate_database(rng: random.Random, schema: Schema,
-                      cfg: GeneratorConfig):
-    return dbgen.random_database(schema, rng, cfg.min_rows, cfg.max_rows)
+                      cfg: GeneratorConfig | None = None):
+    # cfg is unread; perfbench/run.py still passes it
+    return dbgen.random_database(schema, rng)
 
 
 def value_hints_of(db) -> dict:
@@ -149,19 +150,19 @@ def _table_cols(schema, table):
     return [ColumnRef(c, table) for c, _ in schema.columns(table)]
 
 
-def _gen_plain_core(rng, schema, cfg, with_where):
+def _gen_plain_core(rng, schema, with_where):
     tables = [rng.choice(schema.table_names())]
-    if len(schema.table_names()) > 1 and rng.random() < cfg.p_two_tables:
+    if len(schema.table_names()) > 1 and rng.random() < P_TWO_TABLES:
         other = rng.choice([t for t in schema.table_names()
                             if t != tables[0]])
         tables.append(other)
     cols = [c for t in tables for c in _table_cols(schema, t)]
     select = tuple(_pick_subset(rng, cols))
-    where = gen_pred(rng, cols, schema, cfg.pred_depth) if with_where else None
+    where = gen_pred(rng, cols, schema, PRED_DEPTH) if with_where else None
     return SqlQuery(select, tuple(tables), where=where)
 
 
-def _gen_agg_core(rng, schema, cfg):
+def _gen_agg_core(rng, schema):
     table = rng.choice(schema.table_names())
     cols = _table_cols(schema, table)
     numeric = [c for c in cols
@@ -177,28 +178,28 @@ def _gen_agg_core(rng, schema, cfg):
         else:
             select.append(AggCall(fn, rng.choice(cols)))
     rng.shuffle(select)
-    where = (gen_pred(rng, cols, schema, cfg.pred_depth)
-             if rng.random() < cfg.p_where_on_grouped else None)
-    having = (gen_pred(rng, list(keys), schema, cfg.pred_depth - 1)
-              if keys and rng.random() < cfg.p_having else None)
+    where = (gen_pred(rng, cols, schema, PRED_DEPTH)
+             if rng.random() < P_WHERE_ON_GROUPED else None)
+    having = (gen_pred(rng, list(keys), schema, PRED_DEPTH - 1)
+              if keys and rng.random() < P_HAVING else None)
     return SqlQuery(tuple(select), (table,), where=where,
                     group_by=tuple(keys) if keys else None, having=having)
 
 
-def _gen_grouped_core(rng, schema, cfg):
+def _gen_grouped_core(rng, schema):
     table = rng.choice(schema.table_names())
     cols = _table_cols(schema, table)
     keys = _pick_subset(rng, cols)
     select = tuple(_pick_subset(rng, keys))
-    where = (gen_pred(rng, cols, schema, cfg.pred_depth)
-             if rng.random() < cfg.p_where_on_grouped else None)
-    having = (gen_pred(rng, keys, schema, cfg.pred_depth - 1)
-              if rng.random() < cfg.p_having else None)
+    where = (gen_pred(rng, cols, schema, PRED_DEPTH)
+             if rng.random() < P_WHERE_ON_GROUPED else None)
+    having = (gen_pred(rng, keys, schema, PRED_DEPTH - 1)
+              if rng.random() < P_HAVING else None)
     return SqlQuery(select, (table,), where=where, group_by=tuple(keys),
                     having=having)
 
 
-def _matching_core(rng, schema, cfg, left: SqlQuery):
+def _matching_core(rng, schema, left: SqlQuery):
     """A second plain core whose column types match left's, per position."""
     want = [type_kind(schema.col_type(it.table, it.name))
             for it in left.select]
@@ -209,38 +210,36 @@ def _matching_core(rng, schema, cfg, left: SqlQuery):
             by_kind[type_kind(schema.col_type(table, c.name))].append(c)
         if all(by_kind[k] for k in want):
             select = tuple(rng.choice(by_kind[k]) for k in want)
-            where = (gen_pred(rng, cols, schema, cfg.pred_depth)
+            where = (gen_pred(rng, cols, schema, PRED_DEPTH)
                      if rng.random() < 0.5 else None)
             return SqlQuery(select, (table,), where=where)
     return None
 
 
-def generate_seed(rng: random.Random, schema: Schema,
-                  cfg: GeneratorConfig) -> SqlQuery:
+def generate_seed(rng: random.Random, schema: Schema) -> SqlQuery:
     """A schema-valid seed query; every reference resolves by construction."""
-    total = cfg.w_plain + cfg.w_filtered + cfg.w_agg + cfg.w_grouped
-    roll = rng.random() * total
-    if roll < cfg.w_plain:
-        q = _gen_plain_core(rng, schema, cfg, with_where=False)
-    elif roll < cfg.w_plain + cfg.w_filtered:
-        q = _gen_plain_core(rng, schema, cfg, with_where=True)
-    elif roll < cfg.w_plain + cfg.w_filtered + cfg.w_agg:
-        q = _gen_agg_core(rng, schema, cfg)
+    roll = rng.random()  # the weights sum to 1.0
+    if roll < W_PLAIN:
+        q = _gen_plain_core(rng, schema, with_where=False)
+    elif roll < W_PLAIN + W_FILTERED:
+        q = _gen_plain_core(rng, schema, with_where=True)
+    elif roll < W_PLAIN + W_FILTERED + W_AGG:
+        q = _gen_agg_core(rng, schema)
     else:
-        q = _gen_grouped_core(rng, schema, cfg)
+        q = _gen_grouped_core(rng, schema)
 
     if not q.is_grouped():
-        if q.set_op is None and rng.random() < cfg.p_set_op:
+        if q.set_op is None and rng.random() < P_SET_OP:
             # set operations only combine plain cores, keeping the
             # sensitivity fold exact for every generated shape
             if not q.distinct:
-                rhs = _matching_core(rng, schema, cfg, q)
+                rhs = _matching_core(rng, schema, q)
                 if rhs is not None:
-                    op = rng.choice(("UNION", "UNION ALL"))
+                    op = rng.choice((UNION, UNION_ALL))
                     q = replace(q, set_op=(op, rhs))
-        if q.set_op is None and rng.random() < cfg.p_distinct:
+        if q.set_op is None and rng.random() < P_DISTINCT:
             q = replace(q, distinct=True)
-    elif rng.random() < cfg.p_distinct * 0.4:
+    elif rng.random() < P_DISTINCT * 0.4:
         q = replace(q, distinct=True)
     return q
 
@@ -266,7 +265,8 @@ def compare_results(left_rows, right_rows, mode: str) -> Comparison:
     canonical: cells are parsed back to values (decimals quantized) so
     formatting differences are ignored.  raw-text: exact string rows.
     """
-    if mode not in ("canonical", "raw-text"):
+    # "both" is _judge's mode, built from the other two
+    if mode not in COMPARE_MODES or mode == "both":
         raise ValueError(f"unknown compare mode {mode!r}")
     arities = {len(r) for r in left_rows} | {len(r) for r in right_rows}
     if len(arities) > 1:
@@ -283,10 +283,8 @@ def compare_results(left_rows, right_rows, mode: str) -> Comparison:
 DISCARD = "discard"
 KEEP_FOR_TRIAGE = "keep-for-triage"
 
-DEFAULT_ERROR_LIST = STABLE_ERROR_CODES
 
-
-def filter_error(code: str, error_list=DEFAULT_ERROR_LIST) -> str:
+def filter_error(code: str, error_list=STABLE_ERROR_CODES) -> str:
     """Known engine error codes are expected behavior and discarded;
     anything else is kept for triage."""
     return DISCARD if code in error_list else KEEP_FOR_TRIAGE
@@ -376,7 +374,7 @@ class IterationResult:
 
 def run_iteration(endpoint, cfg: GeneratorConfig, campaign_seed: str,
                   iteration: int, compare_mode: str = "both",
-                  error_list=DEFAULT_ERROR_LIST,
+                  error_list=STABLE_ERROR_CODES,
                   enabled_rules=None) -> IterationResult:
     """One campaign iteration against an engine endpoint.
 
@@ -385,8 +383,8 @@ def run_iteration(endpoint, cfg: GeneratorConfig, campaign_seed: str,
     """
     t0 = time.monotonic()
     rng = random.Random(f"{campaign_seed}:{iteration}")
-    schema = generate_schema(rng, cfg)
-    db = generate_database(rng, schema, cfg)
+    schema = generate_schema(rng)
+    db = generate_database(rng, schema)
     script = dump_script(db)
     endpoint.reset(script)
     ddl, inserts = _split_script(script)
@@ -398,7 +396,7 @@ def run_iteration(endpoint, cfg: GeneratorConfig, campaign_seed: str,
     reports = []
 
     for i in range(cfg.queries_per_iteration):
-        seed_q = generate_seed(rng, schema, cfg)
+        seed_q = generate_seed(rng, schema)
         stats.generated += 1
         seed_sql = render(seed_q)
         try:
@@ -412,9 +410,9 @@ def run_iteration(endpoint, cfg: GeneratorConfig, campaign_seed: str,
         except NoRuleApplies:
             continue
 
-        # a proven pair probes no database; the others share one probe
-        # corpus per iteration
-        if cfg.filter_budget > 0 and proven(pair.left, pair.right, schema):
+        # a pair probes no database when the filter is off or the pair is
+        # proven; the others share one probe corpus per iteration
+        if cfg.filter_budget <= 0 or proven(pair.left, pair.right, schema):
             verdict = NoCounterexample(0)
         else:
             verdict = check_bounded(pair.left, pair.right, schema,
@@ -516,7 +514,7 @@ class ReplayResult:
 
 
 def replay_report(report: BugReport, endpoint,
-                  error_list=DEFAULT_ERROR_LIST) -> ReplayResult:
+                  error_list=STABLE_ERROR_CODES) -> ReplayResult:
     """Re-run a persisted report's pair on its database; reproduced means
     the divergence is still observable."""
     endpoint.reset(report.schemaDdl + report.inserts)

@@ -31,8 +31,8 @@ from typing import Callable, NamedTuple, Optional
 
 from .parser import parse, tokenize, unfold
 from .sqlast import (
-    ColumnRef, Const, InvalidQuery, Schema, SqlQuery, qualify,
-    render_pred, And, Or, Not, Cmp, TruthLit,
+    UNION, VALID_COL_TYPES, ColumnRef, Const, InvalidQuery, Schema, SqlQuery,
+    qualify, render_pred, And, Or, Not, Cmp, TruthLit,
 )
 # unused here; bound because perfbench/spans.py traces refdb.validate by name
 from .sqlast import validate  # noqa: F401
@@ -300,8 +300,8 @@ class Executor:
             op, rhs = plan.set_op
             merged = Counter(rows)
             merged.update(self._run_core(db, rhs))
-            if op == "UNION" or (self.fault == "union-all-as-union"
-                                 and plan.where is not None):
+            if op == UNION or (self.fault == "union-all-as-union"
+                               and plan.where is not None):
                 rows = {r: 1 for r in merged}
             else:
                 rows = dict(merged)
@@ -601,7 +601,7 @@ def load_json_fixture(obj) -> Database:
     for t in obj["tables"]:
         cols = tuple((c["name"], c["type"]) for c in t["columns"])
         for _, ty in cols:
-            if ty not in ("int", "dec", "str"):
+            if ty not in VALID_COL_TYPES:
                 raise ScriptError(f"unknown column type {ty!r}")
         table = TableData(cols)
         for row in t.get("rows", ()):

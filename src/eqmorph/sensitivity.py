@@ -31,7 +31,6 @@ class Sensitivity(Enum):
 
 
 SENSITIVE_AGG_FNS = ("SUM", "COUNT", "AVG")
-INSENSITIVE_AGG_FNS = ("MIN", "MAX")
 
 
 def operator_atoms(e) -> list:

@@ -14,7 +14,7 @@ import json
 import sys
 
 from .adapter import BuiltinEndpoint, EngineError
-from .refdb import ScriptError, UnknownFault
+from .refdb import UnknownFault
 
 
 def handle(endpoint: BuiltinEndpoint, req: dict) -> dict:
@@ -30,8 +30,6 @@ def handle(endpoint: BuiltinEndpoint, req: dict) -> dict:
             return {"id": rid, "ok": True, "rows": rows}
         return {"id": rid, "ok": False, "code": "PROTOCOL",
                 "message": f"unknown op {op!r}"}
-    except ScriptError as e:
-        return {"id": rid, "ok": False, "code": "SCRIPT", "message": str(e)}
     except EngineError as e:
         return {"id": rid, "ok": False, "code": e.code, "message": e.message}
 

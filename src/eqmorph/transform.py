@@ -148,8 +148,6 @@ def _dedup_insertion(q, e, ctx, schema):
         return None
     if not q.distinct and q.group_by is None:
         return None
-    if classify(e) is not Sensitivity.INSENSITIVE:
-        return None
     cands = surface_candidates(e)
     target = commute_normal(e)
     left = _first_realized(sorted(((c, target) for c in cands if c.distinct),

@@ -106,11 +106,10 @@ def test_criterion_3_static_sensitivity_is_dynamically_sound(capsys):
     """1,000 generated non-aggregate queries: whenever the static fold
     says insensitive, the bounded oracle finds no doubling witness."""
     rng = random.Random("accept-c3")
-    cfg = GeneratorConfig()
     checked = insensitive = violations = 0
     while checked < 1_000:
-        schema = generate_schema(rng, cfg)
-        q = generate_seed(rng, schema, cfg)
+        schema = generate_schema(rng)
+        q = generate_seed(rng, schema)
         if has_aggregates(q):
             continue
         checked += 1
@@ -161,8 +160,7 @@ def test_criterion_4_rules_emit_equivalent_pairs(capsys):
     """Every catalog rule, 100 matching seeds each: both queries of every
     pair agree on a 1,000-database random corpus."""
     rng = random.Random("accept-c4")
-    cfg = GeneratorConfig()
-    schema = generate_schema(rng, cfg)
+    schema = generate_schema(rng)
     want = 100
     pairs = {rule: [] for rule in RULE_CATALOG}
     pairs["projection-cascade"] = _synthetic_cascade_pairs(schema, want)
@@ -171,7 +169,7 @@ def test_criterion_4_rules_emit_equivalent_pairs(capsys):
     attempts = 0
     while any(len(pairs[r]) < want for r in surface) and attempts < 40_000:
         attempts += 1
-        q = generate_seed(rng, schema, cfg)
+        q = generate_seed(rng, schema)
         for rule in surface:
             if len(pairs[rule]) >= want:
                 continue
@@ -207,12 +205,11 @@ def test_criterion_5_not_equivalent_verdicts_reproduce(capsys):
     duplicate-sensitive query): every NotEquivalent verdict carries a
     witness database that reproduces the mismatch."""
     rng = random.Random("accept-c5")
-    cfg = GeneratorConfig()
     ex = Executor()
     built = verdicts = reproduced = 0
     while built < 1_000:
-        schema = generate_schema(rng, cfg)
-        q = generate_seed(rng, schema, cfg)
+        schema = generate_schema(rng)
+        q = generate_seed(rng, schema)
         if q.distinct or q.group_by is not None or q.set_op is not None \
                 or has_aggregates(q):
             continue
@@ -269,12 +266,11 @@ def test_criterion_7_parse_render_and_lower_remap_agree(capsys):
     original rendering is among the remapped realizations of its own
     lowered tree."""
     rng = random.Random("accept-c7")
-    cfg = GeneratorConfig()
     fixpoint_failures = membership_failures = 0
     n = 10_000
     for i in range(n):
-        schema = generate_schema(rng, cfg)
-        q = generate_seed(rng, schema, cfg)
+        schema = generate_schema(rng)
+        q = generate_seed(rng, schema)
         if parse(render(q)) != q:
             fixpoint_failures += 1
             continue

@@ -223,12 +223,10 @@ def test_dump_format():
 @given(st.data())
 def test_remap_lower_membership_random(data):
     """remap∘lower contains the original rendering for random seeds."""
-    from eqmorph.harness import GeneratorConfig, generate_schema, \
-        generate_seed
+    from eqmorph.harness import generate_schema, generate_seed
     rng = random.Random(data.draw(st.integers(0, 10**9)))
-    cfg = GeneratorConfig()
-    schema = generate_schema(rng, cfg)
-    q = qualify(generate_seed(rng, schema, cfg), schema)
+    schema = generate_schema(rng)
+    q = qualify(generate_seed(rng, schema), schema)
     texts = {render(c) for c in remap_to_sql(lower(q))}
     assert render(q) in texts
 

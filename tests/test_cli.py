@@ -1,5 +1,6 @@
 import json
 import shlex
+import subprocess
 import sys
 
 import pytest
@@ -7,6 +8,9 @@ import pytest
 from eqmorph.cli import (
     EXIT_BUGS, EXIT_CLEAN, EXIT_OPERATIONAL, load_config_file, main,
 )
+from eqmorph.harness import BugReport
+
+SHIM_TARGET = f"extern:{shlex.quote(sys.executable)} -m eqmorph.shim"
 
 
 def run_cli(*argv):
@@ -81,6 +85,18 @@ class TestRun:
         stats = (out / "stats.jsonl").read_text().splitlines()
         assert [json.loads(l)["iteration"] for l in stats] == [0, 1]
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--queries", "-5"), ("--iterations", "-2"),
+        ("--filter-budget", "-3")])
+    def test_negative_flag_is_operational_error(self, tmp_path, capsys,
+                                                flag, value):
+        # the last --queries wins
+        rc = run_cli("run", "--queries", "5", flag, value, "--out",
+                     str(tmp_path))
+        assert rc == EXIT_OPERATIONAL
+        assert "must not be negative" in capsys.readouterr().err
+        assert not (tmp_path / "stats.jsonl").exists()
+
     def test_workers_key_is_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "campaign.conf"
         cfg.write_text("workers = 2\n")
@@ -99,6 +115,29 @@ class TestReplay:
                        "builtin:drop-distinct") == EXIT_BUGS
         assert run_cli("replay", str(report),
                        "--target", "builtin") == EXIT_CLEAN
+
+    @pytest.mark.parametrize("target", ["builtin", SHIM_TARGET],
+                             ids=["builtin", "shim"])
+    def test_unloadable_report_is_operational_error(self, tmp_path, target):
+        # the INSERT names a table the DDL never creates
+        report = BugReport(
+            id="bad-0-0", schemaDdl="CREATE TABLE t0 (a INT);\n",
+            inserts="INSERT INTO t9 VALUES (1);\n",
+            leftSql="SELECT a FROM t0", rightSql="SELECT DISTINCT a FROM t0",
+            leftResult={"rows": []}, rightResult={"rows": []},
+            ruleName="dedup-insertion", pairing="mutant-vs-mutant",
+            kind="result-divergence", compareMode="canonical",
+            rngSeed="bad:0", filterBudgetUsed=0, targetId="builtin",
+            timestamp="2000-01-01T00:00:00+00:00")
+        path = tmp_path / "report-bad-0-0.json"
+        path.write_text(report.to_json())
+        proc = subprocess.run(
+            [sys.executable, "-m", "eqmorph.cli", "replay", str(path),
+             "--target", target], capture_output=True, text=True,
+            timeout=60)
+        assert proc.returncode == EXIT_OPERATIONAL
+        assert proc.stderr.startswith("error: SCRIPT: ")
+        assert "Traceback" not in proc.stderr
 
     def test_missing_report_is_operational_error(self, capsys):
         assert run_cli("replay", "/nonexistent.json",
@@ -134,6 +173,18 @@ class TestConfigFile:
         assert rc == EXIT_CLEAN
         rc = run_cli("run", "--config", str(cfg))
         assert rc == EXIT_BUGS
+
+    @pytest.mark.parametrize("key", ["queries", "iterations",
+                                     "filter_budget"])
+    def test_negative_value_is_operational_error(self, tmp_path, capsys,
+                                                 key):
+        cfg = tmp_path / "campaign.conf"
+        # the last line for a key wins
+        cfg.write_text(f"queries = 5\n{key} = -1\n")
+        assert run_cli("run", "--config", str(cfg), "--out",
+                       str(tmp_path)) == EXIT_OPERATIONAL
+        assert "must not be negative" in capsys.readouterr().err
+        assert not (tmp_path / "stats.jsonl").exists()
 
     def test_malformed_config_is_operational_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.conf"

@@ -111,7 +111,7 @@ def test_one_probe_corpus_per_iteration(monkeypatch):
     # proven pairs probe nothing, so an iteration builds at most one corpus
     assert len(calls) <= 1
 
-    def disjunction(rng, schema, cfg):
+    def disjunction(rng, schema):
         cols = dict(schema.columns("t0"))
         a = next(c for c, ty in cols.items() if ty == "int")
         b = next(c for c, ty in cols.items() if ty == "dec")
@@ -148,6 +148,24 @@ def test_budget_zero_prepares_nothing(monkeypatch):
     assert prepared == []
     assert check_bounded(sel, sel, SCHEMA, budget=1) == NoCounterexample(1)
     assert len(prepared) == 2
+
+
+def test_filter_off_never_calls_the_probe(monkeypatch):
+    cfg = GeneratorConfig(queries_per_iteration=150, filter_budget=0)
+
+    def emitted():
+        res = run_iteration(BuiltinEndpoint("drop-distinct"), cfg, "off", 0)
+        return (replace(res.stats, elapsed=0.0),
+                [replace(r, timestamp="") for r in res.reports])
+
+    before = emitted()
+    assert before[0].pairsEmitted > 0 and before[1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_bounded called with the filter off")
+
+    monkeypatch.setattr(harness, "check_bounded", refuse)
+    assert emitted() == before
 
 
 # Prints check_bounded's verdicts and witnesses for each seed argument, in
@@ -217,16 +235,15 @@ def _variants(seed):
 def soundness_candidates():
     """(schema, left, right) for each of 1,000 generated seeds: the pair of
     its rule, and the seed against each of its variants."""
-    cfg = GeneratorConfig()
     out = []
     for s in range(25):
         rng = random.Random(f"prove-sound:{s}")
-        schema = generate_schema(rng, cfg)
+        schema = generate_schema(rng)
         ctx = TransformContext(
             rng=rng,
-            value_hints=value_hints_of(generate_database(rng, schema, cfg)))
+            value_hints=value_hints_of(generate_database(rng, schema)))
         for _ in range(40):
-            seed = generate_seed(rng, schema, cfg)
+            seed = generate_seed(rng, schema)
             try:
                 pair = transform_query(seed, schema, ctx)
                 out.append((schema, pair.left, pair.right))

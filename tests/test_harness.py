@@ -7,52 +7,54 @@ from eqmorph import harness
 from eqmorph.adapter import BuiltinEndpoint, EngineError
 from eqmorph.equivfilter import NotEquivalent
 from eqmorph.harness import (
-    COMPARE_MODES, DEFAULT_ERROR_LIST, DISCARD, KEEP_FOR_TRIAGE, BugReport,
-    GeneratorConfig, _judge, compare_results, filter_error, generate_database,
-    generate_schema, generate_seed, persist_iteration, replay_report,
-    run_iteration, value_hints_of,
+    COMPARE_MODES, DISCARD, KEEP_FOR_TRIAGE, BugReport, GeneratorConfig,
+    _judge, compare_results, filter_error, generate_database, generate_schema,
+    generate_seed, persist_iteration, replay_report, run_iteration,
+    value_hints_of,
 )
 from eqmorph.parser import parse
+from eqmorph.refdb import STABLE_ERROR_CODES
 from eqmorph.sqlast import render, validate
 
 
 class TestGeneration:
     def test_schema_shape(self):
-        cfg = GeneratorConfig()
-        schema = generate_schema(random.Random(1), cfg)
-        assert 1 <= len(schema.tables) <= cfg.max_tables
+        schema = generate_schema(random.Random(1))
+        assert 1 <= len(schema.tables) <= harness.MAX_TABLES
         names = [c for _, cols in schema.tables for c, _ in cols]
         assert len(names) == len(set(names))  # globally unique columns
         for _, cols in schema.tables:
             types = {t for _, t in cols}
             assert "int" in types and "dec" in types
 
+    def test_weights_sum_to_one(self):
+        # generate_seed compares its roll with the running sums unscaled
+        assert harness.W_PLAIN + harness.W_FILTERED + harness.W_AGG \
+            + harness.W_GROUPED == 1.0
+
     def test_seeds_parse_and_validate(self):
-        cfg = GeneratorConfig()
         rng = random.Random(42)
         for _ in range(300):
-            schema = generate_schema(rng, cfg)
-            q = generate_seed(rng, schema, cfg)
+            schema = generate_schema(rng)
+            q = generate_seed(rng, schema)
             assert parse(render(q)) == q
             assert validate(q, schema) == []
 
     def test_seed_generation_deterministic(self):
-        cfg = GeneratorConfig()
 
         def batch(seed):
             rng = random.Random(seed)
-            schema = generate_schema(rng, cfg)
-            return [render(generate_seed(rng, schema, cfg))
+            schema = generate_schema(rng)
+            return [render(generate_seed(rng, schema))
                     for _ in range(50)]
 
         assert batch("s") == batch("s")
         assert batch("s") != batch("t")
 
     def test_value_hints_come_from_database(self):
-        cfg = GeneratorConfig()
         rng = random.Random(9)
-        schema = generate_schema(rng, cfg)
-        db = generate_database(rng, schema, cfg)
+        schema = generate_schema(rng)
+        db = generate_database(rng, schema)
         hints = value_hints_of(db)
         for (table, col), values in hints.items():
             cols = dict(dict(schema.tables)[table])
@@ -90,7 +92,7 @@ class TestJudgeBoth:
     to name the mode of a divergence."""
 
     def judge(self, left, right):
-        return _judge(left, right, "both", DEFAULT_ERROR_LIST)
+        return _judge(left, right, "both", STABLE_ERROR_CODES)
 
     def test_equal_rows_agree_without_parsing(self, monkeypatch):
         parsed = []
@@ -142,14 +144,14 @@ def test_equal_lists_agree_without_counting(monkeypatch, mode):
     monkeypatch.setattr(harness, "Counter", None)
     rows = [("1", "0.5"), ("NULL", "x"), ("1", "0.5")]
     assert _judge(("rows", rows), ("rows", list(rows)), mode,
-                  DEFAULT_ERROR_LIST) is None
+                  STABLE_ERROR_CODES) is None
 
 
 def test_filter_error_policy():
     assert filter_error("UNKNOWN_COLUMN") == DISCARD
     assert filter_error("SEGFAULT") == KEEP_FOR_TRIAGE
     assert filter_error("UNKNOWN_COLUMN", error_list=()) == KEEP_FOR_TRIAGE
-    assert set(DEFAULT_ERROR_LIST) >= {"UNKNOWN_TABLE", "UNKNOWN_COLUMN"}
+    assert set(STABLE_ERROR_CODES) >= {"UNKNOWN_TABLE", "UNKNOWN_COLUMN"}
 
 
 class TestRunIteration:

@@ -7,7 +7,7 @@ import pytest
 
 from eqmorph import refdb
 from eqmorph.dbgen import random_database
-from eqmorph.harness import GeneratorConfig, generate_schema, generate_seed
+from eqmorph.harness import generate_schema, generate_seed
 from eqmorph.parser import parse
 from eqmorph.refdb import (
     FAULTS, ExecError, Executor, ScriptError, TableData, UnknownFault,
@@ -332,19 +332,18 @@ def test_scan_order_does_not_reach_results():
     """Tables are scanned in stored order, so a database whose tables hold
     the same rows in reverse order must give equal results, on the clean
     engine and under every fault."""
-    cfg = GeneratorConfig()
     executors = [Executor()] + [Executor(f) for f in sorted(FAULTS)]
     reordered = 0
     for n in range(300):
         rng = random.Random(f"scan-order:{n}")
-        schema = generate_schema(rng, cfg)
+        schema = generate_schema(rng)
         db = random_database(schema, rng)
         rev = {name: TableData(t.columns,
                                Counter(dict(reversed(t.rows.items()))))
                for name, t in db.items()}
         reordered += any(list(rev[name].rows) != list(t.rows)
                          for name, t in db.items())
-        q = generate_seed(rng, schema, cfg)
+        q = generate_seed(rng, schema)
         for ex in executors:
             prepared = ex.prepare(q, schema)
             assert _outcome(ex, db, prepared) == \

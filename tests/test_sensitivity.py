@@ -105,12 +105,10 @@ class TestOracle:
 def test_static_insensitive_implies_no_witness(n):
     """The static fold is sound on the non-aggregate fragment: whenever it
     says insensitive, the bounded dynamic search finds no witness."""
-    from eqmorph.harness import GeneratorConfig, generate_schema, \
-        generate_seed
+    from eqmorph.harness import generate_schema, generate_seed
     rng = random.Random(n)
-    cfg = GeneratorConfig()
-    schema = generate_schema(rng, cfg)
-    q = qualify(generate_seed(rng, schema, cfg), schema)
+    schema = generate_schema(rng)
+    q = qualify(generate_seed(rng, schema), schema)
     if any(hasattr(it, "fn") for it in q.select) or \
             (q.set_op and any(hasattr(it, "fn")
                               for it in q.set_op[1].select)):

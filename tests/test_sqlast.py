@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from eqmorph import sqlast
-from eqmorph.harness import GeneratorConfig, generate_schema, generate_seed
+from eqmorph.harness import generate_schema, generate_seed
 from eqmorph.parser import parse
 from eqmorph.sqlast import (
     And, ColumnRef, Cmp, Const, InvalidQuery, Schema, SqlQuery, qualify,
@@ -111,11 +111,10 @@ class TestQualifySharing:
 
     def test_qualified_queries_come_back_as_themselves(self):
         rng = random.Random("qualify-sharing")
-        cfg = GeneratorConfig()
         for _ in range(6):
-            schema = generate_schema(rng, cfg)
+            schema = generate_schema(rng)
             for _ in range(50):
-                q = generate_seed(rng, schema, cfg)
+                q = generate_seed(rng, schema)
                 assert qualify(q, schema) is q
                 parsed = parse(render(q))
                 assert qualify(parsed, schema) is parsed

@@ -10,8 +10,7 @@ from eqmorph.algebra import (
 )
 from eqmorph.dbgen import databases_for_search
 from eqmorph.harness import (
-    GeneratorConfig, generate_database, generate_schema, generate_seed,
-    value_hints_of,
+    generate_database, generate_schema, generate_seed, value_hints_of,
 )
 from eqmorph.parser import parse
 from eqmorph.refdb import Executor
@@ -108,12 +107,11 @@ class TestCatalog:
         # every rule, called directly on generated seeds: each
         # seed-vs-mutant pair it builds keeps the seed's class
         checked = set()
-        gen_cfg = GeneratorConfig()
         for s in range(4):
             rng = random.Random(f"class-{s}")
-            schema = generate_schema(rng, gen_cfg)
+            schema = generate_schema(rng)
             for _ in range(100):
-                q = qualify(generate_seed(rng, schema, gen_cfg), schema)
+                q = qualify(generate_seed(rng, schema), schema)
                 e = lower(q)
                 for name, rule in _RULE_FNS.items():
                     pair = rule(q, e, ctx(), schema)
@@ -298,14 +296,13 @@ def test_lazy_selection_matches_verifying_every_candidate(monkeypatch):
     """On 3,000 generated seeds, with the whole catalog and with each rule
     alone, transform_query gives the pair (or NoRuleApplies) that it gives
     when every candidate is verified before one is chosen."""
-    cfg = GeneratorConfig()
     configs = [None] + [frozenset([r]) for r in RULE_CATALOG]
     seeds = []
     for s in range(60):
         rng = random.Random(f"lazy-pick:{s}")
-        schema = generate_schema(rng, cfg)
-        hints = value_hints_of(generate_database(rng, schema, cfg))
-        seeds.extend((schema, hints, generate_seed(rng, schema, cfg))
+        schema = generate_schema(rng)
+        hints = value_hints_of(generate_database(rng, schema))
+        seeds.extend((schema, hints, generate_seed(rng, schema))
                      for _ in range(50))
     lazy = [[_outcome(seed, schema, hints, i, rules) for rules in configs]
             for i, (schema, hints, seed) in enumerate(seeds)]
