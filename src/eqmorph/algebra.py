@@ -6,18 +6,21 @@ collapses; an Agg carries the whole grouped select shape (group keys plus
 aggregate calls) so that mixed select lists stay representable.
 
 Remapping implements the many-to-one operator/keyword correspondence: a
-Dedup renders as DISTINCT or GROUP BY, a Filter renders as WHERE below the
-grouping operator and HAVING above it.  A candidate surface query counts
-only once it is verified by lowering it back and comparing commute-normal
-forms; remap_to_sql verifies them all, a caller that needs one verifies
-them in its own order until one passes.
+Dedup renders as DISTINCT or GROUP BY, and a Filter as WHERE or HAVING by
+one placement rule.  A filter stays on its side of the grouping operator
+(the Agg, or the Dedup that renders as GROUP BY): WHERE below it, HAVING
+above it, and WHERE in a pipeline without one.  It may also cross to the
+other side when every column it reads is a grouping key.  A candidate
+surface query counts only once it is verified by lowering it back and
+comparing commute-normal forms; remap_to_sql verifies them all, a caller
+that needs one verifies them in its own order until one passes.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .sqlast import (
@@ -450,174 +453,104 @@ def _decompose(e):
     return items, e
 
 
-def _candidate_queries_core(e):
-    items, scan = _decompose(e)
+def _may_cross(keys, pred) -> bool:
+    """Whether a filter on pred may cross a grouping by keys (see the
+    placement rule above): every column it reads is a key."""
+    return pred_refs(pred) <= _refset(keys)
+
+
+def _shape(items):
+    """(select list, grouping node, forms) of a pipeline's items.  The
+    grouping node is the Agg, the Dedup that renders as GROUP BY, or None;
+    forms are the (GROUP BY keys, DISTINCT) pairs the pipeline renders
+    with, in generation order."""
     aggs = [x for x in items if isinstance(x, Agg)]
     if len(aggs) > 1:
         raise RemapError("multiple aggregate operators in one pipeline")
     if aggs:
-        return _candidates_agg(items, scan, aggs[0])
-    return _candidates_plain(items, scan)
-
-
-def _conj_from_stack(filters):
-    # stack order is root->leaf; SQL conjunction reads execution order
-    return join_conjuncts([f.pred for f in reversed(filters)])
-
-
-def _candidates_agg(items, scan, agg):
-    idx = items.index(agg)
-    above = items[:idx]
-    below = items[idx + 1:]
-    if any(not isinstance(x, Filter) for x in below):
-        raise RemapError("unsupported operator between aggregate and scan")
-    distinct = False
-    if above and isinstance(above[0], Dedup):
-        if _refset(above[0].keys) != _refset(agg_outputs(agg)):
-            raise RemapError("dedup above aggregate with foreign keys")
-        distinct = True
-        above = above[1:]
-    if any(not isinstance(x, Filter) for x in above):
-        raise RemapError("unsupported operator above aggregate")
-    keyset = _refset(agg.keys)
-    for f in above:
-        if not pred_refs(f.pred) <= keyset:
+        agg = aggs[0]
+        idx = items.index(agg)
+        above = items[:idx]
+        if any(not isinstance(x, Filter) for x in items[idx + 1:]):
+            raise RemapError("unsupported operator between aggregate and scan")
+        distinct = bool(above) and isinstance(above[0], Dedup)
+        if distinct:
+            if _refset(above[0].keys) != _refset(agg_outputs(agg)):
+                raise RemapError("dedup above aggregate with foreign keys")
+            above = above[1:]
+        if any(not isinstance(x, Filter) for x in above):
+            raise RemapError("unsupported operator above aggregate")
+        if not all(_may_cross(agg.keys, f.pred) for f in above):
             raise RemapError(
                 "filter above grouping references non-grouped columns")
+        return agg.select, agg, [(tuple(agg.keys) or None, distinct)]
 
-    candidates = []
-    movable = [f for f in below if pred_refs(f.pred) <= keyset]
-    choices = []
-    for f in above:
-        choices.append((f, ("HAVING", "WHERE") if keyset else ("WHERE",)))
-    for f in below:
-        opts = ("WHERE", "HAVING") if (f in movable and keyset) else ("WHERE",)
-        choices.append((f, opts))
-    for assignment in itertools.product(*(opts for _, opts in choices)):
-        where, having = [], []
-        for (f, _), slot in zip(choices, assignment):
-            (where if slot == "WHERE" else having).append(f)
-        try:
-            q = SqlQuery(
-                select=tuple(agg.select),
-                from_tables=tuple(scan.tables),
-                distinct=distinct,
-                where=_conj_from_stack([f for f in items
-                                        if isinstance(f, Filter)
-                                        and f in where]),
-                group_by=tuple(agg.keys) if agg.keys else None,
-                having=_conj_from_stack([f for f in items
-                                         if isinstance(f, Filter)
-                                         and f in having]) if having else None,
-            )
-        except ValueError:
-            continue
-        candidates.append(q)
-    return candidates
-
-
-def _candidates_plain(items, scan):
     projects = [x for x in items if isinstance(x, Project)]
     if not projects:
         raise RemapError("pipeline without a projection has no surface form")
     # projections must be a prefix-nested cascade; the outermost wins
     select = projects[0].cols
-    filters = [x for x in items if isinstance(x, Filter)]
-
     # dedups with identical key sets collapse; at most two distinct key
     # sets render (outer DISTINCT over the select list, inner GROUP BY)
-    dedups = []
-    for d in (x for x in items if isinstance(x, Dedup)):
-        if not any(_refset(d.keys) == _refset(p.keys) for p in dedups):
-            dedups.append(d)
+    dedups = {}
+    for d in items:
+        if isinstance(d, Dedup):
+            dedups.setdefault(_refset(d.keys), []).append(d)
     if len(dedups) > 2:
         raise RemapError("more than two dedups with different keys")
-
-    distinct_forced = False
-    group_dedup = None
-    if len(dedups) == 2:
-        outer, inner = dedups
-        if _refset(outer.keys) != _refset(select):
-            raise RemapError("outer dedup does not match the select list")
-        distinct_forced = True
-        group_dedup = inner
-    elif len(dedups) == 1:
-        group_dedup = dedups[0]
-        proj_idx = items.index(projects[0])
-        # a dedup above the projection only renders when it matches the
-        # select list (DISTINCT); otherwise there is no surface form
-        if items.index(group_dedup) < proj_idx and \
-                _refset(group_dedup.keys) != _refset(select):
-            raise RemapError("dedup above projection with foreign keys")
-
-    candidates = []
-    if group_dedup is None:
-        q = _build_plain(select, scan, filters, [], None, False)
-        if q is not None:
-            candidates.append(q)
-        return candidates
-
-    keyset = _refset(group_dedup.keys)
-    distinct_ok = keyset == _refset(select)
-    dpos = items.index(group_dedup)
+    if not dedups:
+        return select, None, [(None, False)]
+    *outer, keyset = dedups
+    group = dedups[keyset][0]
     # every key order seen for this key set is a possible GROUP BY order
-    key_orders = []
-    for d in (x for x in items if isinstance(x, Dedup)):
-        if _refset(d.keys) == keyset and tuple(d.keys) not in key_orders:
-            key_orders.append(tuple(d.keys))
-    choices = []
-    for f in filters:
-        if items.index(f) < dpos:
-            opts = ["HAVING", "WHERE"] if pred_refs(f.pred) <= keyset \
-                else ["HAVING"]
-        else:
-            opts = ["WHERE", "HAVING"] if pred_refs(f.pred) <= keyset \
-                else ["WHERE"]
-        choices.append((f, opts))
-    if distinct_forced:
-        distinct_variants = (True,)
-    elif distinct_ok:
-        # a dedup matching the select list can also render as a redundant
-        # DISTINCT on top of the GROUP BY form
-        distinct_variants = (False, True)
-    else:
-        distinct_variants = (False,)
-    for assignment in itertools.product(*(o for _, o in choices)):
-        where = [f for (f, _), s in zip(choices, assignment)
-                 if s == "WHERE"]
-        having = [f for (f, _), s in zip(choices, assignment)
-                  if s == "HAVING"]
-        for dv in distinct_variants:
-            for order in key_orders:
-                q = _build_plain(select, scan,
-                                 [f for f in filters if f in where],
-                                 [f for f in filters if f in having],
-                                 order, dv)
-                if q is not None:
-                    candidates.append(q)
-        if not distinct_forced and distinct_ok and not having:
-            q = _build_plain(select, scan,
-                             [f for f in filters if f in where],
-                             [], None, True)
-            if q is not None:
-                candidates.append(q)
-    return candidates
+    orders = list(dict.fromkeys(tuple(d.keys) for d in dedups[keyset]))
+    if outer:
+        if outer[0] != _refset(select):
+            raise RemapError("outer dedup does not match the select list")
+        return select, group, [(o, True) for o in orders]
+    distinct_ok = keyset == _refset(select)
+    # a dedup above the projection only renders when it matches the
+    # select list (DISTINCT); otherwise there is no surface form
+    if items.index(group) < items.index(projects[0]) and not distinct_ok:
+        raise RemapError("dedup above projection with foreign keys")
+    if not distinct_ok:
+        return select, group, [(o, False) for o in orders]
+    # a dedup matching the select list also renders as a redundant
+    # DISTINCT on top of the GROUP BY form, and as DISTINCT alone
+    return select, group, [(o, dv) for dv in (False, True)
+                           for o in orders] + [(None, True)]
 
 
-def _build_plain(select, scan, where_filters, having_filters, group_keys,
-                 distinct):
-    try:
-        return SqlQuery(
-            select=tuple(select),
-            from_tables=tuple(scan.tables),
-            distinct=distinct,
-            where=_conj_from_stack(where_filters),
-            group_by=group_keys,
-            having=_conj_from_stack(having_filters) if having_filters
-            else None,
-        )
-    except ValueError:
-        return None
+def _pipeline_candidates(e) -> list:
+    """The candidates of a pipeline: every placement of its filters by the
+    placement rule, each rendered in every form of its shape, in
+    generation order.  A combination SqlQuery rejects (HAVING without
+    GROUP BY, an empty select list) drops out."""
+    items, scan = _decompose(e)
+    select, group, forms = _shape(items)
+    filters, choices = [], []
+    above = group is not None
+    for x in items:
+        if x is group:
+            above = False
+        elif isinstance(x, Filter):
+            sides = ("HAVING", "WHERE") if above else ("WHERE", "HAVING")
+            crosses = group is not None and _may_cross(group.keys, x.pred)
+            filters.append(x)
+            choices.append(sides if crosses else sides[:1])
+    out = []
+    for slots in itertools.product(*choices):
+        # items read root->leaf; a conjunction reads execution order
+        placed = list(zip(filters, slots))[::-1]
+        where = join_conjuncts([f.pred for f, s in placed if s == "WHERE"])
+        having = join_conjuncts([f.pred for f, s in placed if s == "HAVING"])
+        for keys, distinct in forms:
+            try:
+                out.append(SqlQuery(tuple(select), tuple(scan.tables),
+                                    distinct, where, keys, having))
+            except ValueError:
+                pass
+    return out
 
 
 def surface_candidates(e) -> list:
@@ -626,12 +559,10 @@ def surface_candidates(e) -> list:
     typecheck(e)
     if isinstance(e, (Union, UnionAll)):
         op = UNION if isinstance(e, Union) else UNION_ALL
-        lefts = _candidate_queries_core(e.left)
-        rights = _candidate_queries_core(e.right)
-        return [SqlQuery(lc.select, lc.from_tables, lc.distinct, lc.where,
-                         lc.group_by, lc.having, set_op=(op, rc))
-                for lc in lefts for rc in rights]
-    return _candidate_queries_core(e)
+        lefts = _pipeline_candidates(e.left)
+        rights = _pipeline_candidates(e.right)
+        return [replace(lc, set_op=(op, rc)) for lc in lefts for rc in rights]
+    return _pipeline_candidates(e)
 
 
 def realizes(q: SqlQuery, target) -> bool:

@@ -6,6 +6,11 @@ aggregates are sensitive, while deduplication, grouping, UNION, and
 MIN/MAX are not.  A whole tree is classified by folding over its operator
 atoms: it is sensitive only when every atom is sensitive, because a single
 insensitive operator collapses multiplicities for everything above it.
+Aggregates are the exception: a COUNT, SUM or AVG over a child with no
+Dedup reads its input's multiplicities, and doubling them changes the
+value it computes, which no operator above collapses back.  So a tree
+with such an Agg anywhere, set operands included, is sensitive whatever
+its other atoms are.
 
 The static verdict can be checked dynamically: a query is duplicate
 sensitive exactly when some database exists where doubling every row's
@@ -78,12 +83,36 @@ def operator_atoms(e) -> list:
     return out
 
 
+def _nodes(e):
+    """Every node of e, set operands included."""
+    yield e
+    if isinstance(e, (Union, UnionAll)):
+        yield from _nodes(e.left)
+        yield from _nodes(e.right)
+    elif not isinstance(e, Scan):
+        yield from _nodes(e.child)
+
+
+def _counts_duplicates(e) -> bool:
+    """Whether some Agg in e has a COUNT, SUM or AVG call and reads a
+    child with no Dedup."""
+    return any(
+        isinstance(n, Agg)
+        and any(getattr(it, "fn", None) in SENSITIVE_AGG_FNS
+                for it in n.select)
+        and not any(isinstance(m, Dedup) for m in _nodes(n.child))
+        for n in _nodes(e))
+
+
 def classify(e) -> Sensitivity:
-    """Fold: sensitive only when every operator atom is sensitive.
+    """Fold: sensitive only when every operator atom is sensitive, or when
+    an aggregate counts duplicates (see the module docstring).
 
     A bare scan has no atoms and is sensitive (it reproduces its input
     multiplicities verbatim).
     """
+    if _counts_duplicates(e):
+        return Sensitivity.SENSITIVE
     for _, s in operator_atoms(e):
         if s is Sensitivity.INSENSITIVE:
             return Sensitivity.INSENSITIVE

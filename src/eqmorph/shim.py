@@ -22,6 +22,9 @@ def handle(endpoint: BuiltinEndpoint, req: dict) -> dict:
     op = req.get("op")
     sql = req.get("sql", "")
     try:
+        if op in ("reset", "exec") and not isinstance(sql, str):
+            return {"id": rid, "ok": False, "code": "PROTOCOL",
+                    "message": f"sql is not a string: {sql!r}"}
         if op == "reset":
             endpoint.reset(sql)
             return {"id": rid, "ok": True, "rows": []}

@@ -30,8 +30,8 @@ from typing import Optional
 
 from .algebra import (
     Agg, Dedup, Filter, Project, Union, UnionAll, commute_normal,
-    join_conjuncts, lower, pred_refs, realizes, rebuild, split_conjuncts,
-    surface_candidates, _refset,
+    join_conjuncts, lower, realizes, rebuild, split_conjuncts,
+    surface_candidates, _may_cross, _refset,
 )
 # unused here; bound because perfbench/spans.py traces
 # transform.remap_to_sql by name
@@ -289,10 +289,6 @@ def _swap(n):
     return rebuild(n.child, rebuild(n, n.child.child))
 
 
-def _covers(keys, pred) -> bool:
-    return pred_refs(pred) <= _refset(keys)
-
-
 # rule -> (does it rewrite this node?, the node it rewrites it to)
 _IR_TABLE = {
     "selection-commute": (
@@ -308,9 +304,9 @@ _IR_TABLE = {
         lambda n: type(n)(n.right, n.left)),
     "dedup-filter-commute": (
         lambda n: isinstance(n, Filter) and isinstance(n.child, Dedup)
-        and _covers(n.child.keys, n.pred)
+        and _may_cross(n.child.keys, n.pred)
         or isinstance(n, Dedup) and isinstance(n.child, Filter)
-        and _covers(n.keys, n.child.pred),
+        and _may_cross(n.keys, n.child.pred),
         _swap),
 }
 

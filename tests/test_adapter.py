@@ -68,6 +68,8 @@ class TestBuiltin:
     ("exec", "SELECT @", "SYNTAX"),
     ("exec", "SELECT zz FROM t0", "UNKNOWN_COLUMN"),
     ("drop", "", "PROTOCOL"),
+    ("reset", None, "PROTOCOL"),
+    ("exec", 5, "PROTOCOL"),
 ])
 def test_shim_error_codes(op, sql, code):
     ep = BuiltinEndpoint()
@@ -79,11 +81,14 @@ def test_shim_error_codes(op, sql, code):
 def test_shim_answers_malformed_request_lines():
     done = subprocess.run(
         [sys.executable, "-m", "eqmorph.shim"],
-        input=b'[1]\n\xff\n{"id": 3, "op": "drop"}\n',
+        input=b'[1]\n\xff\n{"id": 3, "op": "drop"}\n'
+              b'{"id": 4, "op": "reset", "sql": null}\n'
+              b'{"id": 5, "op": "exec", "sql": "SELECT a FROM t0"}\n',
         capture_output=True, timeout=60, check=True)
     replies = [json.loads(line) for line in done.stdout.splitlines()]
     assert [(r["id"], r["code"]) for r in replies] == \
-        [(None, "PROTOCOL"), (None, "PROTOCOL"), (3, "PROTOCOL")]
+        [(None, "PROTOCOL"), (None, "PROTOCOL"), (3, "PROTOCOL"),
+         (4, "PROTOCOL"), (5, "UNKNOWN_TABLE")]
     assert replies[0]["message"] == "bad request line: not a JSON object: [1]"
 
 
@@ -148,6 +153,33 @@ class TestExternal:
     def test_stop_is_idempotent(self, extern):
         extern.stop()
         extern.stop()
+
+    @pytest.mark.parametrize("debug", [True, False])
+    def test_debug_mirrors_traffic_to_stderr(self, debug, monkeypatch,
+                                             capfd):
+        if debug:
+            monkeypatch.setenv("EQMORPH_SHIM_DEBUG", "1")
+        else:
+            monkeypatch.delenv("EQMORPH_SHIM_DEBUG", raising=False)
+        ep = ExternalEndpoint(SHIM)
+        try:
+            ep.reset(SCRIPT)
+            ep.exec_sql("SELECT a FROM t0")
+        finally:
+            ep.stop()
+        err = capfd.readouterr().err
+        if not debug:
+            assert err == ""
+            return
+        lines = err.splitlines()
+        assert [line[:10] for line in lines] == \
+            ["eqmorph >>", "eqmorph <<", "eqmorph >>", "eqmorph <<"]
+        sent = [json.loads(line[11:]) for line in lines[::2]]
+        assert [(r["op"], r["sql"]) for r in sent] == \
+            [("reset", SCRIPT), ("exec", "SELECT a FROM t0")]
+        got = [json.loads(line[11:]) for line in lines[1::2]]
+        assert [r["ok"] for r in got] == [True, True]
+        assert sorted(got[1]["rows"]) == [["1"], ["1"], ["NULL"]]
 
 
 # A scripted engine: it answers request n with the row (n,), except where

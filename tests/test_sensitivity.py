@@ -33,9 +33,13 @@ class TestClassify:
         ("SELECT a FROM t0 GROUP BY a", I),
         ("SELECT a FROM t0 UNION SELECT a FROM t0", I),
         ("SELECT MIN(a) FROM t0", I),
-        ("SELECT a, COUNT(*) FROM t0 GROUP BY a", I),
-        ("SELECT SUM(b) FROM t0 UNION SELECT SUM(b) FROM t0", I),
         ("SELECT DISTINCT a FROM t0 UNION ALL SELECT a FROM t0", I),
+        ("SELECT a, MIN(b) FROM t0 GROUP BY a", I),
+        # COUNT, SUM or AVG over a multiset sees every duplicate, whatever
+        # collapses rows around it
+        ("SELECT a, COUNT(*) FROM t0 GROUP BY a", S),
+        ("SELECT SUM(b) FROM t0 UNION SELECT SUM(b) FROM t0", S),
+        ("SELECT DISTINCT a, SUM(b) FROM t0 GROUP BY a", S),
     ])
     def test_examples(self, sql, expected):
         assert cls(sql) is expected
@@ -103,17 +107,12 @@ class TestOracle:
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10**9))
 def test_static_insensitive_implies_no_witness(n):
-    """The static fold is sound on the non-aggregate fragment: whenever it
+    """The static fold is sound on the generated fragment: whenever it
     says insensitive, the bounded dynamic search finds no witness."""
     from eqmorph.harness import generate_schema, generate_seed
     rng = random.Random(n)
     schema = generate_schema(rng)
-    q = qualify(generate_seed(rng, schema), schema)
-    if any(hasattr(it, "fn") for it in q.select) or \
-            (q.set_op and any(hasattr(it, "fn")
-                              for it in q.set_op[1].select)):
-        return  # aggregate fragment is out of scope for this property
-    e = lower(q)
+    e = lower(qualify(generate_seed(rng, schema), schema))
     if classify(e) is Sensitivity.INSENSITIVE:
         v = sensitivity_oracle(e, schema, budget=32, seed=f"h:{n}")
         assert isinstance(v, NoWitnessWithinBudget)
