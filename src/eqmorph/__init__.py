@@ -37,7 +37,7 @@ _EXPORTS = {
     ),
     "sensitivity": (
         "NoWitnessWithinBudget", "Sensitivity", "WitnessFound", "classify",
-        "operator_atoms", "sensitivity_oracle",
+        "sensitivity_oracle",
     ),
     "sqlast": (
         "InvalidQuery", "Schema", "SemanticError", "SqlQuery",

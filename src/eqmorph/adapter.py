@@ -19,6 +19,7 @@ import shlex
 import subprocess
 import sys
 import time
+from itertools import chain
 from typing import Optional
 
 from .refdb import ExecError, Executor, ScriptError, load_script
@@ -187,7 +188,12 @@ class ExternalEndpoint:
         rows = resp.get("rows")
         if not isinstance(rows, list):
             raise ProtocolError("missing rows in successful response")
-        return [tuple(str(c) for c in row) for row in rows]
+        # checked by C-level passes, not a Python loop per row or cell
+        if not set(map(type, rows)) <= {list} \
+                or not set(map(type, chain.from_iterable(rows))) <= {str}:
+            raise ProtocolError(
+                f"rows must be arrays of string cells: {rows!r:.200}")
+        return list(map(tuple, rows))
 
 
 def make_endpoint(spec: str):

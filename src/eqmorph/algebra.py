@@ -91,12 +91,6 @@ class UnionAll:
 AlgebraExpr = object
 
 
-class RelType:
-    MULTISET = "multiset"
-    SET = "set"
-    VALUE = "value"
-
-
 def agg_output_ref(call: AggCall) -> ColumnRef:
     return ColumnRef(str(call).lower(), None)
 
@@ -151,43 +145,31 @@ def _arity(e) -> Optional[int]:
     raise TypeError(f"not an algebra node: {e!r}")
 
 
-def typecheck(e, lints: Optional[list] = None) -> str:
-    """Return the root's RelType; raises AlgebraTypeError on ill-typed trees.
-
-    A Dedup over an already-set input is accepted as the identity; a lint
-    is recorded when a lint sink is supplied.
-    """
+def typecheck(e) -> None:
+    """Raise AlgebraTypeError when e is ill-typed."""
     if isinstance(e, Scan):
         if not e.tables:
             raise AlgebraTypeError(e, "at least one table", "none")
-        return RelType.MULTISET
-    if isinstance(e, Project):
-        t = typecheck(e.child, lints)
+    elif isinstance(e, Project):
+        typecheck(e.child)
         avail = _outputs(e.child)
         if avail is not None and not _refset(e.cols) <= avail:
             raise AlgebraTypeError(e, f"columns within {sorted(avail, key=str)}",
                                    [str(c) for c in e.cols])
-        return t
-    if isinstance(e, Filter):
-        t = typecheck(e.child, lints)
+    elif isinstance(e, Filter):
+        typecheck(e.child)
         avail = _outputs(e.child)
         if avail is not None and not pred_refs(e.pred) <= avail:
             raise AlgebraTypeError(e, f"predicate over {sorted(avail, key=str)}",
                                    render_pred(e.pred))
-        return t
-    if isinstance(e, Dedup):
-        t = typecheck(e.child, lints)
+    elif isinstance(e, Dedup):
+        typecheck(e.child)
         avail = _outputs(e.child)
         if avail is not None and not _refset(e.keys) <= avail:
             raise AlgebraTypeError(e, f"keys within {sorted(avail, key=str)}",
                                    [str(c) for c in e.keys])
-        if t is RelType.MULTISET or t == RelType.MULTISET:
-            return RelType.SET
-        if lints is not None:
-            lints.append(f"dedup over {t} input is the identity")
-        return t
-    if isinstance(e, Agg):
-        typecheck(e.child, lints)
+    elif isinstance(e, Agg):
+        typecheck(e.child)
         keyset = _refset(e.keys)
         for it in e.select:
             if isinstance(it, ColumnRef) and (it.table, it.name) not in keyset:
@@ -196,16 +178,15 @@ def typecheck(e, lints: Optional[list] = None) -> str:
         if avail is not None and not keyset <= avail:
             raise AlgebraTypeError(e, f"keys within {sorted(avail, key=str)}",
                                    [str(c) for c in e.keys])
-        return RelType.VALUE
-    if isinstance(e, (Union, UnionAll)):
-        typecheck(e.left, lints)
-        typecheck(e.right, lints)
+    elif isinstance(e, (Union, UnionAll)):
+        typecheck(e.left)
+        typecheck(e.right)
         lo = _arity(e.left)
         ro = _arity(e.right)
         if lo is not None and ro is not None and lo != ro:
             raise AlgebraTypeError(e, "matching arity", (lo, ro))
-        return RelType.SET if isinstance(e, Union) else RelType.MULTISET
-    raise TypeError(f"not an algebra node: {e!r}")
+    else:
+        raise TypeError(f"not an algebra node: {e!r}")
 
 
 # ---------------------------------------------------------------------------

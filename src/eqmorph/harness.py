@@ -17,7 +17,7 @@ import json
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -317,7 +317,17 @@ class BugReport:
 
     @staticmethod
     def from_json(text: str) -> "BugReport":
-        return BugReport(**json.loads(text))
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"a bug report is a JSON object, not {type(data).__name__}")
+        names = {f.name for f in fields(BugReport)}
+        missing, unknown = names - data.keys(), data.keys() - names
+        if missing or unknown:
+            raise ValueError(
+                f"bad bug report: missing fields {sorted(missing)}, "
+                f"unknown fields {sorted(unknown)}")
+        return BugReport(**data)
 
     def reproducer_sql(self) -> str:
         lines = [self.schemaDdl.rstrip()]

@@ -1,16 +1,21 @@
 """Duplicate-sensitivity classification of algebra trees.
 
-An operator is duplicate-sensitive when changing input multiplicities can
-change its output; projection, filtering, UNION ALL, and the SUM/COUNT/AVG
-aggregates are sensitive, while deduplication, grouping, UNION, and
-MIN/MAX are not.  A whole tree is classified by folding over its operator
-atoms: it is sensitive only when every atom is sensitive, because a single
-insensitive operator collapses multiplicities for everything above it.
-Aggregates are the exception: a COUNT, SUM or AVG over a child with no
-Dedup reads its input's multiplicities, and doubling them changes the
-value it computes, which no operator above collapses back.  So a tree
-with such an Agg anywhere, set operands included, is sensitive whatever
-its other atoms are.
+A query is duplicate-sensitive when changing its input multiplicities can
+change its result.  `classify` decides it statically by one fold that
+says what doubling every base-table row's multiplicity does to each
+subtree's output.  There are three outcomes:
+
+- doubles: every output row's multiplicity doubles.  A Scan doubles, and
+  Project and Filter keep their child's outcome.
+- same: the output is unchanged.  Dedup and UNION collapse duplicates,
+  so they give "same" unless an input changes.  An Agg gives "same" too,
+  unless its child changes or it has a COUNT, SUM or AVG call over a
+  doubling child, whose value then changes.
+- changes: anything else, kept all the way up to the root.  A UNION ALL
+  doubles only when both operands double and stays the same only when
+  both do; mixing the two changes its output.
+
+A tree is insensitive exactly when its outcome is "same".
 
 The static verdict can be checked dynamically: a query is duplicate
 sensitive exactly when some database exists where doubling every row's
@@ -38,84 +43,34 @@ class Sensitivity(Enum):
 SENSITIVE_AGG_FNS = ("SUM", "COUNT", "AVG")
 
 
-def operator_atoms(e) -> list:
-    """(operator label, Sensitivity) for every atom in the tree.
-
-    An Agg contributes one grouping atom (insensitive, when it has keys)
-    plus one atom per aggregate call.
-    """
-    out = []
-
-    def walk(node):
-        if isinstance(node, Scan):
-            return
-        if isinstance(node, Project):
-            out.append(("project", Sensitivity.SENSITIVE))
-            walk(node.child)
-        elif isinstance(node, Filter):
-            out.append(("filter", Sensitivity.SENSITIVE))
-            walk(node.child)
-        elif isinstance(node, Dedup):
-            out.append(("dedup", Sensitivity.INSENSITIVE))
-            walk(node.child)
-        elif isinstance(node, Agg):
-            if node.keys:
-                out.append(("group", Sensitivity.INSENSITIVE))
-            for it in node.select:
-                if not hasattr(it, "fn"):
-                    continue
-                s = (Sensitivity.SENSITIVE if it.fn in SENSITIVE_AGG_FNS
-                     else Sensitivity.INSENSITIVE)
-                out.append((it.fn.lower(), s))
-            walk(node.child)
-        elif isinstance(node, Union):
-            out.append(("union", Sensitivity.INSENSITIVE))
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, UnionAll):
-            out.append(("union all", Sensitivity.SENSITIVE))
-            walk(node.left)
-            walk(node.right)
-        else:
-            raise TypeError(f"not an algebra node: {node!r}")
-
-    walk(e)
-    return out
-
-
-def _nodes(e):
-    """Every node of e, set operands included."""
-    yield e
+def _under_doubling(e) -> str:
+    """What doubling every base-table multiplicity does to e's output:
+    "doubles", "same" or "changes" (see the module docstring)."""
+    if isinstance(e, Scan):
+        return "doubles"
     if isinstance(e, (Union, UnionAll)):
-        yield from _nodes(e.left)
-        yield from _nodes(e.right)
-    elif not isinstance(e, Scan):
-        yield from _nodes(e.child)
-
-
-def _counts_duplicates(e) -> bool:
-    """Whether some Agg in e has a COUNT, SUM or AVG call and reads a
-    child with no Dedup."""
-    return any(
-        isinstance(n, Agg)
-        and any(getattr(it, "fn", None) in SENSITIVE_AGG_FNS
-                for it in n.select)
-        and not any(isinstance(m, Dedup) for m in _nodes(n.child))
-        for n in _nodes(e))
+        left, right = _under_doubling(e.left), _under_doubling(e.right)
+        if "changes" in (left, right):
+            return "changes"
+        if isinstance(e, Union):
+            return "same"
+        return left if left == right else "changes"
+    if not isinstance(e, (Project, Filter, Dedup, Agg)):
+        raise TypeError(f"not an algebra node: {e!r}")
+    child = _under_doubling(e.child)
+    if isinstance(e, (Project, Filter)) or child == "changes":
+        return child
+    if isinstance(e, Agg) and child == "doubles" and any(
+            getattr(it, "fn", None) in SENSITIVE_AGG_FNS for it in e.select):
+        return "changes"
+    return "same"
 
 
 def classify(e) -> Sensitivity:
-    """Fold: sensitive only when every operator atom is sensitive, or when
-    an aggregate counts duplicates (see the module docstring).
-
-    A bare scan has no atoms and is sensitive (it reproduces its input
-    multiplicities verbatim).
-    """
-    if _counts_duplicates(e):
-        return Sensitivity.SENSITIVE
-    for _, s in operator_atoms(e):
-        if s is Sensitivity.INSENSITIVE:
-            return Sensitivity.INSENSITIVE
+    """Insensitive exactly when doubling leaves e's output the same; a
+    bare scan is sensitive (it reproduces its input multiplicities)."""
+    if _under_doubling(e) == "same":
+        return Sensitivity.INSENSITIVE
     return Sensitivity.SENSITIVE
 
 

@@ -37,7 +37,9 @@ from .algebra import (
 # transform.remap_to_sql by name
 from .algebra import remap_to_sql  # noqa: F401
 from .dbgen import RANDOM_POOLS
-from .sensitivity import Sensitivity, classify
+# unused here; bound because perfbench/spans.py traces
+# transform.classify by name
+from .sensitivity import classify  # noqa: F401
 from .sqlast import (
     CMP_OPS, And, Cmp, ColumnRef, Const, Schema, SqlQuery, qualify, render,
     validate,
@@ -338,10 +340,4 @@ def enumerate_mutants(e, limit: int = 16) -> list:
                 out.append(m)
                 if len(out) >= limit:
                     return out
-    # dedup insertion below the top projection when it is the identity
-    if isinstance(e, Project) and classify(e) is Sensitivity.INSENSITIVE \
-            and not isinstance(e.child, Dedup):
-        m = Project(e.cols, Dedup(tuple(dict.fromkeys(e.cols)), e.child))
-        if m not in seen and len(out) < limit:
-            out.append(m)
     return out

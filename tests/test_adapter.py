@@ -188,6 +188,8 @@ FAKE_ENGINE = r"""
 import json, sys, time
 mode = sys.argv[1]
 out = sys.stdout.buffer
+BAD_ROWS = {"row-not-array": [5], "row-is-string": ["ab"],
+            "cell-not-string": [[None, 1]]}
 
 def reply(rid):
     return json.dumps({"id": rid, "ok": True, "rows": [[str(rid)]]}
@@ -205,6 +207,9 @@ for n, line in enumerate(sys.stdin.buffer, 1):
         out.write(b"[1]\n")
     elif n == 1 and mode == "future-id":
         out.write(reply(rid + 1))
+    elif n == 1 and mode in BAD_ROWS:
+        out.write(json.dumps({"id": rid, "ok": True,
+                              "rows": BAD_ROWS[mode]}).encode() + b"\n")
     elif mode == "split":
         data = reply(rid)
         for i in range(0, len(data), 4):
@@ -278,6 +283,15 @@ class TestExternalReader:
                                                   message):
         with pytest.raises(ProtocolError, match=message):
             fake_engine(mode).exec_sql("q")
+
+    @pytest.mark.parametrize("mode", [
+        "row-not-array", "row-is-string", "cell-not-string"])
+    def test_malformed_rows_are_a_protocol_error(self, fake_engine, mode):
+        ep = fake_engine(mode)
+        with pytest.raises(ProtocolError, match="arrays of string cells"):
+            ep.exec_sql("q")
+        # the stream is still in step
+        assert ep.exec_sql("q") == [("2",)]
 
     def test_start_creates_no_thread(self):
         before = threading.active_count()

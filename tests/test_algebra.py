@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqmorph.algebra import (
-    Agg, AlgebraTypeError, Dedup, Filter, Project, RelType, RemapError, Scan,
+    Agg, AlgebraTypeError, Dedup, Filter, Project, RemapError, Scan,
     Union, UnionAll, _refset, _unique_refs, commute_normal, dump,
     equivalent_mod_commute, lower, pred_refs, rebuild, remap_to_sql,
     typecheck,
@@ -68,24 +68,8 @@ class TestLowering:
         e = low("SELECT a, SUM(b) FROM t0 GROUP BY a HAVING a > 0")
         assert isinstance(e, Filter) and isinstance(e.child, Agg)
 
-    def test_union_types(self):
-        u = low("SELECT a FROM t0 UNION SELECT a FROM t0")
-        ua = low("SELECT a FROM t0 UNION ALL SELECT a FROM t0")
-        assert typecheck(u) == RelType.SET
-        assert typecheck(ua) == RelType.MULTISET
-
-    def test_scan_is_multiset_agg_is_value(self):
-        assert typecheck(Scan(("t0",))) == RelType.MULTISET
-        assert typecheck(low("SELECT COUNT(*) FROM t0")) == RelType.VALUE
-
 
 class TestTypecheck:
-    def test_dedup_over_set_is_identity_with_lint(self):
-        e = Dedup((A,), Dedup((A,), Scan(("t0",))))
-        lints = []
-        assert typecheck(e, lints) == RelType.SET
-        assert lints and "identity" in lints[0]
-
     def test_projection_of_missing_column_rejected(self):
         bad = Project((B,), Project((A,), Scan(("t0",))))
         with pytest.raises(AlgebraTypeError):

@@ -139,6 +139,24 @@ class TestReplay:
         assert proc.stderr.startswith("error: SCRIPT: ")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("text,message", [
+        ("{}", "missing fields ['compareMode'"),
+        ("[1]", "a bug report is a JSON object, not list"),
+        ('{"id": "x", "extra": 1}', "unknown fields ['extra']"),
+    ])
+    def test_malformed_report_is_operational_error(self, tmp_path, text,
+                                                   message):
+        path = tmp_path / "report-bad.json"
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "eqmorph.cli", "replay", str(path),
+             "--target", "builtin"], capture_output=True, text=True,
+            timeout=60)
+        assert proc.returncode == EXIT_OPERATIONAL
+        assert proc.stderr.startswith("error: ")
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_report_is_operational_error(self, capsys):
         assert run_cli("replay", "/nonexistent.json",
                        "--target", "builtin") == EXIT_OPERATIONAL

@@ -2,7 +2,8 @@
 
 The corpus is deterministic: lowered generated seeds, every single-step
 rewrite of them in transform's rewrite table, their enumerate_mutants
-results and Dedup/Project wrappers of all of these, and seeded random
+results, a Dedup inserted below an insensitive seed's top projection,
+and Dedup/Project wrappers of all of these, and seeded random
 Project/Dedup/Filter/Agg stacks (typed and ill-typed, with aggregate calls,
 empty keys and set operations).  For each tree the digest takes the
 candidates in generation order and which of them realize the tree, or the
@@ -19,6 +20,7 @@ from eqmorph.algebra import (
     surface_candidates,
 )
 from eqmorph.harness import generate_schema, generate_seed
+from eqmorph.sensitivity import Sensitivity, classify
 from eqmorph.sqlast import AGG_FNS, CMP_OPS, AggCall, And, Cmp, ColumnRef, \
     Const, qualify
 from eqmorph.transform import IR_RULES, enumerate_mutants, ir_rewrite, \
@@ -38,7 +40,17 @@ def _seed_trees():
             trees = [e]
             for rule in IR_RULES:
                 trees += [ir_rewrite(rule, e, s) for s in ir_sites(rule, e)]
-            trees += enumerate_mutants(e)
+            mutants = enumerate_mutants(e)
+            trees += mutants
+            # a Dedup under an insensitive seed's top projection: part of
+            # the pinned corpus, though not always an equivalent rewrite
+            if isinstance(e, Project) and not isinstance(e.child, Dedup) \
+                    and classify(e) is Sensitivity.INSENSITIVE \
+                    and len(mutants) < 16:
+                m = Project(e.cols, Dedup(tuple(dict.fromkeys(e.cols)),
+                                          e.child))
+                if m != e and m not in mutants:
+                    trees.append(m)
             for t in trees:
                 yield t
                 if isinstance(t, Project):

@@ -185,15 +185,18 @@ class TestIrRules:
         assert ir_sites("projection-cascade", e) == []
 
     def test_enumerate_mutants_distinct_and_bounded(self):
-        e = lower(qualify(parse(
-            "SELECT a FROM t0 WHERE a > 0 AND b < 1 "
-            "UNION ALL SELECT a FROM t0"), SCHEMA))
-        ms = enumerate_mutants(e, limit=16)
-        assert ms
-        assert len(ms) == len(set(ms))
-        assert e not in ms
-        for m in ms:
-            self.assert_ir_equivalent(e, m)
+        for sql in ("SELECT a FROM t0 WHERE a > 0 AND b < 1 "
+                    "UNION ALL SELECT a FROM t0",
+                    # insensitive, but not a set: a DISTINCT would not
+                    # be the identity here
+                    "SELECT a FROM t0 GROUP BY a, b HAVING a > 0"):
+            e = lower(qualify(parse(sql), SCHEMA))
+            ms = enumerate_mutants(e, limit=16)
+            assert ms
+            assert len(ms) == len(set(ms))
+            assert e not in ms
+            for m in ms:
+                self.assert_ir_equivalent(e, m)
 
     @staticmethod
     def assert_ir_equivalent(e, m):
