@@ -21,8 +21,8 @@ _EXPORTS = {
     ),
     "algebra": (
         "Agg", "Dedup", "Filter", "Project", "RemapError", "Scan", "Union",
-        "UnionAll", "commute_normal", "dump", "equivalent_mod_commute",
-        "lower", "remap_to_sql",
+        "UnionAll", "commute_normal", "equivalent_mod_commute", "lower",
+        "remap_to_sql",
     ),
     "equivfilter": ("NoCounterexample", "NotEquivalent", "check_bounded"),
     "harness": (
@@ -32,8 +32,7 @@ _EXPORTS = {
     ),
     "parser": ("parse",),
     "refdb": (
-        "FAULTS", "ExecError", "Executor", "dump_script", "load_json_fixture",
-        "load_script",
+        "FAULTS", "ExecError", "Executor", "dump_script", "load_script",
     ),
     "sensitivity": (
         "NoWitnessWithinBudget", "Sensitivity", "WitnessFound", "classify",

@@ -67,8 +67,8 @@ class BuiltinEndpoint:
         from .parser import parse
         try:
             q = parse(sql)
-            rel = self.executor.execute(self.db, q)
-            return self.executor.rendered_rows(rel, q)
+            rows = self.executor.execute(self.db, q)
+            return self.executor.rendered_rows(rows, q)
         except SqlSyntaxError as e:
             raise EngineError("SYNTAX", str(e))
         except ExecError as e:

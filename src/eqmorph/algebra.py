@@ -41,9 +41,6 @@ class AlgebraTypeError(Exception):
     def __init__(self, node, expected, found):
         super().__init__(f"{type(node).__name__}: expected {expected}, "
                          f"found {found}")
-        self.node = node
-        self.expected = expected
-        self.found = found
 
 
 @dataclass(frozen=True)
@@ -573,31 +570,3 @@ def remap_to_sql(e) -> list:
         raise RemapError("no surface realization found")
     out.sort(key=render)
     return out
-
-
-# ---------------------------------------------------------------------------
-# debug dump
-
-
-def dump(e, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(e, Scan):
-        return f"{pad}Scan {', '.join(e.tables)}"
-    if isinstance(e, Project):
-        head = f"{pad}Project [{', '.join(str(c) for c in e.cols)}]"
-        return head + "\n" + dump(e.child, indent + 1)
-    if isinstance(e, Filter):
-        head = f"{pad}Filter ({render_pred(e.pred)})"
-        return head + "\n" + dump(e.child, indent + 1)
-    if isinstance(e, Dedup):
-        head = f"{pad}Dedup [{', '.join(str(c) for c in e.keys)}]"
-        return head + "\n" + dump(e.child, indent + 1)
-    if isinstance(e, Agg):
-        head = (f"{pad}Agg [{', '.join(str(s) for s in e.select)}]"
-                f" by [{', '.join(str(c) for c in e.keys)}]")
-        return head + "\n" + dump(e.child, indent + 1)
-    if isinstance(e, (Union, UnionAll)):
-        name = "Union" if isinstance(e, Union) else "UnionAll"
-        return (f"{pad}{name}\n" + dump(e.left, indent + 1) + "\n"
-                + dump(e.right, indent + 1))
-    raise TypeError(e)

@@ -12,6 +12,7 @@ defaults that individual flags override.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from dataclasses import dataclass, fields
@@ -49,9 +50,6 @@ class CampaignConfig:
         if not self.rules:
             return None
         names = tuple(r.strip() for r in self.rules.split(",") if r.strip())
-        if not names:
-            raise ValueError(f"--rules {self.rules!r} names no rule; "
-                             f"known: {', '.join(RULE_CATALOG)}")
         for r in names:
             if r not in RULE_CATALOG:
                 raise ValueError(f"unknown rule {r!r}; "
@@ -90,9 +88,15 @@ def build_config(args) -> CampaignConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(cfg, key, flag)
-    if getattr(args, "rules", None) == "":
-        # leaving the flag out runs every rule; an empty one names none
-        raise ValueError("--rules '' names no rule")
+    # leaving rules out runs every rule; a value naming none is an error
+    given = ("--rules" if args.rules is not None
+             else f"rules in {args.config}" if "rules" in file_values else "")
+    if given and not cfg.rules.replace(",", "").strip():
+        raise ValueError(f"{given} {cfg.rules!r} names no rule; "
+                         f"known: {', '.join(RULE_CATALOG)}")
+    if any(sep and sep in cfg.seed for sep in (os.sep, os.altsep)):
+        # the seed is part of every report's file name
+        raise ValueError(f"seed {cfg.seed!r} contains a path separator")
     if cfg.compare not in COMPARE_MODES:
         raise ValueError(f"unknown compare mode {cfg.compare!r}")
     for key in ("iterations", "queries", "filter_budget"):

@@ -33,7 +33,7 @@ DEFAULT_BUDGET = 32
 class NotEquivalent:
     """A witness database distinguishing the two queries."""
     witness: Database
-    left_outcome: object  # Relation row dict, or ExecError
+    left_outcome: object  # row -> multiplicity dict, or ExecError
     right_outcome: object
     budget_used: int
 
@@ -107,6 +107,6 @@ def _outcome(ex: Executor, db: Database, prepared):
     if isinstance(prepared, ExecError):
         return prepared
     try:
-        return ex.run(db, prepared).rows
+        return ex.run(db, prepared)
     except ExecError as e:
         return e

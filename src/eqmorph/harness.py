@@ -248,19 +248,12 @@ def generate_seed(rng: random.Random, schema: Schema) -> SqlQuery:
 # comparison
 
 
-@dataclass(frozen=True)
-class Comparison:
-    equal: bool
-    mode: str
-    detail: str = ""
-
-
 def _canonical_counter(rows):
     return Counter(tuple(parse_rendered(c) for c in row) for row in rows)
 
 
-def compare_results(left_rows, right_rows, mode: str) -> Comparison:
-    """Compare two rendered row multisets.
+def compare_results(left_rows, right_rows, mode: str) -> bool:
+    """Whether two rendered row multisets are equal.
 
     canonical: cells are parsed back to values (decimals quantized) so
     formatting differences are ignored.  raw-text: exact string rows.
@@ -270,24 +263,10 @@ def compare_results(left_rows, right_rows, mode: str) -> Comparison:
         raise ValueError(f"unknown compare mode {mode!r}")
     arities = {len(r) for r in left_rows} | {len(r) for r in right_rows}
     if len(arities) > 1:
-        return Comparison(False, mode, "arity mismatch")
+        return False
     if mode == "canonical":
-        if _canonical_counter(left_rows) != _canonical_counter(right_rows):
-            return Comparison(False, mode, "result multisets differ")
-        return Comparison(True, mode)
-    if Counter(map(tuple, left_rows)) != Counter(map(tuple, right_rows)):
-        return Comparison(False, mode, "rendered rows differ")
-    return Comparison(True, mode)
-
-
-DISCARD = "discard"
-KEEP_FOR_TRIAGE = "keep-for-triage"
-
-
-def filter_error(code: str, error_list=STABLE_ERROR_CODES) -> str:
-    """Known engine error codes are expected behavior and discarded;
-    anything else is kept for triage."""
-    return DISCARD if code in error_list else KEEP_FOR_TRIAGE
+        return _canonical_counter(left_rows) == _canonical_counter(right_rows)
+    return Counter(map(tuple, left_rows)) == Counter(map(tuple, right_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +459,8 @@ def _judge(left, right, compare_mode, error_list):
                 _error_payload(lv), _error_payload(rv))
     if lk == "error" or rk == "error":
         err = lv if lk == "error" else rv
-        if filter_error(err.code, error_list) == DISCARD:
+        # known engine error codes are expected; others are kept for triage
+        if err.code in error_list:
             return None
         lp = _error_payload(lv) if lk == "error" else _rows_payload(lv)
         rp = _error_payload(rv) if rk == "error" else _rows_payload(rv)
@@ -489,16 +469,16 @@ def _judge(left, right, compare_mode, error_list):
         # equal lists are equal multisets, in every compare mode
         return None
     if compare_mode != "both":
-        if compare_results(lv, rv, compare_mode).equal:
+        if compare_results(lv, rv, compare_mode):
             return None
         mode = compare_mode
-    elif compare_results(lv, rv, "raw-text").equal:
+    elif compare_results(lv, rv, "raw-text"):
         # equal rendered rows are equal canonically too
         return None
     else:
         # cells are parsed only to tell a value difference from a
         # formatting one
-        mode = "raw-text" if compare_results(lv, rv, "canonical").equal \
+        mode = "raw-text" if compare_results(lv, rv, "canonical") \
             else "canonical"
     return ("result-divergence", mode, _rows_payload(lv), _rows_payload(rv))
 

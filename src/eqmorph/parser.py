@@ -53,6 +53,10 @@ class Token:
 # ColumnRef is immutable, so sharing one across tokens is safe.
 _LEX_CACHE_SIZE = 1024
 
+# NOT, parentheses and each AND or OR link add a level to a predicate; the
+# bound keeps every walk over one, the parser's own included, shallow.
+MAX_PRED_DEPTH = 100
+
 
 @lru_cache(maxsize=_LEX_CACHE_SIZE)
 def _classify(word: str):
@@ -120,6 +124,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.cur = tokens[0]
+        self.nesting = 0  # NOTs and parentheses open here
 
     def advance(self) -> Token:
         t = self.cur
@@ -239,34 +244,48 @@ class _Parser:
         return ColumnRef(first)
 
     # predicates ------------------------------------------------------------
+    # Each method returns (predicate, depth), a comparison having depth 0;
+    # nest fails before a NOT or a parenthesis recurses past the bound.
 
     def pred(self):
-        return self.or_pred()
+        return self.or_pred()[0]
 
     def or_pred(self):
-        p = self.and_pred()
-        while self.accept_kw("OR"):
-            p = Or(p, self.and_pred())
-        return p
+        return self.chain("OR", Or, self.and_pred)
 
     def and_pred(self):
-        p = self.unary_pred()
-        while self.accept_kw("AND"):
-            p = And(p, self.unary_pred())
-        return p
+        return self.chain("AND", And, self.unary_pred)
+
+    def chain(self, kw, node, operand):
+        p, depth = operand()
+        while self.accept_kw(kw):
+            q, d = operand()
+            p, depth = node(p, q), self.level(max(depth, d) + 1)
+        return p, depth
+
+    def level(self, depth):
+        if depth > MAX_PRED_DEPTH:
+            self.fail(f"predicate nested deeper than {MAX_PRED_DEPTH}")
+        return depth
+
+    def nest(self, inner):
+        self.nesting = self.level(self.nesting + 1)
+        p, depth = inner()
+        self.nesting -= 1
+        return p, self.level(depth + 1)
 
     def unary_pred(self):
         if self.accept_kw("NOT"):
-            return Not(self.unary_pred())
-        return self.atom_pred()
-
-    def atom_pred(self):
-        if self.cur.kind == "punct" and self.cur.value == "(":
-            self.advance()
-            p = self.pred()
+            p, depth = self.nest(self.unary_pred)
+            return Not(p), depth
+        if self.punct("("):
+            p, depth = self.nest(self.or_pred)
             if not self.punct(")"):
                 self.fail("expected )", {")"})
-            return p
+            return p, depth
+        return self.atom_pred(), 0
+
+    def atom_pred(self):
         if self.at_kw("TRUE", "FALSE"):
             kw = self.advance().value
             return TruthLit(TruthValue.TRUE if kw == "TRUE"

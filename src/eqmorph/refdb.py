@@ -21,7 +21,6 @@ one side of an equivalent pair but not the other.
 
 from __future__ import annotations
 
-import json
 import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -31,8 +30,8 @@ from typing import Callable, NamedTuple, Optional
 
 from .parser import parse, tokenize, unfold
 from .sqlast import (
-    UNION, VALID_COL_TYPES, ColumnRef, Const, InvalidQuery, Schema, SqlQuery,
-    qualify, render_pred, And, Or, Not, Cmp, TruthLit,
+    UNION, ColumnRef, Const, InvalidQuery, Schema, SqlQuery, qualify,
+    render_pred, And, Or, Not, Cmp, TruthLit,
 )
 # unused here; bound because perfbench/spans.py traces refdb.validate by name
 from .sqlast import validate  # noqa: F401
@@ -88,12 +87,6 @@ Database = dict  # table name -> TableData
 
 def schema_of(db: Database) -> Schema:
     return Schema(tuple((name, t.columns) for name, t in db.items()))
-
-
-@dataclass
-class Relation:
-    columns: tuple  # output column labels
-    rows: dict  # row tuple -> multiplicity
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +239,6 @@ class Plan(NamedTuple):
     holding a function takes a row tuple.  (A NamedTuple because building
     a frozen dataclass of these fields at import takes longer than running
     the rest of this module's body.)"""
-    columns: tuple  # output column labels
     tables: tuple  # scanned in this order
     where: Optional[Callable]  # row -> TruthValue
     project: Optional[Callable]  # ungrouped: row -> output row
@@ -269,7 +261,7 @@ class Executor:
 
     # -- entry points -------------------------------------------------------
 
-    def execute(self, db: Database, query) -> Relation:
+    def execute(self, db: Database, query) -> dict:
         """One-shot evaluation of a query (text or AST) on db."""
         q = parse(query) if isinstance(query, str) else query
         return self.run(db, self.prepare(q, schema_of(db)))
@@ -292,9 +284,9 @@ class Executor:
             raise ExecError(_KIND_TO_CODE[e.kind], e.detail)
         return self._compile(qq, schema)
 
-    def run(self, db: Database, plan: Plan) -> Relation:
+    def run(self, db: Database, plan: Plan) -> dict:
         """Evaluate a plan returned by prepare on a database of its
-        schema."""
+        schema: row tuple -> multiplicity."""
         rows = self._run_core(db, plan)
         if plan.set_op is not None:
             op, rhs = plan.set_op
@@ -305,9 +297,9 @@ class Executor:
                 rows = {r: 1 for r in merged}
             else:
                 rows = dict(merged)
-        return Relation(plan.columns, rows)
+        return rows
 
-    def rendered_rows(self, rel: Relation, q) -> list:
+    def rendered_rows(self, rows: dict, q) -> list:
         """Row tuples as engine-formatted strings, expanded and sorted; q
         is the query or its plan.
 
@@ -324,7 +316,7 @@ class Executor:
             return format_value(v)
 
         out = []
-        for row, mult in rel.rows.items():
+        for row, mult in rows.items():
             out.extend([tuple(fmt(v) for v in row)] * mult)
         # every cell is a str, so plain tuple order is row_sort_key order
         out.sort()
@@ -365,7 +357,6 @@ class Executor:
             set_op = (op, self._compile(rhs, schema))
 
         return Plan(
-            columns=tuple(str(it) for it in q.select),
             tables=q.from_tables,
             where=(_compile_pred(q.where, positions)
                    if q.where is not None else None),
@@ -435,7 +426,7 @@ class Executor:
 
 
 # ---------------------------------------------------------------------------
-# script and fixture loading
+# script loading
 
 _DDL_TYPES = {"int": "int", "integer": "int", "decimal": "dec",
               "dec": "dec", "numeric": "dec", "varchar": "str",
@@ -585,49 +576,3 @@ def dump_script(db: Database) -> str:
         if tuples:
             lines.append(f"INSERT INTO {name} VALUES {', '.join(tuples)};")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def load_json_fixture(obj) -> Database:
-    """{"tables": [{"name", "columns": [{"name","type"}], "rows": [[..]]}]}
-
-    A cell is null or a JSON value of its column's kind: an integer for
-    int, an integer or a finite number for dec, a string for str.  Text
-    is read with its numbers as exact Decimals, so a dec cell keeps every
-    digit; a number too large for a binary double, such as 1e400, is
-    still finite and loads as written."""
-    if isinstance(obj, str):
-        obj = json.loads(obj, parse_float=Decimal)
-    db: Database = {}
-    for t in obj["tables"]:
-        cols = tuple((c["name"], c["type"]) for c in t["columns"])
-        for _, ty in cols:
-            if ty not in VALID_COL_TYPES:
-                raise ScriptError(f"unknown column type {ty!r}")
-        table = TableData(cols)
-        for row in t.get("rows", ()):
-            if len(row) != len(cols):
-                raise ScriptError("row arity mismatch")
-            vals = []
-            for v, (col, ty) in zip(row, cols):
-                try:
-                    if v is None:
-                        vals.append(None)
-                    elif ty == "dec" and isinstance(v, (int, float, Decimal)) \
-                            and not isinstance(v, bool):
-                        d = v if isinstance(v, Decimal) else Decimal(str(v))
-                        if not d.is_finite():
-                            raise ValueError(v)
-                        vals.append(d)
-                    elif ty == "int" and isinstance(v, int) \
-                            and not isinstance(v, bool):
-                        vals.append(v)
-                    elif ty == "str" and isinstance(v, str):
-                        vals.append(v)
-                    else:
-                        raise TypeError(v)
-                except (ValueError, TypeError, ArithmeticError):
-                    raise ScriptError(
-                        f"{v!r} does not fit {t['name']}.{col} ({ty})")
-            table.rows[tuple(vals)] += 1
-        db[t["name"]] = table
-    return db

@@ -96,8 +96,9 @@ class OracleBudgetError(Exception):
 
 def sensitivity_oracle(e, schema, budget: int = 64, seed="oracle"):
     """Search for a database where doubling every multiplicity changes the
-    query result.  Returns WitnessFound or NoWitnessWithinBudget.
-    """
+    query result.  Returns WitnessFound or NoWitnessWithinBudget; a tree
+    with no SQL form, such as a bare Scan or a Dedup over one (classify
+    accepts both), raises RemapError."""
     if budget <= 0 or not schema.tables:
         raise OracleBudgetError("need a positive budget and a schema")
 
@@ -114,6 +115,6 @@ def sensitivity_oracle(e, schema, budget: int = 64, seed="oracle"):
             bumped = ex.run(double_multiplicities(db), q)
         except ExecError:
             continue
-        if base.rows != bumped.rows:
+        if base != bumped:
             return WitnessFound(db, "result multiset changed under doubling")
     return NoWitnessWithinBudget(len(dbs))

@@ -92,6 +92,25 @@ def test_shim_answers_malformed_request_lines():
     assert replies[0]["message"] == "bad request line: not a JSON object: [1]"
 
 
+def test_shim_answers_a_too_deep_predicate_and_the_next_request():
+    lines = [{"id": 0, "op": "reset", "sql": SCRIPT}]
+    for where in ("NOT " * 1000 + "a = 1",
+                  "(" * 200 + "a = 1" + ")" * 200,
+                  " AND ".join(["a = 1"] * 1000)):
+        lines.append({"id": len(lines), "op": "exec",
+                      "sql": f"SELECT a FROM t0 WHERE {where}"})
+    lines.append({"id": 4, "op": "exec", "sql": "SELECT COUNT(*) FROM t0"})
+    done = subprocess.run(
+        [sys.executable, "-m", "eqmorph.shim"],
+        input="".join(json.dumps(l) + "\n" for l in lines).encode(),
+        capture_output=True, timeout=60, check=True)
+    replies = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [(r["id"], r.get("code")) for r in replies] == \
+        [(0, None), (1, "SYNTAX"), (2, "SYNTAX"), (3, "SYNTAX"), (4, None)]
+    assert replies[4]["rows"] == [["3"]]
+    assert done.stderr == b""
+
+
 class TestExternal:
     def test_matches_builtin(self, extern):
         builtin = BuiltinEndpoint()

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from eqmorph.algebra import (
     Agg, AlgebraTypeError, Dedup, Filter, Project, RemapError, Scan,
-    Union, UnionAll, _refset, _unique_refs, commute_normal, dump,
+    Union, UnionAll, _refset, _unique_refs, commute_normal,
     equivalent_mod_commute, lower, pred_refs, rebuild, remap_to_sql,
     typecheck,
 )
@@ -188,19 +188,9 @@ class TestRemap:
             q = qualify(parse(sql), SCHEMA)
             cands = remap_to_sql(lower(q))
             for db in databases_for_search(SCHEMA, 20, f"remap:{sql}"):
-                base = ex.execute(db, q).rows
+                base = ex.execute(db, q)
                 for c in cands:
-                    assert ex.execute(db, c).rows == base, (sql, render(c))
-
-
-def test_dump_format():
-    e = low("SELECT DISTINCT a FROM t0 WHERE a > 0")
-    assert dump(e).splitlines() == [
-        "Project [t0.a]",
-        "  Dedup [t0.a]",
-        "    Filter (t0.a > 0)",
-        "      Scan t0",
-    ]
+                    assert ex.execute(db, c) == base, (sql, render(c))
 
 
 @settings(max_examples=60, deadline=None)

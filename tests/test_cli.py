@@ -57,6 +57,16 @@ class TestRun:
         assert "names no rule" in capsys.readouterr().err
         assert not (tmp_path / "stats.jsonl").exists()
 
+    @pytest.mark.parametrize("seed", ["x/y", "/", "x/"])
+    def test_seed_with_path_separator_is_operational_error(self, tmp_path,
+                                                           capsys, seed):
+        rc = run_cli("run", "--target", "builtin:drop-distinct",
+                     "--seed", seed, "--queries", "200",
+                     "--out", str(tmp_path / "out"))
+        assert rc == EXIT_OPERATIONAL
+        assert "error: seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_iterations_persist_before_engine_dies(self, tmp_path, capsys):
         # a fake engine that serves two iterations and dies on its third
         # start; what the first two found must already be on disk
@@ -203,6 +213,28 @@ class TestConfigFile:
                        str(tmp_path)) == EXIT_OPERATIONAL
         assert "must not be negative" in capsys.readouterr().err
         assert not (tmp_path / "stats.jsonl").exists()
+
+    @pytest.mark.parametrize("rules", ["", ",", " , "])
+    def test_rules_naming_no_rule_is_operational_error(self, tmp_path,
+                                                       capsys, rules):
+        cfg = tmp_path / "campaign.conf"
+        cfg.write_text(f"queries = 5\nrules = {rules}\n")
+        assert run_cli("run", "--config", str(cfg), "--out",
+                       str(tmp_path)) == EXIT_OPERATIONAL
+        err = capsys.readouterr().err
+        assert f"rules in {cfg}" in err and "names no rule" in err
+        assert "--rules" not in err
+        assert not (tmp_path / "stats.jsonl").exists()
+
+    def test_rules_flag_overrides_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "campaign.conf"
+        cfg.write_text("queries = 5\nrules = ,\n")
+        assert run_cli("run", "--config", str(cfg), "--rules",
+                       "union-commute", "--out",
+                       str(tmp_path)) == EXIT_CLEAN
+        assert run_cli("run", "--config", str(cfg), "--rules", "",
+                       "--out", str(tmp_path)) == EXIT_OPERATIONAL
+        assert "--rules '' names no rule" in capsys.readouterr().err
 
     def test_malformed_config_is_operational_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.conf"

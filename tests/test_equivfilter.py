@@ -49,8 +49,7 @@ def test_distinct_injection_is_caught_with_reproducible_witness():
     v = check_bounded(left, right, SCHEMA)
     assert isinstance(v, NotEquivalent)
     ex = Executor()
-    assert ex.execute(v.witness, left).rows != \
-        ex.execute(v.witness, right).rows
+    assert ex.execute(v.witness, left) != ex.execute(v.witness, right)
 
 
 def test_predicate_strengthening_is_caught():

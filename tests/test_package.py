@@ -1,7 +1,11 @@
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import eqmorph
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 TOOLKIT = ["harness", "transform", "algebra", "equivfilter", "sensitivity",
            "dbgen"]
@@ -33,3 +37,12 @@ def test_shim_import_leaves_the_toolkit_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_readme_library_snippet_runs(capsys):
+    """The README's `Library use` example imports only public names and
+    runs as written."""
+    section = README.read_text().split("## Library use", 1)[1]
+    snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(snippet, f"{README}:Library use", "exec"), {})
+    assert "IterationStats(" in capsys.readouterr().out

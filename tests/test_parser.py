@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqmorph import parser
-from eqmorph.parser import parse, tokenize
+from eqmorph.adapter import BuiltinEndpoint
+from eqmorph.parser import MAX_PRED_DEPTH, parse, tokenize
 from eqmorph.refdb import ScriptError, load_script
 from eqmorph.sqlast import (
     CMP_OPS, AggCall, And, Cmp, ColumnRef, Const, Not, Or, SqlQuery,
@@ -253,3 +254,32 @@ def test_missing_comparison_expects_every_operator_in_order(sql):
     with pytest.raises(SqlSyntaxError) as exc:
         parse(sql)
     assert exc.value.expected == CMP_OPS
+
+
+# a WHERE predicate n levels deep, in each shape that nests
+DEEP = {
+    "not": lambda n: "NOT " * n + "a = 1",
+    "parens": lambda n: "(" * n + "a = 1" + ")" * n,
+    "and": lambda n: " AND ".join(["a = 1"] * (n + 1)),
+    "or": lambda n: " OR ".join(["a = 1"] * (n + 1)),
+    "mixed": lambda n: ("NOT " * (n % 2) + "NOT (" * (n // 2) + "a = 1"
+                        + ")" * (n // 2)),
+}
+
+
+@pytest.mark.parametrize("n", [MAX_PRED_DEPTH + 1, 1000])
+@pytest.mark.parametrize("shape", DEEP)
+def test_predicate_deeper_than_the_bound_is_a_syntax_error(shape, n):
+    for clause in ("WHERE", "GROUP BY a HAVING"):
+        with pytest.raises(SqlSyntaxError, match="nested deeper than"):
+            parse(f"SELECT a FROM t0 {clause} {DEEP[shape](n)}")
+
+
+@pytest.mark.parametrize("shape", DEEP)
+def test_predicate_at_the_bound_runs(shape):
+    ep = BuiltinEndpoint()
+    ep.reset("CREATE TABLE t0 (a INT); INSERT INTO t0 VALUES (1), (2);")
+    pred = DEEP[shape](MAX_PRED_DEPTH)
+    assert ep.exec_sql(f"SELECT a FROM t0 WHERE {pred}") == [("1",)]
+    assert ep.exec_sql(f"SELECT a FROM t0 GROUP BY a HAVING {pred}") == \
+        [("1",)]

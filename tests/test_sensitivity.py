@@ -4,13 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqmorph.algebra import lower
+from eqmorph.algebra import Dedup, RemapError, Scan, lower
 from eqmorph.parser import parse
 from eqmorph.sensitivity import (
     NoWitnessWithinBudget, OracleBudgetError, Sensitivity, WitnessFound,
     classify, sensitivity_oracle,
 )
-from eqmorph.sqlast import Schema, qualify
+from eqmorph.sqlast import ColumnRef, Schema, qualify
 
 SCHEMA = Schema.of({"t0": (("a", "int"), ("b", "dec"), ("c", "str"))})
 
@@ -86,8 +86,17 @@ class TestOracle:
         assert isinstance(v, WitnessFound)
         ex = Executor()
         sql = "SELECT COUNT(*) FROM t0"
-        assert ex.execute(v.database, sql).rows != \
-            ex.execute(double_multiplicities(v.database), sql).rows
+        assert ex.execute(v.database, sql) != \
+            ex.execute(double_multiplicities(v.database), sql)
+
+    @pytest.mark.parametrize("e", [
+        Scan(("t0",)),
+        Dedup(tuple(ColumnRef(c, "t0") for c in "abc"), Scan(("t0",))),
+    ])
+    def test_tree_with_no_sql_form_is_a_remap_error(self, e):
+        classify(e)
+        with pytest.raises(RemapError):
+            sensitivity_oracle(e, SCHEMA, budget=8)
 
     def test_bad_budget(self):
         e = lower(qualify(parse("SELECT a FROM t0"), SCHEMA))
