@@ -203,5 +203,8 @@ def make_endpoint(spec: str):
     if spec.startswith("builtin:"):
         return BuiltinEndpoint(spec.split(":", 1)[1])
     if spec.startswith("extern:"):
-        return ExternalEndpoint(spec.split(":", 1)[1])
+        command = spec.split(":", 1)[1]
+        if not shlex.split(command):
+            raise ValueError(f"target {spec!r} names no command")
+        return ExternalEndpoint(command)
     raise ValueError(f"unknown target spec {spec!r}")

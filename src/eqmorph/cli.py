@@ -94,6 +94,7 @@ def build_config(args) -> CampaignConfig:
     if given and not cfg.rules.replace(",", "").strip():
         raise ValueError(f"{given} {cfg.rules!r} names no rule; "
                          f"known: {', '.join(RULE_CATALOG)}")
+    cfg.enabled_rules()  # an unknown rule name raises here, for every command
     if any(sep and sep in cfg.seed for sep in (os.sep, os.altsep)):
         # the seed is part of every report's file name
         raise ValueError(f"seed {cfg.seed!r} contains a path separator")

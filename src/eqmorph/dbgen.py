@@ -37,31 +37,21 @@ MIN_ROWS = 1
 MAX_ROWS = 6
 
 
-def _tiny_rows(columns):
-    """A deterministic, diverse prefix of the row space."""
-    pools = [TINY_POOLS[ty] for _, ty in columns]
-    return list(itertools.islice(itertools.product(*pools), 0, 9))
-
-
 def enumerate_small_databases(schema: Schema, limit: int = 8):
-    """Deterministic tiny databases: up to two distinct rows per table."""
+    """Deterministic tiny databases: up to two distinct rows per table.
+    The k-th database takes each table's k-th option, so the first is
+    empty and every later one has rows in every table."""
     per_table = []
     for name, columns in schema.tables:
-        rows = _tiny_rows(columns)
-        options = [()]
-        options += [(r,) for r in rows[:4]]
-        options += [(a, b) for a, b in itertools.combinations(rows[:4], 2)]
-        per_table.append((name, columns, options))
-
-    out = []
-    for combo in itertools.product(*(opts for _, _, opts in per_table)):
-        db: Database = {}
-        for (name, columns, _), chosen in zip(per_table, combo):
-            db[name] = TableData(tuple(columns), Counter(chosen))
-        out.append(db)
-        if len(out) >= limit:
-            break
-    return out
+        # a deterministic, diverse prefix of the row space
+        rows = list(itertools.islice(
+            itertools.product(*(TINY_POOLS[ty] for _, ty in columns)), 4))
+        options = [()] + [(r,) for r in rows]
+        options += itertools.combinations(rows, 2)
+        per_table.append((name, tuple(columns), options))
+    n = min([limit] + [len(opts) for _, _, opts in per_table])
+    return [{name: TableData(columns, Counter(opts[k]))
+             for name, columns, opts in per_table} for k in range(n)]
 
 
 def random_database(schema: Schema, rng: random.Random) -> Database:

@@ -306,6 +306,12 @@ class BugReport:
             raise ValueError(
                 f"bad bug report: missing fields {sorted(missing)}, "
                 f"unknown fields {sorted(unknown)}")
+        for f in fields(BugReport):
+            # json.loads gives exact types, so a bool is no int here
+            found = type(data[f.name]).__name__
+            if found != f.type:
+                raise ValueError(
+                    f"bad bug report: {f.name} is {found}, not {f.type}")
         return BugReport(**data)
 
     def reproducer_sql(self) -> str:

@@ -119,12 +119,14 @@ def unfold(tok: Token) -> list:
             Token("ident", ref.name, dot + 1)]
 
 
-class _Parser:
+class TokenCursor:
+    """The moves over a token list that the query grammar and the script
+    loader share.  A subclass's fail decides what a failed move raises."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
         self.cur = tokens[0]
-        self.nesting = 0  # NOTs and parentheses open here
 
     def advance(self) -> Token:
         t = self.cur
@@ -161,12 +163,24 @@ class _Parser:
                 self.fail(f"expected {kind}", {kind})
         return self.advance()
 
+    def punct(self, ch) -> bool:
+        if self.cur.kind == "punct" and self.cur.value == ch:
+            self.advance()
+            return True
+        return False
+
+    def expect_punct(self, ch):
+        if not self.punct(ch):
+            self.fail(f"expected {ch}", {ch})
+
     def fail(self, message, expected=()):
         self.unfold_cur()
         got = self.cur.value if self.cur.kind != "eof" else "end of input"
         raise SqlSyntaxError(f"{message}, got {got!r}", self.cur.pos, expected)
 
-    # grammar ---------------------------------------------------------------
+
+class _Parser(TokenCursor):
+    nesting = 0  # NOTs and parentheses open here
 
     def query(self) -> SqlQuery:
         q = self.select_core()
@@ -177,8 +191,7 @@ class _Parser:
                 self.fail("at most one set operation is supported")
             q = SqlQuery(q.select, q.from_tables, q.distinct, q.where,
                          q.group_by, q.having, set_op=(op, rhs))
-        if self.cur.kind == "punct" and self.cur.value == ";":
-            self.advance()
+        self.punct(";")
         if self.cur.kind != "eof":
             self.fail("trailing input after query")
         return q
@@ -210,26 +223,17 @@ class _Parser:
                         tuple(group_by) if group_by is not None else None,
                         having)
 
-    def punct(self, ch) -> bool:
-        if self.cur.kind == "punct" and self.cur.value == ch:
-            self.advance()
-            return True
-        return False
-
     def select_item(self):
         if self.at_kw(*AGG_FNS):
             fn = self.advance().value
-            if not self.punct("("):
-                self.fail("expected (", {"("})
-            if self.cur.kind == "punct" and self.cur.value == "*":
-                self.advance()
+            self.expect_punct("(")
+            if self.punct("*"):
                 arg = None
                 if fn != "COUNT":
                     self.fail("star argument is only valid for COUNT")
             else:
                 arg = self.column_ref()
-            if not self.punct(")"):
-                self.fail("expected )", {")"})
+            self.expect_punct(")")
             return AggCall(fn, arg)
         return self.column_ref()
 
@@ -237,8 +241,7 @@ class _Parser:
         if self.cur.kind == "qref":
             return self.advance().value
         first = self.expect("ident").value
-        if self.cur.kind == "punct" and self.cur.value == ".":
-            self.advance()
+        if self.punct("."):
             name = self.expect("ident").value
             return ColumnRef(name, first)
         return ColumnRef(first)
@@ -280,8 +283,7 @@ class _Parser:
             return Not(p), depth
         if self.punct("("):
             p, depth = self.nest(self.or_pred)
-            if not self.punct(")"):
-                self.fail("expected )", {")"})
+            self.expect_punct(")")
             return p, depth
         return self.atom_pred(), 0
 

@@ -28,7 +28,7 @@ from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .parser import parse, tokenize, unfold
+from .parser import Token, TokenCursor, parse, tokenize
 from .sqlast import (
     UNION, ColumnRef, Const, InvalidQuery, Schema, SqlQuery, qualify,
     render_pred, And, Or, Not, Cmp, TruthLit,
@@ -443,120 +443,97 @@ class ScriptError(Exception):
 
 
 def load_script(text: str) -> Database:
-    """Build a database from CREATE TABLE / INSERT INTO statements."""
+    """Build a database from CREATE TABLE / INSERT INTO statements.  The
+    script is lexed once, so a character the lexer rejects anywhere in it
+    raises SqlSyntaxError before any statement is read."""
     db: Database = {}
-    for stmt in _split_statements(text):
-        toks = tokenize(stmt)
-        if toks[0].kind == "kw" and toks[0].value == "CREATE":
-            _load_create(toks, db)
-        elif toks[0].kind == "kw" and toks[0].value == "INSERT":
-            _load_insert(toks, db)
-        else:
-            raise ScriptError(f"unsupported statement: {stmt[:60]!r}")
+    tokens = tokenize(text)
+    start = 0
+    for end, t in enumerate(tokens):
+        if t.kind == "eof" or (t.kind == "punct" and t.value == ";"):
+            if end > start:
+                _load_statement(text, tokens[start:end] + [
+                    Token("eof", None, t.pos)], db)
+            start = end + 1
     return db
 
 
-def _split_statements(text: str):
-    parts = []
-    buf = []
-    in_str = False
-    for ch in text:
-        if ch == "'":
-            in_str = not in_str
-        if ch == ";" and not in_str:
-            s = "".join(buf).strip()
-            if s:
-                parts.append(s)
-            buf = []
-        else:
-            buf.append(ch)
-    s = "".join(buf).strip()
-    if s:
-        parts.append(s)
-    return parts
+def _load_statement(text, tokens, db):
+    reader = _ScriptReader(tokens)
+    if reader.accept_kw("CREATE"):
+        reader.create(db)
+    elif reader.accept_kw("INSERT"):
+        reader.insert(db)
+    else:
+        stmt = text[tokens[0].pos:tokens[-1].pos].rstrip()
+        raise ScriptError(f"unsupported statement: {stmt[:60]!r}")
 
 
-class _Toks:
-    def __init__(self, toks):
-        # the script grammar reads a qualified ref as the tokens it was
-        # lexed from, so its errors name the same tokens
-        self.toks = [u for t in toks
-                     for u in (unfold(t) if t.kind == "qref" else (t,))]
-        self.i = 0
+class _ScriptReader(TokenCursor):
+    """Reads one statement, ending in an eof token.  It reads a qualified
+    name as the three tokens it was lexed from, as the query grammar does
+    where it expects a lone name, so its errors name the same tokens."""
 
-    def next(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
+    def fail(self, message, expected=()):
+        self.unfold_cur()
+        raise ScriptError(f"{message}, got {self.cur.value!r}")
 
-    def expect(self, kind, value=None):
-        t = self.next()
-        if t.kind != kind or (value is not None and t.value != value):
-            raise ScriptError(f"expected {value or kind}, got {t.value!r}")
-        return t
-
-
-def _load_create(toks, db):
-    ts = _Toks(toks)
-    ts.expect("kw", "CREATE")
-    ts.expect("kw", "TABLE")
-    name = ts.expect("ident").value
-    if name in db:
-        raise ScriptError(f"table {name!r} already exists")
-    ts.expect("punct", "(")
-    cols = []
-    while True:
-        col = ts.expect("ident").value
-        ty = ts.expect("ident").value
-        if ty not in _DDL_TYPES:
-            raise ScriptError(f"unknown column type {ty!r}")
-        cols.append((col, _DDL_TYPES[ty]))
-        t = ts.next()
-        if t.kind == "punct" and t.value == ")":
-            break
-        if not (t.kind == "punct" and t.value == ","):
-            raise ScriptError(f"expected , or ), got {t.value!r}")
-    db[name] = TableData(tuple(cols))
-
-
-def _load_insert(toks, db):
-    ts = _Toks(toks)
-    ts.expect("kw", "INSERT")
-    ts.expect("kw", "INTO")
-    name = ts.expect("ident").value
-    if name not in db:
-        raise ScriptError(f"insert into unknown table {name!r}")
-    table = db[name]
-    ts.expect("kw", "VALUES")
-    while True:
-        ts.expect("punct", "(")
-        row = []
+    def create(self, db):
+        self.expect_kw("TABLE")
+        name = self.expect("ident").value
+        if name in db:
+            raise ScriptError(f"table {name!r} already exists")
+        self.expect_punct("(")
+        cols = []
         while True:
-            t = ts.next()
-            if t.kind in ("int", "dec", "str"):
-                row.append(t.value)
-            elif t.kind == "kw" and t.value == "NULL":
-                row.append(None)
-            else:
-                raise ScriptError(f"bad literal {t.value!r}")
-            t = ts.next()
-            if t.kind == "punct" and t.value == ")":
+            col = self.expect("ident").value
+            ty = self.expect("ident").value
+            if ty not in _DDL_TYPES:
+                raise ScriptError(f"unknown column type {ty!r}")
+            cols.append((col, _DDL_TYPES[ty]))
+            if self.punct(")"):
                 break
-            if not (t.kind == "punct" and t.value == ","):
-                raise ScriptError(f"expected , or ), got {t.value!r}")
-        if len(row) != len(table.columns):
-            raise ScriptError(
-                f"row arity {len(row)} != {len(table.columns)} for {name!r}")
-        for v, (col, ty) in zip(row, table.columns):
-            if v is not None and type(v) not in _FITS[ty]:
+            if not self.punct(","):
+                self.fail("expected , or )")
+        db[name] = TableData(tuple(cols))
+
+    def insert(self, db):
+        self.expect_kw("INTO")
+        name = self.expect("ident").value
+        if name not in db:
+            raise ScriptError(f"insert into unknown table {name!r}")
+        table = db[name]
+        self.expect_kw("VALUES")
+        while True:
+            self.expect_punct("(")
+            row = [self.literal()]
+            while not self.punct(")"):
+                if not self.punct(","):
+                    self.fail("expected , or )")
+                row.append(self.literal())
+            if len(row) != len(table.columns):
                 raise ScriptError(
-                    f"{render_literal(v)} does not fit {name}.{col} ({ty})")
-        table.rows[tuple(row)] += 1
-        t = ts.next()
-        if t.kind == "eof":
-            break
-        if not (t.kind == "punct" and t.value == ","):
-            raise ScriptError(f"expected , between rows, got {t.value!r}")
+                    f"row arity {len(row)} != {len(table.columns)} "
+                    f"for {name!r}")
+            for v, (col, ty) in zip(row, table.columns):
+                if v is not None and type(v) not in _FITS[ty]:
+                    raise ScriptError(f"{render_literal(v)} does not fit "
+                                      f"{name}.{col} ({ty})")
+            table.rows[tuple(row)] += 1
+            if self.cur.kind == "eof":
+                break
+            if not self.punct(","):
+                self.fail("expected , between rows")
+
+    def literal(self):
+        t = self.cur
+        if t.kind in ("int", "dec", "str"):
+            self.advance()
+            return t.value
+        if self.accept_kw("NULL"):
+            return None
+        self.unfold_cur()
+        raise ScriptError(f"bad literal {self.cur.value!r}")
 
 
 def dump_script(db: Database) -> str:

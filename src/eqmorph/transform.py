@@ -37,9 +37,7 @@ from .algebra import (
 # transform.remap_to_sql by name
 from .algebra import remap_to_sql  # noqa: F401
 from .dbgen import RANDOM_POOLS
-# unused here; bound because perfbench/spans.py traces
-# transform.classify by name
-from .sensitivity import classify  # noqa: F401
+from .sensitivity import Sensitivity, classify
 from .sqlast import (
     CMP_OPS, And, Cmp, ColumnRef, Const, Schema, SqlQuery, qualify, render,
     validate,
@@ -145,10 +143,11 @@ def _grouped_filter_insertion(q, e, ctx, schema):
 
 
 def _dedup_insertion(q, e, ctx, schema):
-    """DISTINCT form against GROUP BY form of one deduplicating query."""
+    """DISTINCT form against GROUP BY form of one duplicate-insensitive
+    query."""
     if q.set_op is not None or q.has_aggregates():
         return None
-    if not q.distinct and q.group_by is None:
+    if classify(e) is Sensitivity.SENSITIVE:
         return None
     cands = surface_candidates(e)
     target = commute_normal(e)

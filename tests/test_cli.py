@@ -17,6 +17,20 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def _report_json(**changes):
+    """A well-formed report as JSON, with some fields replaced."""
+    report = dict(
+        id="bad-0-0", schemaDdl="CREATE TABLE t0 (a INT);\n", inserts="",
+        leftSql="SELECT a FROM t0", rightSql="SELECT DISTINCT a FROM t0",
+        leftResult={"rows": []}, rightResult={"rows": []},
+        ruleName="dedup-insertion", pairing="mutant-vs-mutant",
+        kind="result-divergence", compareMode="canonical", rngSeed="bad:0",
+        filterBudgetUsed=0, targetId="builtin",
+        timestamp="2000-01-01T00:00:00+00:00")
+    report.update(changes)
+    return json.dumps(report)
+
+
 class TestRun:
     def test_clean_target_exits_zero(self, tmp_path, capsys):
         rc = run_cli("run", "--target", "builtin", "--iterations", "1",
@@ -42,6 +56,14 @@ class TestRun:
         rc = run_cli("run", "--target", "wat://", "--iterations", "1",
                      "--queries", "5", "--out", str(tmp_path))
         assert rc == EXIT_OPERATIONAL
+
+    @pytest.mark.parametrize("target", ["extern:", "extern:   "])
+    def test_blank_extern_command_is_operational_error(self, tmp_path,
+                                                       capsys, target):
+        rc = run_cli("run", "--target", target, "--iterations", "1",
+                     "--queries", "5", "--out", str(tmp_path))
+        assert rc == EXIT_OPERATIONAL
+        assert "names no command" in capsys.readouterr().err
 
     def test_unknown_fault_is_operational_error(self, tmp_path, capsys):
         rc = run_cli("run", "--target", "builtin:nope", "--iterations", "1",
@@ -153,6 +175,16 @@ class TestReplay:
         ("{}", "missing fields ['compareMode'"),
         ("[1]", "a bug report is a JSON object, not list"),
         ('{"id": "x", "extra": 1}', "unknown fields ['extra']"),
+    ] + [
+        pytest.param(_report_json(**{name: value}),
+                     f"{name} is {type(value).__name__}, not {want}",
+                     id=f"{name}-{type(value).__name__}")
+        for name, value, want in [
+            ("leftSql", 5, "str"), ("schemaDdl", None, "str"),
+            ("inserts", ["x"], "str"), ("rightResult", [], "dict"),
+            ("filterBudgetUsed", True, "int"),
+            ("filterBudgetUsed", 1.0, "int"),
+        ]
     ])
     def test_malformed_report_is_operational_error(self, tmp_path, text,
                                                    message):
@@ -240,6 +272,20 @@ class TestConfigFile:
         cfg = tmp_path / "bad.conf"
         cfg.write_text("this is not a key value line\n")
         assert run_cli("run", "--config", str(cfg)) == EXIT_OPERATIONAL
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--target", "extern:/nonexistent/engine"],
+    ["gen"],
+    ["replay", "/nonexistent/report.json"],
+], ids=["run", "gen", "replay"])
+def test_unknown_rule_is_rejected_before_the_command_runs(tmp_path, capsys,
+                                                          command):
+    rc = run_cli(*command, "--rules", "dedup-insertion,bogus",
+                 "--out", str(tmp_path / "out"))
+    assert rc == EXIT_OPERATIONAL
+    assert capsys.readouterr().err.startswith("error: unknown rule 'bogus'")
+    assert not (tmp_path / "out").exists()
 
 
 def test_console_script_entry_point():

@@ -64,3 +64,12 @@ def test_search_sequence_starts_with_tiny_prefix():
     tiny = enumerate_small_databases(SCHEMA, limit=4)
     assert [dict(d["t0"].rows) for d in dbs[:4]] == \
         [dict(d["t0"].rows) for d in tiny]
+
+
+def test_every_tiny_database_after_the_first_fills_every_table():
+    schema = Schema.of({"t0": (("a", "int"), ("b", "dec")),
+                        "t1": (("c", "int"), ("d", "str"))})
+    dbs = enumerate_small_databases(schema, limit=8)
+    assert len(dbs) == 8
+    assert not any(t.rows for t in dbs[0].values())
+    assert all(t.rows for db in dbs[1:] for t in db.values())

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqmorph import parser
-from eqmorph.adapter import BuiltinEndpoint
+from eqmorph.adapter import BuiltinEndpoint, EngineError
 from eqmorph.parser import MAX_PRED_DEPTH, parse, tokenize
 from eqmorph.refdb import ScriptError, load_script
 from eqmorph.sqlast import (
@@ -246,6 +246,16 @@ def test_script_loader_sees_qualified_names_as_three_tokens(script, message):
     with pytest.raises(ScriptError) as exc:
         load_script(script)
     assert str(exc.value) == message
+
+
+def test_script_is_lexed_whole_before_any_statement_is_read():
+    # the first statement's unknown type is never reached: a character
+    # the lexer rejects fails the reset, at its place in the whole script
+    script = "CREATE TABLE t (a WIBBLE);\nINSERT INTO t VALUES (1 @ 2);"
+    with pytest.raises(EngineError) as exc:
+        BuiltinEndpoint().reset(script)
+    assert (exc.value.code, exc.value.message) == (
+        "SYNTAX", f"unexpected character '@' at position {script.index('@')}")
 
 
 @pytest.mark.parametrize("sql", ["SELECT a FROM t WHERE a b",
