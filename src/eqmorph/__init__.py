@@ -32,11 +32,10 @@ _EXPORTS = {
     ),
     "parser": ("parse",),
     "refdb": (
-        "FAULTS", "ExecError", "Executor", "dump_script", "load_script",
+        "FAULTS", "Executor", "dump_script", "load_script",
     ),
     "sensitivity": (
-        "NoWitnessWithinBudget", "Sensitivity", "WitnessFound", "classify",
-        "sensitivity_oracle",
+        "Sensitivity", "classify", "sensitivity_oracle",
     ),
     "sqlast": (
         "InvalidQuery", "Schema", "SemanticError", "SqlQuery",

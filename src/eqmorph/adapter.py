@@ -22,15 +22,8 @@ import time
 from itertools import chain
 from typing import Optional
 
-from .refdb import ExecError, Executor, ScriptError, load_script
+from .refdb import SYNTAX, EngineError, Executor, load_script
 from .sqlast import SqlSyntaxError
-
-
-class EngineError(Exception):
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
-        self.message = message
 
 
 class ProtocolError(Exception):
@@ -56,23 +49,16 @@ class BuiltinEndpoint:
         pass
 
     def reset(self, script: str):
-        try:
-            self.db = load_script(script)
-        except SqlSyntaxError as e:
-            raise EngineError("SYNTAX", str(e))
-        except ScriptError as e:
-            raise EngineError("SCRIPT", str(e))
+        self.db = load_script(script)
 
     def exec_sql(self, sql: str):
         from .parser import parse
         try:
             q = parse(sql)
-            rows = self.executor.execute(self.db, q)
-            return self.executor.rendered_rows(rows, q)
         except SqlSyntaxError as e:
-            raise EngineError("SYNTAX", str(e))
-        except ExecError as e:
-            raise EngineError(e.code, e.message)
+            raise EngineError(SYNTAX, str(e))
+        rows = self.executor.execute(self.db, q)
+        return self.executor.rendered_rows(rows, q)
 
 
 class ExternalEndpoint:

@@ -25,7 +25,7 @@ from .harness import (
     generate_schema, generate_seed, persist_iteration, replay_report,
     run_iteration,
 )
-from .refdb import STABLE_ERROR_CODES, UnknownFault
+from .refdb import STABLE_ERROR_CODES
 from .sqlast import render
 from .transform import RULE_CATALOG
 
@@ -209,8 +209,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, UnknownFault, ProtocolError,
-            EngineTimeout, EngineError) as e:
+    except (ValueError, OSError, ProtocolError, EngineTimeout,
+            EngineError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_OPERATIONAL
 

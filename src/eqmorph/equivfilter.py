@@ -23,7 +23,7 @@ from .algebra import (
     AlgebraTypeError, LoweringError, equivalent_mod_commute, lower,
 )
 from .dbgen import databases_for_search
-from .refdb import Database, ExecError, Executor
+from .refdb import Database, EngineError, Executor
 from .sqlast import InvalidQuery, Schema, SqlQuery, qualify
 
 DEFAULT_BUDGET = 32
@@ -31,9 +31,10 @@ DEFAULT_BUDGET = 32
 
 @dataclass(frozen=True)
 class NotEquivalent:
-    """A witness database distinguishing the two queries."""
+    """A witness database distinguishing the two queries (for
+    sensitivity_oracle, one query before and after doubling)."""
     witness: Database
-    left_outcome: object  # row -> multiplicity dict, or ExecError
+    left_outcome: object  # row -> multiplicity dict, or EngineError
     right_outcome: object
     budget_used: int
 
@@ -41,9 +42,6 @@ class NotEquivalent:
 @dataclass(frozen=True)
 class NoCounterexample:
     budget_used: int
-
-
-Verdict = object
 
 
 def proven(q1: SqlQuery, q2: SqlQuery, schema: Schema) -> bool:
@@ -60,7 +58,8 @@ def proven(q1: SqlQuery, q2: SqlQuery, schema: Schema) -> bool:
 
 
 def check_bounded(q1: SqlQuery, q2: SqlQuery, schema: Schema,
-                  budget: int = DEFAULT_BUDGET, seed="equiv") -> Verdict:
+                  budget: int = DEFAULT_BUDGET, seed="equiv"
+                  ) -> NotEquivalent | NoCounterexample:
     """Execute both queries over a deterministic database sequence.
 
     Execution errors count as distinguishing outcomes: equivalence here
@@ -80,7 +79,7 @@ def check_bounded(q1: SqlQuery, q2: SqlQuery, schema: Schema,
         used += 1
         left = _outcome(ex, db, p1)
         right = _outcome(ex, db, p2)
-        if (isinstance(left, ExecError) or isinstance(right, ExecError)
+        if (isinstance(left, EngineError) or isinstance(right, EngineError)
                 or left != right):
             return NotEquivalent(copy.deepcopy(db), left, right, used)
     return NoCounterexample(used)
@@ -95,18 +94,18 @@ def _corpus(schema: Schema, budget: int, seed) -> tuple:
 
 
 def _prepared(ex: Executor, q: SqlQuery, schema: Schema):
-    """The prepared query, or the ExecError it raises on every probe
+    """The prepared query, or the EngineError it raises on every probe
     database (they all share the schema)."""
     try:
         return ex.prepare(q, schema)
-    except ExecError as e:
+    except EngineError as e:
         return e
 
 
 def _outcome(ex: Executor, db: Database, prepared):
-    if isinstance(prepared, ExecError):
+    if isinstance(prepared, EngineError):
         return prepared
     try:
         return ex.run(db, prepared)
-    except ExecError as e:
+    except EngineError as e:
         return e

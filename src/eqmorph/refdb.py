@@ -30,8 +30,8 @@ from typing import Callable, NamedTuple, Optional
 
 from .parser import Token, TokenCursor, parse, tokenize
 from .sqlast import (
-    UNION, ColumnRef, Const, InvalidQuery, Schema, SqlQuery, qualify,
-    render_pred, And, Or, Not, Cmp, TruthLit,
+    UNION, ColumnRef, Const, InvalidQuery, Schema, SqlQuery, SqlSyntaxError,
+    qualify, render_pred, And, Or, Not, Cmp, TruthLit,
 )
 # unused here; bound because perfbench/spans.py traces refdb.validate by name
 from .sqlast import validate  # noqa: F401
@@ -45,6 +45,10 @@ UNKNOWN_COLUMN = "UNKNOWN_COLUMN"
 NON_GROUPED_COLUMN = "NON_GROUPED_COLUMN"
 TYPE_MISMATCH = "TYPE_MISMATCH"
 DIV_BY_ZERO = "DIV_BY_ZERO"
+# not stable codes: text the lexer or parser rejects, and a reset script
+# that does not load
+SYNTAX = "SYNTAX"
+SCRIPT = "SCRIPT"
 
 STABLE_ERROR_CODES = (
     UNKNOWN_TABLE, UNKNOWN_COLUMN, NON_GROUPED_COLUMN, TYPE_MISMATCH,
@@ -61,15 +65,11 @@ _KIND_TO_CODE = {
 }
 
 
-class ExecError(Exception):
+class EngineError(Exception):
     def __init__(self, code: str, message: str):
         super().__init__(f"{code}: {message}")
         self.code = code
         self.message = message
-
-
-class UnknownFault(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,7 @@ FAULTS = {
 
 def check_fault(fault: Optional[str]) -> Optional[str]:
     if fault is not None and fault not in FAULTS:
-        raise UnknownFault(
+        raise ValueError(
             f"unknown fault {fault!r}; known: {', '.join(sorted(FAULTS))}")
     return fault
 
@@ -156,7 +156,7 @@ def _compile_pred(p, positions: dict) -> Callable:
         if lv is None or rv is None:
             return _UNKNOWN
         if is_numeric(lv) != is_numeric(rv):
-            raise ExecError(TYPE_MISMATCH, render_pred(p))
+            raise EngineError(TYPE_MISMATCH, render_pred(p))
         return _TRUE if op(lv, rv) else _FALSE
     return compare
 
@@ -268,7 +268,7 @@ class Executor:
 
     def prepare(self, q: SqlQuery, schema: Schema) -> Plan:
         """Validate, table-qualify and compile q once, for running on any
-        database of this schema; a semantic error raises ExecError."""
+        database of this schema; a semantic error raises EngineError."""
         try:
             if self.fault == "having-pre-group" and q.having is not None:
                 # the faulty engine resolves HAVING like a WHERE clause,
@@ -281,7 +281,7 @@ class Executor:
                 qq = qualify(q, schema)
         except InvalidQuery as exc:
             e = exc.errors[0]
-            raise ExecError(_KIND_TO_CODE[e.kind], e.detail)
+            raise EngineError(_KIND_TO_CODE[e.kind], e.detail)
         return self._compile(qq, schema)
 
     def run(self, db: Database, plan: Plan) -> dict:
@@ -438,16 +438,16 @@ _DDL_TYPES = {"int": "int", "integer": "int", "decimal": "dec",
 _FITS = {"int": (int,), "dec": (int, Decimal), "str": (str,)}
 
 
-class ScriptError(Exception):
-    pass
-
-
 def load_script(text: str) -> Database:
-    """Build a database from CREATE TABLE / INSERT INTO statements.  The
-    script is lexed once, so a character the lexer rejects anywhere in it
-    raises SqlSyntaxError before any statement is read."""
+    """Build a database from CREATE TABLE / INSERT INTO statements; a
+    script that does not load raises EngineError(SCRIPT).  The script is
+    lexed once, so a character the lexer rejects anywhere in it raises
+    EngineError(SYNTAX) before any statement is read."""
     db: Database = {}
-    tokens = tokenize(text)
+    try:
+        tokens = tokenize(text)
+    except SqlSyntaxError as e:
+        raise EngineError(SYNTAX, str(e))
     start = 0
     for end, t in enumerate(tokens):
         if t.kind == "eof" or (t.kind == "punct" and t.value == ";"):
@@ -466,7 +466,7 @@ def _load_statement(text, tokens, db):
         reader.insert(db)
     else:
         stmt = text[tokens[0].pos:tokens[-1].pos].rstrip()
-        raise ScriptError(f"unsupported statement: {stmt[:60]!r}")
+        raise EngineError(SCRIPT, f"unsupported statement: {stmt[:60]!r}")
 
 
 class _ScriptReader(TokenCursor):
@@ -476,32 +476,37 @@ class _ScriptReader(TokenCursor):
 
     def fail(self, message, expected=()):
         self.unfold_cur()
-        raise ScriptError(f"{message}, got {self.cur.value!r}")
+        raise EngineError(SCRIPT, f"{message}, got {self.cur.value!r}")
 
     def create(self, db):
         self.expect_kw("TABLE")
         name = self.expect("ident").value
         if name in db:
-            raise ScriptError(f"table {name!r} already exists")
+            raise EngineError(SCRIPT, f"table {name!r} already exists")
         self.expect_punct("(")
-        cols = []
+        cols = {}
         while True:
             col = self.expect("ident").value
+            if col in cols:
+                raise EngineError(
+                    SCRIPT, f"duplicate column {col!r} in {name!r}")
             ty = self.expect("ident").value
             if ty not in _DDL_TYPES:
-                raise ScriptError(f"unknown column type {ty!r}")
-            cols.append((col, _DDL_TYPES[ty]))
+                raise EngineError(SCRIPT, f"unknown column type {ty!r}")
+            cols[col] = _DDL_TYPES[ty]
             if self.punct(")"):
                 break
             if not self.punct(","):
                 self.fail("expected , or )")
-        db[name] = TableData(tuple(cols))
+        if self.cur.kind != "eof":
+            self.fail("expected end of statement")
+        db[name] = TableData(tuple(cols.items()))
 
     def insert(self, db):
         self.expect_kw("INTO")
         name = self.expect("ident").value
         if name not in db:
-            raise ScriptError(f"insert into unknown table {name!r}")
+            raise EngineError(SCRIPT, f"insert into unknown table {name!r}")
         table = db[name]
         self.expect_kw("VALUES")
         while True:
@@ -512,13 +517,13 @@ class _ScriptReader(TokenCursor):
                     self.fail("expected , or )")
                 row.append(self.literal())
             if len(row) != len(table.columns):
-                raise ScriptError(
-                    f"row arity {len(row)} != {len(table.columns)} "
+                raise EngineError(
+                    SCRIPT, f"row arity {len(row)} != {len(table.columns)} "
                     f"for {name!r}")
             for v, (col, ty) in zip(row, table.columns):
                 if v is not None and type(v) not in _FITS[ty]:
-                    raise ScriptError(f"{render_literal(v)} does not fit "
-                                      f"{name}.{col} ({ty})")
+                    raise EngineError(SCRIPT, f"{render_literal(v)} does not "
+                                      f"fit {name}.{col} ({ty})")
             table.rows[tuple(row)] += 1
             if self.cur.kind == "eof":
                 break
@@ -533,7 +538,7 @@ class _ScriptReader(TokenCursor):
         if self.accept_kw("NULL"):
             return None
         self.unfold_cur()
-        raise ScriptError(f"bad literal {self.cur.value!r}")
+        raise EngineError(SCRIPT, f"bad literal {self.cur.value!r}")
 
 
 def dump_script(db: Database) -> str:

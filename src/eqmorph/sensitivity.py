@@ -25,14 +25,14 @@ bounded database space for such a witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .algebra import (
     Agg, Dedup, Filter, Project, Scan, Union, UnionAll, remap_to_sql,
 )
 from .dbgen import databases_for_search, double_multiplicities
-from .refdb import ExecError, Executor
+from .equivfilter import NoCounterexample, NotEquivalent
+from .refdb import EngineError, Executor
 
 
 class Sensitivity(Enum):
@@ -78,43 +78,28 @@ def classify(e) -> Sensitivity:
 # dynamic oracle
 
 
-@dataclass(frozen=True)
-class WitnessFound:
-    """Doubling multiplicities in `database` changed the result."""
-    database: object
-    detail: str
-
-
-@dataclass(frozen=True)
-class NoWitnessWithinBudget:
-    budget_used: int
-
-
-class OracleBudgetError(Exception):
-    pass
-
-
 def sensitivity_oracle(e, schema, budget: int = 64, seed="oracle"):
     """Search for a database where doubling every multiplicity changes the
-    query result.  Returns WitnessFound or NoWitnessWithinBudget; a tree
-    with no SQL form, such as a bare Scan or a Dedup over one (classify
-    accepts both), raises RemapError."""
+    query result.  Returns NotEquivalent, whose witness is that database
+    and whose outcomes are the results before and after doubling, or
+    NoCounterexample; a tree with no SQL form, such as a bare Scan or a
+    Dedup over one (classify accepts both), raises RemapError."""
     if budget <= 0 or not schema.tables:
-        raise OracleBudgetError("need a positive budget and a schema")
+        raise ValueError("need a positive budget and a schema")
 
     ex = Executor()
     dbs = databases_for_search(schema, budget, seed)
     try:
         q = ex.prepare(remap_to_sql(e)[0], schema)
-    except ExecError:
+    except EngineError:
         # the query errors on every database, so none can be a witness
-        return NoWitnessWithinBudget(len(dbs))
-    for db in dbs:
+        return NoCounterexample(len(dbs))
+    for used, db in enumerate(dbs, 1):
         try:
             base = ex.run(db, q)
             bumped = ex.run(double_multiplicities(db), q)
-        except ExecError:
+        except EngineError:
             continue
         if base != bumped:
-            return WitnessFound(db, "result multiset changed under doubling")
-    return NoWitnessWithinBudget(len(dbs))
+            return NotEquivalent(db, base, bumped, used)
+    return NoCounterexample(len(dbs))

@@ -14,7 +14,6 @@ import json
 import sys
 
 from .adapter import BuiltinEndpoint, EngineError
-from .refdb import UnknownFault
 
 
 def handle(endpoint: BuiltinEndpoint, req: dict) -> dict:
@@ -44,7 +43,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         endpoint = BuiltinEndpoint(args.fault)
-    except UnknownFault as e:
+    except ValueError as e:
         print(str(e), file=sys.stderr)
         return 1
     out = sys.stdout.buffer

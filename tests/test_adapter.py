@@ -1,8 +1,10 @@
 import json
+import random
 import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -10,7 +12,11 @@ from eqmorph.adapter import (
     BuiltinEndpoint, EngineError, EngineTimeout, ExternalEndpoint,
     ProtocolError, make_endpoint,
 )
+from eqmorph.dbgen import random_database
+from eqmorph.harness import generate_schema, generate_seed
+from eqmorph.refdb import STABLE_ERROR_CODES, TableData, dump_script
 from eqmorph.shim import handle
+from eqmorph.sqlast import render
 
 SHIM = f"{sys.executable} -m eqmorph.shim"
 
@@ -19,11 +25,13 @@ CREATE TABLE t0 (a INT, b DECIMAL, c VARCHAR);
 INSERT INTO t0 VALUES (1, 0.0005, 'x'), (1, 0.0005, 'x'), (NULL, NULL, 'it''s');
 """
 
-# values that do not fit their column; loaded, they would make SUM(b) and
-# MAX(b) raise TypeError
+# scripts that must not load: values that do not fit their column would
+# make SUM(b) and MAX(b) raise TypeError, and a repeated column would make
+# any query on t raise ValueError
 ILL_TYPED = [
     "CREATE TABLE t (a INT, b INT); INSERT INTO t VALUES (0, 'x');",
     "CREATE TABLE t (a INT, b DECIMAL); INSERT INTO t VALUES (0, 'x');",
+    "CREATE TABLE t (a INT, a INT);",
 ]
 
 
@@ -65,6 +73,7 @@ class TestBuiltin:
     ("reset", "DROP TABLE t0", "SCRIPT"),
     ("reset", ILL_TYPED[0], "SCRIPT"),
     ("reset", ILL_TYPED[1], "SCRIPT"),
+    ("reset", ILL_TYPED[2], "SCRIPT"),
     ("exec", "SELECT @", "SYNTAX"),
     ("exec", "SELECT zz FROM t0", "UNKNOWN_COLUMN"),
     ("drop", "", "PROTOCOL"),
@@ -76,6 +85,61 @@ def test_shim_error_codes(op, sql, code):
     assert handle(ep, {"id": 0, "op": "reset", "sql": SCRIPT})["ok"]
     resp = handle(ep, {"id": 1, "op": op, "sql": sql})
     assert (resp["id"], resp["ok"], resp["code"]) == (1, False, code)
+
+
+# character edits: a piece inserted, a span deleted, or the rest cut off
+PIECES = (", c0 INT", ") x", "(", ")", ",", ";", "'", ".", "@", " NULL",
+          " 1.5", " AS", " t0")
+
+
+def _mangle(rng, text):
+    for _ in range(rng.randint(1, 2)):
+        marks = [i for i, ch in enumerate(text) if ch in "(),;"]
+        i = rng.choice(marks) if marks and rng.random() < 0.75 \
+            else rng.randrange(len(text) + 1)
+        edit = rng.choice((0, 0, 1, 2))
+        if edit == 0:
+            text = text[:i] + rng.choice(PIECES) + text[i:]
+        elif edit == 1:
+            text = text[:i] + text[i + rng.randint(1, 8):]
+        else:
+            text = text[:i]
+    return text
+
+
+def test_every_engine_failure_is_coded():
+    """Generated reset scripts and seed queries, each given a few
+    character edits, fail on the built-in endpoint only with an
+    EngineError whose code is SYNTAX, SCRIPT or a stable one."""
+    codes = {"SYNTAX", "SCRIPT", *STABLE_ERROR_CODES}
+    seen = Counter()
+    ep = BuiltinEndpoint()
+
+    def attempt(op, text):
+        try:
+            op(text)
+        except EngineError as e:
+            assert e.code in codes, (text, e)
+            seen[e.code] += 1
+            return False
+        seen["ok"] += 1
+        return True
+
+    for n in range(1500):
+        rng = random.Random(f"coded:{n}")
+        schema = generate_schema(rng)
+        db = random_database(schema, rng)
+        if n % 2:
+            # CREATE statements alone: no INSERT arity check hides an
+            # edited column list
+            db = {name: TableData(t.columns) for name, t in db.items()}
+        script = dump_script(db)
+        sql = render(generate_seed(rng, schema))
+        if not attempt(ep.reset, _mangle(rng, script)):
+            ep.reset(script)
+        attempt(ep.exec_sql, sql)
+        attempt(ep.exec_sql, _mangle(rng, sql))
+    assert seen.keys() >= {"ok", "SYNTAX", "SCRIPT"}, seen
 
 
 def test_shim_answers_malformed_request_lines():

@@ -20,7 +20,7 @@ from eqmorph.harness import (
     run_iteration, value_hints_of,
 )
 from eqmorph.parser import parse
-from eqmorph.refdb import ExecError, Executor, load_script, schema_of
+from eqmorph.refdb import EngineError, Executor, load_script, schema_of
 from eqmorph.sqlast import (
     UNION, UNION_ALL, And, InvalidQuery, Or, Schema, qualify,
 )
@@ -73,7 +73,7 @@ def test_execution_error_counts_as_not_equivalent():
                        parse("SELECT a FROM t0 WHERE a = 'x'").where)
     v = check_bounded(q("SELECT a FROM t0"), bad, SCHEMA)
     assert isinstance(v, NotEquivalent)
-    assert isinstance(v.right_outcome, ExecError)
+    assert isinstance(v.right_outcome, EngineError)
 
 
 def test_budget_and_seed_are_respected():

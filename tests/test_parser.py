@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from eqmorph import parser
 from eqmorph.adapter import BuiltinEndpoint, EngineError
 from eqmorph.parser import MAX_PRED_DEPTH, parse, tokenize
-from eqmorph.refdb import ScriptError, load_script
+from eqmorph.refdb import load_script
 from eqmorph.sqlast import (
     CMP_OPS, AggCall, And, Cmp, ColumnRef, Const, Not, Or, SqlQuery,
     SqlSyntaxError, TruthLit, render,
@@ -241,11 +241,13 @@ def test_lexer_edge_cases_fail(sql, position, message):
      "expected VALUES, got '.'"),
     ("CREATE TABLE t (a INT); INSERT INTO t VALUES (t.c);",
      "bad literal 't'"),
+    ("CREATE TABLE t (a INT) junk here 5;",
+     "expected end of statement, got 'junk'"),
 ])
 def test_script_loader_sees_qualified_names_as_three_tokens(script, message):
-    with pytest.raises(ScriptError) as exc:
+    with pytest.raises(EngineError) as exc:
         load_script(script)
-    assert str(exc.value) == message
+    assert (exc.value.code, exc.value.message) == ("SCRIPT", message)
 
 
 def test_script_is_lexed_whole_before_any_statement_is_read():

@@ -11,8 +11,8 @@ from eqmorph.dbgen import databases_for_search, random_database
 from eqmorph.harness import compare_results, generate_schema, generate_seed
 from eqmorph.parser import parse
 from eqmorph.refdb import (
-    FAULTS, ExecError, Executor, ScriptError, TableData, UnknownFault,
-    dump_script, load_script, schema_of,
+    FAULTS, EngineError, Executor, TableData, dump_script, load_script,
+    schema_of,
 )
 from eqmorph.sqlast import render
 from eqmorph.values import row_sort_key
@@ -204,7 +204,7 @@ class TestErrors:
         ("SELECT SUM(c) FROM t0", "TYPE_MISMATCH"),
     ])
     def test_codes(self, ex, db, sql, code):
-        with pytest.raises(ExecError) as exc:
+        with pytest.raises(EngineError) as exc:
             ex.execute(db, sql)
         assert exc.value.code == code
 
@@ -215,7 +215,7 @@ class TestErrors:
         # decides the predicate, but the right one is still compared
         db = {"t": TableData((("a", "int"), ("b", "int")),
                              Counter({(0, "x"): 1}))}
-        with pytest.raises(ExecError) as exc:
+        with pytest.raises(EngineError) as exc:
             Executor(fault).execute(db, f"SELECT a FROM t WHERE {where}")
         assert (exc.value.code, exc.value.message) == \
             ("TYPE_MISMATCH", "t.b > 1")
@@ -234,13 +234,13 @@ class TestErrors:
         assert rendered == []
         bad = {"t": TableData((("a", "int"), ("b", "int")),
                               Counter({(0, "x"): 1}))}
-        with pytest.raises(ExecError) as exc:
+        with pytest.raises(EngineError) as exc:
             ex.execute(bad, "SELECT a FROM t WHERE a < 5 OR b > 1")
         assert exc.value.message == "t.b > 1"
         assert len(rendered) == 1
 
     def test_unknown_fault_rejected(self):
-        with pytest.raises(UnknownFault):
+        with pytest.raises(ValueError, match="unknown fault"):
             Executor("no-such-fault")
 
 
@@ -292,21 +292,21 @@ class TestFaults:
              {(1,): 1, (2,): 1, (None,): 1}),
         ]:
             assert rows(bad, db, sql) == expected, sql
-            with pytest.raises(ExecError) as exc:
+            with pytest.raises(EngineError) as exc:
                 clean.execute(db, sql)
             assert exc.value.code == "NON_GROUPED_COLUMN", sql
 
     def test_having_pre_group_type_checks_having(self, db):
         q = parse("SELECT a FROM t0 GROUP BY a HAVING a > 'x'")
         for ex in (Executor(), Executor("having-pre-group")):
-            with pytest.raises(ExecError) as exc:
+            with pytest.raises(EngineError) as exc:
                 ex.prepare(q, schema_of(db))
             assert exc.value.code == "TYPE_MISMATCH"
 
     @pytest.mark.parametrize("fault", [None, "having-pre-group"])
     def test_having_unknown_column_fails_with_or_without_fault(self, db,
                                                                 fault):
-        with pytest.raises(ExecError) as exc:
+        with pytest.raises(EngineError) as exc:
             Executor(fault).execute(
                 db, "SELECT a, SUM(b) FROM t0 GROUP BY a HAVING zz > 0")
         assert exc.value.code == "UNKNOWN_COLUMN"
@@ -369,7 +369,7 @@ def test_rendered_rows_in_row_sort_key_order(fault):
 def _outcome(ex, db, q):
     try:
         rows = ex.run(db, q)
-    except ExecError as e:
+    except EngineError as e:
         return ("error", e.code)
     return ("rows", rows, ex.rendered_rows(rows, q))
 
@@ -405,14 +405,14 @@ class TestLoaders:
         assert dump_script(db).count("(1, 0.0005, 'x')") == 2
 
     def test_script_errors(self):
-        with pytest.raises(ScriptError):
+        with pytest.raises(EngineError, match="^SCRIPT: "):
             load_script("CREATE TABLE t (a WIBBLE);")
-        with pytest.raises(ScriptError):
+        with pytest.raises(EngineError, match="^SCRIPT: "):
             load_script("INSERT INTO missing VALUES (1);")
-        with pytest.raises(ScriptError):
+        with pytest.raises(EngineError, match="^SCRIPT: "):
             load_script("CREATE TABLE t (a INT); "
                         "INSERT INTO t VALUES (1, 2);")
-        with pytest.raises(ScriptError):
+        with pytest.raises(EngineError, match="^SCRIPT: "):
             load_script("DROP TABLE t;")
 
     @pytest.mark.parametrize("ddl,values", [
@@ -423,7 +423,7 @@ class TestLoaders:
         ("a INT", "(1.5)"),
     ])
     def test_values_must_fit_their_column(self, ddl, values):
-        with pytest.raises(ScriptError):
+        with pytest.raises(EngineError, match="^SCRIPT: "):
             load_script(f"CREATE TABLE t ({ddl}); "
                         f"INSERT INTO t VALUES {values};")
 

@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqmorph.algebra import Dedup, RemapError, Scan, lower
+from eqmorph.equivfilter import NoCounterexample, NotEquivalent
 from eqmorph.parser import parse
-from eqmorph.sensitivity import (
-    NoWitnessWithinBudget, OracleBudgetError, Sensitivity, WitnessFound,
-    classify, sensitivity_oracle,
-)
+from eqmorph.sensitivity import Sensitivity, classify, sensitivity_oracle
 from eqmorph.sqlast import ColumnRef, Schema, qualify
 
 SCHEMA = Schema.of({"t0": (("a", "int"), ("b", "dec"), ("c", "str"))})
@@ -66,7 +64,7 @@ class TestOracle:
         "SELECT a FROM t0 UNION ALL SELECT a FROM t0",
     ])
     def test_sensitive_queries_have_witnesses(self, sql):
-        assert isinstance(self.check(sql), WitnessFound)
+        assert isinstance(self.check(sql), NotEquivalent)
 
     @pytest.mark.parametrize("sql", [
         "SELECT DISTINCT a FROM t0",
@@ -76,18 +74,18 @@ class TestOracle:
         "SELECT a, MIN(b) FROM t0 GROUP BY a",
     ])
     def test_insensitive_queries_have_none(self, sql):
-        assert isinstance(self.check(sql), NoWitnessWithinBudget)
+        assert isinstance(self.check(sql), NoCounterexample)
 
     def test_witness_actually_distinguishes(self):
         from eqmorph.dbgen import double_multiplicities
         from eqmorph.refdb import Executor
         e = lower(qualify(parse("SELECT COUNT(*) FROM t0"), SCHEMA))
         v = sensitivity_oracle(e, SCHEMA, budget=48, seed="w")
-        assert isinstance(v, WitnessFound)
+        assert isinstance(v, NotEquivalent)
         ex = Executor()
         sql = "SELECT COUNT(*) FROM t0"
-        assert ex.execute(v.database, sql) != \
-            ex.execute(double_multiplicities(v.database), sql)
+        assert ex.execute(v.witness, sql) != \
+            ex.execute(double_multiplicities(v.witness), sql)
 
     @pytest.mark.parametrize("e", [
         Scan(("t0",)),
@@ -100,7 +98,7 @@ class TestOracle:
 
     def test_bad_budget(self):
         e = lower(qualify(parse("SELECT a FROM t0"), SCHEMA))
-        with pytest.raises(OracleBudgetError):
+        with pytest.raises(ValueError, match="need a positive budget"):
             sensitivity_oracle(e, SCHEMA, budget=0)
 
 
@@ -127,7 +125,7 @@ def test_insensitive_set_operations_have_no_witness():
             e = lower(qualify(parse(sql), SCHEMA))
             if classify(e) is I and isinstance(
                     sensitivity_oracle(e, SCHEMA, budget=64, seed=sql),
-                    WitnessFound):
+                    NotEquivalent):
                 witnessed.append(sql)
     assert witnessed == []
 
@@ -143,4 +141,4 @@ def test_static_insensitive_implies_no_witness(n):
     e = lower(qualify(generate_seed(rng, schema), schema))
     if classify(e) is Sensitivity.INSENSITIVE:
         v = sensitivity_oracle(e, schema, budget=32, seed=f"h:{n}")
-        assert isinstance(v, NoWitnessWithinBudget)
+        assert isinstance(v, NoCounterexample)
