@@ -13,7 +13,9 @@ above it, and WHERE in a pipeline without one.  It may also cross to the
 other side when every column it reads is a grouping key.  A candidate
 surface query counts only once it is verified by lowering it back and
 comparing commute-normal forms; remap_to_sql verifies them all, a caller
-that needs one verifies them in its own order until one passes.
+that needs one verifies them in its own order until one passes.  Typing
+runs only where a tree can be ill-typed: surface_candidates checks its
+input and realizes the tree an unvalidated candidate lowers to.
 """
 
 from __future__ import annotations
@@ -92,10 +94,10 @@ def agg_output_ref(call: AggCall) -> ColumnRef:
     return ColumnRef(str(call).lower(), None)
 
 
-def agg_outputs(node: Agg) -> tuple:
+def agg_outputs(select) -> tuple:
     return tuple(
         it if isinstance(it, ColumnRef) else agg_output_ref(it)
-        for it in node.select)
+        for it in select)
 
 
 def _refset(cols) -> frozenset:
@@ -110,80 +112,51 @@ def pred_refs(p: Predicate) -> frozenset:
 # typing
 
 
-def _outputs(e) -> Optional[frozenset]:
-    """Known output column set, or None when it depends on the schema."""
-    if isinstance(e, Scan):
-        return None
-    if isinstance(e, Project):
-        return _refset(e.cols)
-    if isinstance(e, (Filter, Dedup)):
-        return _outputs(e.child)
-    if isinstance(e, Agg):
-        # group keys stay visible to filters above the grouping even when
-        # the select list drops them (the HAVING-over-keys case)
-        return _refset(agg_outputs(e)) | _refset(e.keys)
-    if isinstance(e, (Union, UnionAll)):
-        return _outputs(e.left)
-    raise TypeError(f"not an algebra node: {e!r}")
-
-
-def _arity(e) -> Optional[int]:
-    """Positional output width; duplicates in a select list count."""
-    if isinstance(e, Scan):
-        return None
-    if isinstance(e, Project):
-        return len(e.cols)
-    if isinstance(e, Agg):
-        return len(e.select)
-    if isinstance(e, (Filter, Dedup)):
-        return _arity(e.child)
-    if isinstance(e, (Union, UnionAll)):
-        return _arity(e.left)
-    raise TypeError(f"not an algebra node: {e!r}")
+def _typed(e):
+    """Check e after its children; return its output column set and arity
+    (duplicates count), each None when it depends on the schema."""
+    t = type(e)
+    if t is Scan:
+        if not e.tables:
+            raise AlgebraTypeError(e, "at least one table", "none")
+        return None, None
+    if t is Union or t is UnionAll:
+        avail, lo = _typed(e.left)
+        ro = _typed(e.right)[1]
+        if lo is not None and ro is not None and lo != ro:
+            raise AlgebraTypeError(e, "matching arity", (lo, ro))
+        return avail, lo
+    if t not in (Project, Filter, Dedup, Agg):
+        raise TypeError(f"not an algebra node: {e!r}")
+    avail, arity = _typed(e.child)
+    if t is Filter:
+        if avail is not None and not pred_refs(e.pred) <= avail:
+            raise AlgebraTypeError(
+                e, f"predicate over {sorted(avail, key=str)}",
+                render_pred(e.pred))
+        return avail, arity
+    cols = e.cols if t is Project else e.keys
+    refs = _refset(cols)
+    if t is Agg:
+        for it in e.select:
+            if isinstance(it, ColumnRef) and (it.table, it.name) not in refs:
+                raise AlgebraTypeError(e, "grouped column", str(it))
+    if avail is not None and not refs <= avail:
+        what = "columns" if t is Project else "keys"
+        raise AlgebraTypeError(
+            e, f"{what} within {sorted(avail, key=str)}",
+            [str(c) for c in cols])
+    if t is Project:
+        return refs, len(cols)
+    if t is Agg:
+        # filters above may read keys the select list drops (HAVING)
+        return _refset(agg_outputs(e.select)) | refs, len(e.select)
+    return avail, arity
 
 
 def typecheck(e) -> None:
     """Raise AlgebraTypeError when e is ill-typed."""
-    if isinstance(e, Scan):
-        if not e.tables:
-            raise AlgebraTypeError(e, "at least one table", "none")
-    elif isinstance(e, Project):
-        typecheck(e.child)
-        avail = _outputs(e.child)
-        if avail is not None and not _refset(e.cols) <= avail:
-            raise AlgebraTypeError(e, f"columns within {sorted(avail, key=str)}",
-                                   [str(c) for c in e.cols])
-    elif isinstance(e, Filter):
-        typecheck(e.child)
-        avail = _outputs(e.child)
-        if avail is not None and not pred_refs(e.pred) <= avail:
-            raise AlgebraTypeError(e, f"predicate over {sorted(avail, key=str)}",
-                                   render_pred(e.pred))
-    elif isinstance(e, Dedup):
-        typecheck(e.child)
-        avail = _outputs(e.child)
-        if avail is not None and not _refset(e.keys) <= avail:
-            raise AlgebraTypeError(e, f"keys within {sorted(avail, key=str)}",
-                                   [str(c) for c in e.keys])
-    elif isinstance(e, Agg):
-        typecheck(e.child)
-        keyset = _refset(e.keys)
-        for it in e.select:
-            if isinstance(it, ColumnRef) and (it.table, it.name) not in keyset:
-                raise AlgebraTypeError(e, "grouped column", str(it))
-        avail = _outputs(e.child)
-        if avail is not None and not keyset <= avail:
-            raise AlgebraTypeError(e, f"keys within {sorted(avail, key=str)}",
-                                   [str(c) for c in e.keys])
-    elif isinstance(e, (Union, UnionAll)):
-        typecheck(e.left)
-        typecheck(e.right)
-        lo = _arity(e.left)
-        ro = _arity(e.right)
-        if lo is not None and ro is not None and lo != ro:
-            raise AlgebraTypeError(e, "matching arity", (lo, ro))
-    else:
-        raise TypeError(f"not an algebra node: {e!r}")
+    _typed(e)
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +180,6 @@ def join_conjuncts(preds):
     return out
 
 
-def _unique_refs(cols):
-    seen = []
-    for c in cols:
-        if c not in seen:
-            seen.append(c)
-    return tuple(seen)
-
-
 def _lower_core(q: SqlQuery):
     e = Scan(tuple(q.from_tables))
     for p in split_conjuncts(q.where):
@@ -224,7 +189,7 @@ def _lower_core(q: SqlQuery):
         for p in split_conjuncts(q.having):
             e = Filter(p, e)
         if q.distinct:
-            e = Dedup(agg_outputs(Agg(tuple(q.select), (), e)), e)
+            e = Dedup(agg_outputs(q.select), e)
     else:
         if q.group_by is not None:
             e = Dedup(tuple(q.group_by), e)
@@ -232,22 +197,21 @@ def _lower_core(q: SqlQuery):
             e = Filter(p, e)
         if q.distinct:
             # SELECT DISTINCT reads as dedup-then-project
-            e = Dedup(_unique_refs(q.select), e)
+            e = Dedup(tuple(dict.fromkeys(q.select)), e)
         e = Project(tuple(q.select), e)
     return e
 
 
 def lower(q: SqlQuery):
-    """Lower a validated (qualified) query to the algebra IR."""
+    """Lower a validated (qualified) query to the algebra IR, unchecked:
+    a validated query always lowers to a well-typed tree."""
     e = _lower_core(q)
-    if q.set_op is not None:
-        op, rhs = q.set_op
-        if rhs.set_op is not None:
-            raise LoweringError("nested set operations are unsupported")
-        r = _lower_core(rhs)
-        e = Union(e, r) if op == UNION else UnionAll(e, r)
-    typecheck(e)
-    return e
+    if q.set_op is None:
+        return e
+    op, rhs = q.set_op
+    if rhs.set_op is not None:
+        raise LoweringError("nested set operations are unsupported")
+    return (Union if op == UNION else UnionAll)(e, _lower_core(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +289,7 @@ def _canon_once(spine: list, k: dict):
                 continue
             if ct is Project and _cached(k, e.keys, _refset) == \
                     _cached(k, child.cols, _refset):
-                out[-1] = Dedup(_unique_refs(child.cols), None)
+                out[-1] = Dedup(tuple(dict.fromkeys(child.cols)), None)
                 out.append(child)
                 changed = True
                 continue
@@ -453,7 +417,7 @@ def _shape(items):
             raise RemapError("unsupported operator between aggregate and scan")
         distinct = bool(above) and isinstance(above[0], Dedup)
         if distinct:
-            if _refset(above[0].keys) != _refset(agg_outputs(agg)):
+            if _refset(above[0].keys) != _refset(agg_outputs(agg.select)):
                 raise RemapError("dedup above aggregate with foreign keys")
             above = above[1:]
         if any(not isinstance(x, Filter) for x in above):
@@ -545,11 +509,14 @@ def surface_candidates(e) -> list:
 
 def realizes(q: SqlQuery, target) -> bool:
     """Whether q lowers back to a tree whose commute-normal form is target
-    (commute_normal of the tree q was generated from)."""
+    (commute_normal of the tree q was generated from).  q is not
+    validated, so the tree it lowers to is type-checked here."""
     try:
-        return commute_normal(lower(q)) == target
+        e = lower(q)
+        typecheck(e)
     except (LoweringError, AlgebraTypeError):
         return False
+    return commute_normal(e) == target
 
 
 def remap_to_sql(e) -> list:

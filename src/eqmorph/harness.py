@@ -97,6 +97,7 @@ def generate_database(rng: random.Random, schema: Schema,
 
 
 def value_hints_of(db) -> dict:
+    """(table, column) -> the column's distinct non-NULL values, by str."""
     hints = {}
     for name, t in db.items():
         for i, (col, _) in enumerate(t.columns):
@@ -229,14 +230,13 @@ def generate_seed(rng: random.Random, schema: Schema) -> SqlQuery:
         q = _gen_grouped_core(rng, schema)
 
     if not q.is_grouped():
-        if q.set_op is None and rng.random() < P_SET_OP:
-            # set operations only combine plain cores, keeping the
-            # sensitivity fold exact for every generated shape
-            if not q.distinct:
-                rhs = _matching_core(rng, schema, q)
-                if rhs is not None:
-                    op = rng.choice((UNION, UNION_ALL))
-                    q = replace(q, set_op=(op, rhs))
+        # a plain core, not yet DISTINCT; only these get a set operation,
+        # though the sensitivity fold is sound on any set operation
+        if rng.random() < P_SET_OP:
+            rhs = _matching_core(rng, schema, q)
+            if rhs is not None:
+                op = rng.choice((UNION, UNION_ALL))
+                q = replace(q, set_op=(op, rhs))
         if q.set_op is None and rng.random() < P_DISTINCT:
             q = replace(q, distinct=True)
     elif rng.random() < P_DISTINCT * 0.4:

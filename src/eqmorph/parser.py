@@ -173,10 +173,15 @@ class TokenCursor:
         if not self.punct(ch):
             self.fail(f"expected {ch}", {ch})
 
-    def fail(self, message, expected=()):
+    def got(self) -> str:
+        """The current token, quoted, as a failure message names it."""
         self.unfold_cur()
-        got = self.cur.value if self.cur.kind != "eof" else "end of input"
-        raise SqlSyntaxError(f"{message}, got {got!r}", self.cur.pos, expected)
+        t = self.cur
+        return repr(t.value if t.kind != "eof" else "end of input")
+
+    def fail(self, message, expected=()):
+        got = self.got()
+        raise SqlSyntaxError(f"{message}, got {got}", self.cur.pos, expected)
 
 
 class _Parser(TokenCursor):

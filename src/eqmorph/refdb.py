@@ -475,8 +475,7 @@ class _ScriptReader(TokenCursor):
     where it expects a lone name, so its errors name the same tokens."""
 
     def fail(self, message, expected=()):
-        self.unfold_cur()
-        raise EngineError(SCRIPT, f"{message}, got {self.cur.value!r}")
+        raise EngineError(SCRIPT, f"{message}, got {self.got()}")
 
     def create(self, db):
         self.expect_kw("TABLE")
@@ -537,8 +536,7 @@ class _ScriptReader(TokenCursor):
             return t.value
         if self.accept_kw("NULL"):
             return None
-        self.unfold_cur()
-        raise EngineError(SCRIPT, f"bad literal {self.cur.value!r}")
+        raise EngineError(SCRIPT, f"bad literal {self.got()}")
 
 
 def dump_script(db: Database) -> str:

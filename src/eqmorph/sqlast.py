@@ -120,7 +120,8 @@ class SqlQuery:
             raise ValueError("FROM list must be non-empty")
         if self.having is not None and self.group_by is None:
             raise ValueError("HAVING requires GROUP BY")
-        if self.set_op is not None and self.set_op[0] not in (UNION, UNION_ALL):
+        if self.set_op is not None and \
+                self.set_op[0] not in (UNION, UNION_ALL):
             raise ValueError(f"unknown set operation {self.set_op[0]!r}")
 
     def has_aggregates(self) -> bool:

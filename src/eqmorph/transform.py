@@ -59,8 +59,8 @@ class QueryPair:
 @dataclass
 class TransformContext:
     rng: random.Random = field(default_factory=lambda: random.Random(0))
-    # (table, column) -> sample values from a live database, used to pick
-    # filter constants that actually select something
+    # (table, column) -> a live database's values, as value_hints_of gives
+    # them, to pick filter constants that actually select something
     value_hints: dict = field(default_factory=dict)
     enabled_rules: Optional[frozenset] = None
 
@@ -113,10 +113,9 @@ def _first_realized(cands, schema):
 
 
 def pick_constant(ctx: TransformContext, schema: Schema, col: ColumnRef):
-    hints = [v for v in ctx.value_hints.get((col.table, col.name), ())
-             if v is not None]
+    hints = ctx.value_hints.get((col.table, col.name))
     if hints:
-        return ctx.rng.choice(sorted(hints, key=str))
+        return ctx.rng.choice(hints)
     ty = schema.col_type(col.table, col.name)
     return ctx.rng.choice(RANDOM_POOLS[ty])
 

@@ -1,4 +1,5 @@
-"""Value model shared by the parser, the reference executor and the comparators.
+"""Value model shared by the parser, the reference executor and the
+comparators.
 
 Cell values are plain Python objects: int, decimal.Decimal, str, or None
 (SQL NULL).  Decimals stay exact at their scale; nothing in here touches
@@ -116,5 +117,6 @@ def _cell_key(v):
 
 
 def row_sort_key(row):
-    """Deterministic ordering for rows holding mixed NULL/number/string cells."""
+    """Deterministic ordering for rows holding mixed NULL/number/string
+    cells."""
     return tuple(_cell_key(v) for v in row)

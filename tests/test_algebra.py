@@ -3,17 +3,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eqmorph import algebra
 from eqmorph.algebra import (
     Agg, AlgebraTypeError, Dedup, Filter, Project, RemapError, Scan,
-    Union, UnionAll, _refset, _unique_refs, commute_normal,
-    equivalent_mod_commute, lower, pred_refs, rebuild, remap_to_sql,
-    typecheck,
+    Union, UnionAll, _refset, commute_normal, equivalent_mod_commute, lower,
+    pred_refs, rebuild, remap_to_sql, surface_candidates, typecheck,
 )
 from eqmorph.dbgen import databases_for_search
+from eqmorph.harness import generate_schema, generate_seed
 from eqmorph.parser import parse
 from eqmorph.refdb import Executor
 from eqmorph.sqlast import AggCall, And, Cmp, ColumnRef, Const, Schema, \
-    qualify, render, render_pred
+    qualify, render, render_pred, validate
 
 SCHEMA = Schema.of({"t0": (("a", "int"), ("b", "dec"), ("c", "str"))})
 
@@ -88,6 +89,66 @@ class TestTypecheck:
         ok = Union(Project((A, A), Scan(("t0",))),
                    Project((A, B), Scan(("t0",))))
         typecheck(ok)
+
+
+LOWERED_FORMS = [
+    "SELECT DISTINCT a, a FROM t0 WHERE a > 0 AND b < 1",
+    "SELECT DISTINCT a, SUM(b) FROM t0 GROUP BY a HAVING a > 0",
+    "SELECT COUNT(*) FROM t0",
+    "SELECT a, b FROM t0 GROUP BY a, b HAVING b > 0",
+    "SELECT a FROM t0 WHERE a > 0 UNION ALL SELECT DISTINCT b FROM t0",
+]
+
+
+def test_lower_trusts_validated_queries(monkeypatch):
+    def no_check(e):
+        raise AssertionError("lower type-checked its tree")
+    monkeypatch.setattr(algebra, "typecheck", no_check)
+    monkeypatch.setattr(algebra, "_typed", no_check)
+    for sql in LOWERED_FORMS:
+        low(sql)
+
+
+def _nodes(e):
+    yield e
+    for part in ("child", "left", "right"):
+        if hasattr(e, part):
+            yield from _nodes(getattr(e, part))
+
+
+def test_typecheck_visits_each_node_once(monkeypatch):
+    visits = []
+    walk = algebra._typed
+
+    def counted(e):
+        visits.append(e)
+        return walk(e)
+    monkeypatch.setattr(algebra, "_typed", counted)
+    trees = [low(sql) for sql in LOWERED_FORMS]
+    trees.append(Union(Project((A, A), Dedup((A,), Scan(("t0",)))),
+                       Project((A, B), Filter(Cmp(B, "<", Const(1)),
+                                              Scan(("t0",))))))
+    for e in trees:
+        visits.clear()
+        typecheck(e)
+        assert sorted(map(id, visits)) == sorted(map(id, _nodes(e)))
+
+
+def test_validated_queries_lower_well_typed():
+    """Generated seeds, and those of their surface candidates that
+    validate, lower to trees typecheck accepts: lower need not check."""
+    rng = random.Random("lower-well-typed")
+    candidates = 0
+    for _ in range(100):
+        schema = generate_schema(rng)
+        for _ in range(50):
+            e = lower(qualify(generate_seed(rng, schema), schema))
+            typecheck(e)
+            for c in surface_candidates(e):
+                if not validate(c, schema):
+                    typecheck(lower(c))
+                    candidates += 1
+    assert candidates > 10000
 
 
 class TestCommuteNormal:
@@ -229,7 +290,8 @@ def _spec_pass(e):
             return child, True
         if isinstance(child, Project) and _refset(e.keys) == _refset(child.cols):
             return Project(child.cols,
-                           Dedup(_unique_refs(child.cols), child.child)), True
+                           Dedup(tuple(dict.fromkeys(child.cols)),
+                                 child.child)), True
     if isinstance(e, Filter):
         refs = pred_refs(e.pred)
         if isinstance(child, Dedup) and refs <= _refset(child.keys):

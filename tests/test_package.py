@@ -6,6 +6,7 @@ from pathlib import Path
 import eqmorph
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = Path(eqmorph.__file__).resolve().parent
 
 TOOLKIT = ["harness", "transform", "algebra", "equivfilter", "sensitivity",
            "dbgen"]
@@ -46,3 +47,10 @@ def test_readme_library_snippet_runs(capsys):
     snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(snippet, f"{README}:Library use", "exec"), {})
     assert "IterationStats(" in capsys.readouterr().out
+
+
+def test_source_lines_fit_79_columns():
+    long = [f"{p.name}:{n}" for p in sorted(PACKAGE.glob("*.py"))
+            for n, line in enumerate(p.read_text().splitlines(), 1)
+            if len(line) > 79]
+    assert long == []

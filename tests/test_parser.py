@@ -243,6 +243,9 @@ def test_lexer_edge_cases_fail(sql, position, message):
      "bad literal 't'"),
     ("CREATE TABLE t (a INT) junk here 5;",
      "expected end of statement, got 'junk'"),
+    ("CREATE TABLE t0 (c0 INT, ", "expected ident, got 'end of input'"),
+    ("CREATE TABLE t0 (c0 INT); INSERT INTO t0 VALUES (",
+     "bad literal 'end of input'"),
 ])
 def test_script_loader_sees_qualified_names_as_three_tokens(script, message):
     with pytest.raises(EngineError) as exc:
