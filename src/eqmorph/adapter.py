@@ -22,7 +22,8 @@ import time
 from itertools import chain
 from typing import Optional
 
-from .refdb import SYNTAX, EngineError, Executor, load_script
+from . import parser
+from .refdb import SYNTAX, EngineError, Executor, load_script, schema_of
 from .sqlast import SqlSyntaxError
 
 
@@ -35,11 +36,13 @@ class EngineTimeout(Exception):
 
 
 class BuiltinEndpoint:
-    """The reference executor behind the endpoint interface."""
+    """The reference executor behind the endpoint interface.  The schema
+    of the loaded database is derived once per reset, not per statement."""
 
     def __init__(self, fault: Optional[str] = None):
         self.executor = Executor(fault)
         self.db = {}
+        self.schema = schema_of(self.db)
         self.target_id = f"builtin:{fault}" if fault else "builtin"
 
     def start(self):
@@ -49,15 +52,16 @@ class BuiltinEndpoint:
         pass
 
     def reset(self, script: str):
-        self.db = load_script(script)
+        # a script that fails to load leaves the old database and schema
+        db = load_script(script)
+        self.db, self.schema = db, schema_of(db)
 
     def exec_sql(self, sql: str):
-        from .parser import parse
         try:
-            q = parse(sql)
+            q = parser.parse(sql)
         except SqlSyntaxError as e:
             raise EngineError(SYNTAX, str(e))
-        rows = self.executor.execute(self.db, q)
+        rows = self.executor.execute(self.db, q, self.schema)
         return self.executor.rendered_rows(rows, q)
 
 

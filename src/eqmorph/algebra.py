@@ -331,15 +331,17 @@ def _normal(e, k: dict):
     return e
 
 
-def commute_normal(e):
+def commute_normal(e, memo=None):
     """Normal form under the equivalence-preserving commutations.
 
     Two pipelines that differ only in filter/dedup/projection placement
     allowed by the side conditions map to the same normal form, and so do
     two set operations that differ only in the order of their operands
-    (the operands of Union and UnionAll are ordered by repr).
+    (the operands of Union and UnionAll are ordered by repr).  Calls that
+    pass one memo (a defaultdict(dict)) share what _cached computes for
+    the predicate and key objects their trees share.
     """
-    return _normal(e, defaultdict(dict))
+    return _normal(e, defaultdict(dict) if memo is None else memo)
 
 
 def _filter_conjuncts(p: Predicate) -> list:
@@ -375,9 +377,11 @@ def equivalent_mod_commute(e1, e2) -> bool:
     """Whether e1 and e2 share a commute-normal form once their filters
     are split into conjuncts, which proves them equivalent.  Only the
     comparison splits: commute_normal itself, which verifies remap
-    candidates, sees each filter as it is."""
-    return commute_normal(_split_filters(e1)) == \
-        commute_normal(_split_filters(e2))
+    candidates, sees each filter as it is.  The two sides share one memo,
+    since a pair's trees share most of their predicates and keys."""
+    memo = defaultdict(dict)
+    return commute_normal(_split_filters(e1), memo) == \
+        commute_normal(_split_filters(e2), memo)
 
 
 # ---------------------------------------------------------------------------
@@ -507,16 +511,21 @@ def surface_candidates(e) -> list:
     return _pipeline_candidates(e)
 
 
-def realizes(q: SqlQuery, target) -> bool:
-    """Whether q lowers back to a tree whose commute-normal form is target
-    (commute_normal of the tree q was generated from).  q is not
-    validated, so the tree it lowers to is type-checked here."""
+def realized_tree(q: SqlQuery, target):
+    """The tree q lowers back to when its commute-normal form is target
+    (commute_normal of the tree q was generated from), else None.  q is
+    not validated, so the tree it lowers to is type-checked here."""
     try:
         e = lower(q)
         typecheck(e)
     except (LoweringError, AlgebraTypeError):
-        return False
-    return commute_normal(e) == target
+        return None
+    return e if commute_normal(e) == target else None
+
+
+def realizes(q: SqlQuery, target) -> bool:
+    """Whether q realizes target (see realized_tree)."""
+    return realized_tree(q, target) is not None
 
 
 def remap_to_sql(e) -> list:

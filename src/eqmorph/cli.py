@@ -78,12 +78,17 @@ def load_config_file(path: str) -> dict:
 def build_config(args) -> CampaignConfig:
     cfg = CampaignConfig()
     file_values = load_config_file(args.config) if args.config else {}
-    valid = {f.name: f.type for f in fields(CampaignConfig)}
+    valid = [f.name for f in fields(CampaignConfig)]
     for key, value in file_values.items():
         if key not in valid:
             raise ValueError(f"unknown config key {key!r}")
-        current = getattr(cfg, key)
-        setattr(cfg, key, type(current)(value))
+        if type(getattr(cfg, key)) is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(f"{key} in {args.config}: expected an "
+                                 f"integer, got {value!r}") from None
+        setattr(cfg, key, value)
     for key in valid:
         flag = getattr(args, key, None)
         if flag is not None:

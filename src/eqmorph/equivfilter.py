@@ -42,14 +42,22 @@ class NoCounterexample:
     budget_used: int
 
 
-def proven(q1: SqlQuery, q2: SqlQuery, schema: Schema) -> bool:
+def proven(q1: SqlQuery, q2: SqlQuery, schema: Schema,
+           e1=None, e2=None) -> bool:
     """True when both queries qualify on schema, lower, and have the same
     commute-normal form with their AND filters split (see
     equivalent_mod_commute), which proves them equivalent; False means
-    not proven, not different."""
+    not proven, not different.
+
+    e1 and e2 are the lowered trees of q1 and q2 when the caller already
+    has them from a validated query (a QueryPair's left_tree and
+    right_tree); only a side that comes without its tree is qualified
+    and lowered here."""
     try:
-        e1 = lower(qualify(q1, schema))
-        e2 = lower(qualify(q2, schema))
+        if e1 is None:
+            e1 = lower(qualify(q1, schema))
+        if e2 is None:
+            e2 = lower(qualify(q2, schema))
     except (InvalidQuery, LoweringError):
         return False
     return equivalent_mod_commute(e1, e2)

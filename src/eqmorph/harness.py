@@ -407,7 +407,8 @@ def run_iteration(endpoint, cfg: GeneratorConfig, campaign_seed: str,
 
         # a pair probes no database when the filter is off or the pair is
         # proven; the others share one probe corpus per iteration
-        if cfg.filter_budget <= 0 or proven(pair.left, pair.right, schema):
+        if cfg.filter_budget <= 0 or proven(pair.left, pair.right, schema,
+                                           pair.left_tree, pair.right_tree):
             verdict = NoCounterexample(0)
         else:
             verdict = check_bounded(pair.left, pair.right, schema,

@@ -261,10 +261,15 @@ class Executor:
 
     # -- entry points -------------------------------------------------------
 
-    def execute(self, db: Database, query) -> dict:
-        """One-shot evaluation of a query (text or AST) on db."""
+    def execute(self, db: Database, query,
+                schema: Optional[Schema] = None) -> dict:
+        """One-shot evaluation of a query (text or AST) on db.  schema
+        must be db's; a caller that runs many queries on one database
+        passes it to skip deriving it from db on every call."""
         q = parse(query) if isinstance(query, str) else query
-        return self.run(db, self.prepare(q, schema_of(db)))
+        if schema is None:
+            schema = schema_of(db)
+        return self.run(db, self.prepare(q, schema))
 
     def prepare(self, q: SqlQuery, schema: Schema) -> Plan:
         """Validate, table-qualify and compile q once, for running on any

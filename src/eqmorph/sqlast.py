@@ -206,6 +206,8 @@ class Schema:
     tables: tuple  # of (table_name, ((col, type), ...))
     # table name -> {column: type}, in declaration order
     _index: dict = field(init=False, repr=False, compare=False)
+    # (table, column) -> type_kind of its type, what name resolution reads
+    _kinds: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index = {}
@@ -220,6 +222,9 @@ class Schema:
                     raise ValueError(f"unknown column type {t!r}")
             index[name] = types
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_kinds", {
+            (name, col): type_kind(t)
+            for name, types in index.items() for col, t in types.items()})
 
     @staticmethod
     def of(mapping) -> "Schema":
@@ -272,7 +277,7 @@ class _Resolver:
 
     def __init__(self, q: SqlQuery, schema: Schema, errors: list):
         self.from_tables = q.from_tables
-        self.schema = schema
+        self.kinds = schema._kinds
         self.errors = errors
 
     def resolve(self, ref: ColumnRef) -> Optional[ColumnRef]:
@@ -280,12 +285,12 @@ class _Resolver:
             if ref.table not in self.from_tables:
                 self.errors.append(SemanticError("UnknownTable", ref.table))
                 return None
-            if not self.schema.has_column(ref.table, ref.name):
+            if (ref.table, ref.name) not in self.kinds:
                 self.errors.append(SemanticError("UnknownColumn", str(ref)))
                 return None
             return ref
         owners = [t for t in self.from_tables
-                  if self.schema.has_column(t, ref.name)]
+                  if (t, ref.name) in self.kinds]
         if not owners:
             self.errors.append(SemanticError("UnknownColumn", ref.name))
             return None
@@ -331,7 +336,7 @@ class _Resolver:
             return t, None
         if group_keys is not None and r not in group_keys:
             self.errors.append(SemanticError("NonGroupedColumn", str(t)))
-        return r, type_kind(self.schema.col_type(r.table, r.name))
+        return r, self.kinds[(r.table, r.name)]
 
 
 def _resolve(q: SqlQuery, schema: Schema):
@@ -363,7 +368,7 @@ def _resolve(q: SqlQuery, schema: Schema):
         if isinstance(it, AggCall):
             arg = res.resolve(it.arg) if it.arg is not None else None
             if arg is not None and it.fn in ("SUM", "AVG") \
-                    and schema.col_type(arg.table, arg.name) == "str":
+                    and schema._kinds[(arg.table, arg.name)] == "str":
                 errors.append(SemanticError(
                     "TypeMismatch", f"{it.fn} over string column"))
             select.append(it if arg is None or arg is it.arg
@@ -407,7 +412,7 @@ def _set_operand_errors(left, right, schema: Schema) -> list:
     def kinds(select):
         return [("num" if it.fn in ("COUNT", "SUM", "AVG") else "any")
                 if isinstance(it, AggCall)
-                else type_kind(schema.col_type(it.table, it.name))
+                else schema._kinds[(it.table, it.name)]
                 for it in select]
 
     lk, rk = kinds(left), kinds(right)

@@ -30,7 +30,7 @@ from typing import Optional
 
 from .algebra import (
     Agg, Dedup, Filter, Project, Union, UnionAll, commute_normal,
-    join_conjuncts, lower, realizes, rebuild, split_conjuncts,
+    join_conjuncts, lower, realized_tree, rebuild, split_conjuncts,
     surface_candidates, _may_cross, _refset,
 )
 # unused here; bound because perfbench/spans.py traces
@@ -50,10 +50,18 @@ class NoRuleApplies(Exception):
 
 @dataclass(frozen=True)
 class QueryPair:
+    """Two queries meant to be equivalent.  left_tree and right_tree hold
+    the lowered tree of a side the rule has already validated and lowered
+    (the qualified seed's own tree, or the tree a realized candidate
+    lowered to), so the proof need not redo it; a side the rule only
+    built, never validated, has None.  The trees are not part of a pair's
+    equality or repr."""
     left: SqlQuery
     right: SqlQuery
     rule: str
     pairing: str  # "seed-vs-mutant" | "mutant-vs-mutant"
+    left_tree: object = field(default=None, compare=False, repr=False)
+    right_tree: object = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -101,15 +109,18 @@ def _furthest_first(text: str, cands) -> list:
 
 
 def _first_realized(cands, schema):
-    """The query of the first (query, target) in cands that is valid on
-    schema (grouped forms are single-table only, so some renderings drop
-    out) and realizes its target, or None.  Checking in preference order
-    and stopping at the first pass picks what checking every candidate
-    and then taking the preferred one would."""
+    """(query, the tree it lowers to) of the first (query, target) in
+    cands that is valid on schema (grouped forms are single-table only,
+    so some renderings drop out) and realizes its target, or (None,
+    None).  Checking in preference order and stopping at the first pass
+    picks what checking every candidate and then taking the preferred one
+    would."""
     for c, target in cands:
-        if not validate(c, schema) and realizes(c, target):
-            return c
-    return None
+        if not validate(c, schema):
+            tree = realized_tree(c, target)
+            if tree is not None:
+                return c, tree
+    return None, None
 
 
 def pick_constant(ctx: TransformContext, schema: Schema, col: ColumnRef):
@@ -150,16 +161,18 @@ def _dedup_insertion(q, e, ctx, schema):
         return None
     cands = surface_candidates(e)
     target = commute_normal(e)
-    left = _first_realized(sorted(((c, target) for c in cands if c.distinct),
-                                  key=lambda c: render(c[0])), schema)
+    left, left_tree = _first_realized(
+        sorted(((c, target) for c in cands if c.distinct),
+               key=lambda c: render(c[0])), schema)
     if left is None:
         return None
-    right = _first_realized(_furthest_first(
+    right, right_tree = _first_realized(_furthest_first(
         render(left), [(c, target) for c in cands
                        if c.group_by is not None and not c.distinct]), schema)
     if right is None:
         return None
-    return QueryPair(left, right, "dedup-insertion", MUTANT_VS_MUTANT)
+    return QueryPair(left, right, "dedup-insertion", MUTANT_VS_MUTANT,
+                     left_tree, right_tree)
 
 
 def _union_commute(q, e, ctx, schema):
@@ -170,7 +183,7 @@ def _union_commute(q, e, ctx, schema):
     right = replace(rhs, set_op=(op, left_core))
     if not _texts_differ(q, right):
         return None
-    return QueryPair(q, right, "union-commute", SEED_VS_MUTANT)
+    return QueryPair(q, right, "union-commute", SEED_VS_MUTANT, e)
 
 
 def _selection_commute(q, e, ctx, schema):
@@ -186,7 +199,7 @@ def _selection_commute(q, e, ctx, schema):
             right = replace(q, **{attr: join_conjuncts(swapped)})
             if _texts_differ(q, right):
                 return QueryPair(q, right, "selection-commute",
-                                 SEED_VS_MUTANT)
+                                 SEED_VS_MUTANT, e)
     return None
 
 
@@ -202,10 +215,11 @@ def _rendering_rule(rule: str, trees):
             if others:
                 target = commute_normal(t)
                 cands.extend((c, target) for c in others)
-        right = _first_realized(_furthest_first(seed_text, cands), schema)
+        right, right_tree = _first_realized(
+            _furthest_first(seed_text, cands), schema)
         if right is None:
             return None
-        return QueryPair(q, right, rule, SEED_VS_MUTANT)
+        return QueryPair(q, right, rule, SEED_VS_MUTANT, e, right_tree)
     return build
 
 

@@ -66,6 +66,24 @@ class TestBuiltin:
         with pytest.raises(EngineError):
             BuiltinEndpoint().exec_sql("SELECT a FROM t0")
 
+    def test_schema_follows_reset(self):
+        ep = BuiltinEndpoint()
+        ep.reset(SCRIPT)
+        # a reset that fails to load keeps the old database and schema
+        with pytest.raises(EngineError):
+            ep.reset("CREATE TABLE t9 (z INT); DROP TABLE t0")
+        assert sorted(ep.exec_sql("SELECT a FROM t0")) == \
+            [("1",), ("1",), ("NULL",)]
+        with pytest.raises(EngineError) as exc:
+            ep.exec_sql("SELECT z FROM t9")
+        assert exc.value.code == "UNKNOWN_TABLE"
+        # a reset to other tables replaces both
+        ep.reset("CREATE TABLE t1 (d INT); INSERT INTO t1 VALUES (7);")
+        assert ep.exec_sql("SELECT d FROM t1") == [("7",)]
+        with pytest.raises(EngineError) as exc:
+            ep.exec_sql("SELECT a FROM t0")
+        assert exc.value.code == "UNKNOWN_TABLE"
+
 
 @pytest.mark.parametrize("op,sql,code", [
     ("reset", "CREATE TABLE t (a INT); INSERT INTO t VALUES (1 @ 2);",

@@ -246,6 +246,18 @@ class TestConfigFile:
         assert "must not be negative" in capsys.readouterr().err
         assert not (tmp_path / "stats.jsonl").exists()
 
+    @pytest.mark.parametrize("key,value", [("filter_budget", "abc"),
+                                           ("queries", "-")])
+    def test_non_integer_value_is_operational_error(self, tmp_path, capsys,
+                                                    key, value):
+        cfg = tmp_path / "campaign.conf"
+        cfg.write_text(f"{key} = {value}\n")
+        assert run_cli("run", "--config", str(cfg), "--out",
+                       str(tmp_path)) == EXIT_OPERATIONAL
+        assert capsys.readouterr().err == (
+            f"error: {key} in {cfg}: expected an integer, got {value!r}\n")
+        assert not (tmp_path / "stats.jsonl").exists()
+
     @pytest.mark.parametrize("rules", ["", ",", " , "])
     def test_rules_naming_no_rule_is_operational_error(self, tmp_path,
                                                        capsys, rules):

@@ -195,6 +195,24 @@ class TestSqliteDifferential:
         assert runs > 5000
 
 
+def test_execute_derives_the_schema_it_is_not_given():
+    ex = Executor()
+    runs = 0
+    for i in range(40):
+        rng = random.Random(f"execute-schema:{i}")
+        schema = generate_schema(rng)
+        db = random_database(schema, rng)
+        assert schema_of(db) == schema
+        for _ in range(10):
+            q = generate_seed(rng, schema)
+            assert ex.execute(db, q) == ex.execute(db, q, schema)
+            runs += 1
+    with pytest.raises(EngineError) as exc:
+        ex.execute(load_script(SCRIPT), "SELECT z FROM t9")
+    assert exc.value.code == "UNKNOWN_TABLE"
+    assert runs == 400
+
+
 class TestErrors:
     @pytest.mark.parametrize("sql,code", [
         ("SELECT a FROM nope", "UNKNOWN_TABLE"),

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from eqmorph.algebra import (
     RemapError, commute_normal, equivalent_mod_commute, lower, remap_to_sql,
 )
 from eqmorph.dbgen import databases_for_search
+from eqmorph.equivfilter import proven
 from eqmorph.harness import (
     generate_database, generate_schema, generate_seed, value_hints_of,
 )
@@ -317,3 +319,44 @@ def test_lazy_selection_matches_verifying_every_candidate(monkeypatch):
     rules = {p.rule for row in lazy for p in row if isinstance(p, QueryPair)}
     assert {"dedup-insertion", "dedup-filter-commute",
             "projection-pull-up"} <= rules
+
+
+def test_pair_trees_are_the_lowered_sides():
+    """A tree a pair carries is the tree the proof would build from its
+    side, so handing it over changes no verdict.  Each seed is paired by
+    the catalog as a campaign does, and by each rule alone, so the rules
+    that never win first-match are covered too."""
+    carried = Counter()
+    sides = 0
+    for s in range(25):
+        rng = random.Random(f"pair-trees:{s}")
+        schema = generate_schema(rng)
+        hints = value_hints_of(generate_database(rng, schema))
+        for i in range(40):
+            seed = generate_seed(rng, schema)
+            for rules in [None] + [{r} for r in RULE_CATALOG]:
+                c = TransformContext(
+                    rng=random.Random(f"pair-trees:{s}:{i}"),
+                    value_hints=hints,
+                    enabled_rules=None if rules is None
+                    else frozenset(rules))
+                try:
+                    pair = transform_query(seed, schema, c)
+                except NoRuleApplies:
+                    continue
+                for side, tree in ((pair.left, pair.left_tree),
+                                   (pair.right, pair.right_tree)):
+                    sides += 1
+                    if tree is not None:
+                        carried[pair.rule] += 1
+                        assert tree == lower(qualify(side, schema)), \
+                            (pair.rule, render(side))
+                assert proven(pair.left, pair.right, schema,
+                              pair.left_tree, pair.right_tree) == \
+                    proven(pair.left, pair.right, schema)
+    # not vacuous: a tree comes with some side of every rule's pairs but
+    # grouped-filter-insertion's, which builds both sides, and
+    # projection-cascade's, which applies to no surface seed
+    assert set(carried) == set(RULE_CATALOG) - {
+        "grouped-filter-insertion", "projection-cascade"}
+    assert 0 < sum(carried.values()) < sides
