@@ -334,12 +334,10 @@ def test_pair_trees_are_the_lowered_sides():
         hints = value_hints_of(generate_database(rng, schema))
         for i in range(40):
             seed = generate_seed(rng, schema)
-            for rules in [None] + [{r} for r in RULE_CATALOG]:
+            for rules in [None] + [frozenset({r}) for r in RULE_CATALOG]:
                 c = TransformContext(
                     rng=random.Random(f"pair-trees:{s}:{i}"),
-                    value_hints=hints,
-                    enabled_rules=None if rules is None
-                    else frozenset(rules))
+                    value_hints=hints, enabled_rules=rules)
                 try:
                     pair = transform_query(seed, schema, c)
                 except NoRuleApplies:
