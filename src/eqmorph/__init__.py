@@ -37,10 +37,7 @@ _EXPORTS = {
     "sensitivity": (
         "Sensitivity", "classify", "sensitivity_oracle",
     ),
-    "sqlast": (
-        "InvalidQuery", "Schema", "SemanticError", "SqlQuery",
-        "SqlSyntaxError", "qualify", "render", "validate",
-    ),
+    "sqlast": ("Schema", "SqlQuery", "qualify", "render", "validate"),
     "transform": (
         "NoRuleApplies", "QueryPair", "RULE_CATALOG", "TransformContext",
         "enumerate_mutants", "transform_query",

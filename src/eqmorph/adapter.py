@@ -6,7 +6,10 @@ Protocol, one JSON object per line:
   success:  {"id": n, "ok": true, "rows": [["cell", ...], ...]}
   failure:  {"id": n, "ok": false, "code": "...", "message": "..."}
 
-Row cells are engine-rendered strings; multiset results repeat rows.
+Row cells are engine-rendered strings; multiset results repeat rows.  A
+failure's code and message are those of the EngineError the engine
+raised: SYNTAX from the lexer and parser, SCRIPT from the script loader,
+a stable code from name resolution or execution.
 Setting EQMORPH_SHIM_DEBUG=1 mirrors the traffic to stderr.
 """
 
@@ -23,8 +26,7 @@ from itertools import chain
 from typing import Optional
 
 from . import parser
-from .refdb import SYNTAX, EngineError, Executor, load_script, schema_of
-from .sqlast import SqlSyntaxError
+from .refdb import EngineError, Executor, load_script, schema_of
 
 
 class ProtocolError(Exception):
@@ -57,10 +59,7 @@ class BuiltinEndpoint:
         self.db, self.schema = db, schema_of(db)
 
     def exec_sql(self, sql: str):
-        try:
-            q = parser.parse(sql)
-        except SqlSyntaxError as e:
-            raise EngineError(SYNTAX, str(e))
+        q = parser.parse(sql)
         rows = self.executor.execute(self.db, q, self.schema)
         return self.executor.rendered_rows(rows, q)
 

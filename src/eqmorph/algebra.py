@@ -31,10 +31,6 @@ from .sqlast import (
 )
 
 
-class LoweringError(Exception):
-    pass
-
-
 class RemapError(Exception):
     pass
 
@@ -209,8 +205,6 @@ def lower(q: SqlQuery):
     if q.set_op is None:
         return e
     op, rhs = q.set_op
-    if rhs.set_op is not None:
-        raise LoweringError("nested set operations are unsupported")
     return (Union if op == UNION else UnionAll)(e, _lower_core(rhs))
 
 
@@ -515,10 +509,10 @@ def realized_tree(q: SqlQuery, target):
     """The tree q lowers back to when its commute-normal form is target
     (commute_normal of the tree q was generated from), else None.  q is
     not validated, so the tree it lowers to is type-checked here."""
+    e = lower(q)
     try:
-        e = lower(q)
         typecheck(e)
-    except (LoweringError, AlgebraTypeError):
+    except AlgebraTypeError:
         return None
     return e if commute_normal(e) == target else None
 

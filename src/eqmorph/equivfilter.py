@@ -3,8 +3,8 @@
 Transformed pairs are meant to be equivalent by construction, but the pair
 pipeline is exactly the kind of code that can be subtly wrong, so every
 pair is vetted before it reaches the target engine.  ``proven`` settles a
-pair exactly when both queries qualify, lower, and share a commute-normal
-form once every AND filter is split into one filter per conjunct: a
+pair exactly when both queries qualify and their lowered trees share a
+commute-normal form once every AND filter is split into one per conjunct: a
 qualified query cannot fail on the reference executor, so such a pair
 returns the same multiset on every database.  A pair the proof
 cannot settle goes to ``check_bounded``, which executes both queries on a
@@ -19,10 +19,10 @@ import copy
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import LoweringError, equivalent_mod_commute, lower
+from .algebra import equivalent_mod_commute, lower
 from .dbgen import databases_for_search
 from .refdb import Database, EngineError, Executor
-from .sqlast import InvalidQuery, Schema, SqlQuery, qualify
+from .sqlast import Schema, SqlQuery, qualify
 
 DEFAULT_BUDGET = 32
 
@@ -44,7 +44,7 @@ class NoCounterexample:
 
 def proven(q1: SqlQuery, q2: SqlQuery, schema: Schema,
            e1=None, e2=None) -> bool:
-    """True when both queries qualify on schema, lower, and have the same
+    """True when both queries qualify on schema and, lowered, have the same
     commute-normal form with their AND filters split (see
     equivalent_mod_commute), which proves them equivalent; False means
     not proven, not different.
@@ -58,7 +58,7 @@ def proven(q1: SqlQuery, q2: SqlQuery, schema: Schema,
             e1 = lower(qualify(q1, schema))
         if e2 is None:
             e2 = lower(qualify(q2, schema))
-    except (InvalidQuery, LoweringError):
+    except EngineError:
         return False
     return equivalent_mod_commute(e1, e2)
 

@@ -1,4 +1,7 @@
-"""Hand-rolled lexer and recursive-descent parser for the SQL subset."""
+"""Hand-rolled lexer and recursive-descent parser for the SQL subset.
+
+Text that does not lex or parse raises EngineError(SYNTAX, "<what> at
+position N"), N being the offset of the token or character at fault."""
 
 from __future__ import annotations
 
@@ -7,8 +10,8 @@ from decimal import Decimal
 from functools import lru_cache
 
 from .sqlast import (
-    AGG_FNS, CMP_OPS, UNION, UNION_ALL, AggCall, And, ColumnRef, Cmp, Const,
-    Not, Or, SqlQuery, SqlSyntaxError, TruthLit,
+    AGG_FNS, SYNTAX, UNION, UNION_ALL, AggCall, And, ColumnRef, Cmp, Const,
+    EngineError, Not, Or, SqlQuery, TruthLit,
 )
 from .values import TruthValue
 
@@ -106,7 +109,8 @@ def tokenize(text: str):
         elif kind == "str":
             append(Token("str", value[1:-1].replace("''", "'"), pos))
         else:
-            raise SqlSyntaxError(f"unexpected character {value!r}", pos)
+            raise EngineError(
+                SYNTAX, f"unexpected character {value!r} at position {pos}")
     append(Token("eof", None, len(text)))
     return tokens
 
@@ -121,7 +125,8 @@ def unfold(tok: Token) -> list:
 
 class TokenCursor:
     """The moves over a token list that the query grammar and the script
-    loader share.  A subclass's fail decides what a failed move raises."""
+    loader share.  A failed move raises EngineError(SYNTAX) naming the
+    token at fault and its position; a subclass may override fail."""
 
     def __init__(self, tokens):
         self.tokens = tokens
@@ -153,14 +158,14 @@ class TokenCursor:
 
     def expect_kw(self, kw):
         if not self.at_kw(kw):
-            self.fail(f"expected {kw}", {kw})
+            self.fail(f"expected {kw}")
         return self.advance()
 
     def expect(self, kind):
         if self.cur.kind != kind:
             self.unfold_cur()
             if self.cur.kind != kind:
-                self.fail(f"expected {kind}", {kind})
+                self.fail(f"expected {kind}")
         return self.advance()
 
     def punct(self, ch) -> bool:
@@ -171,7 +176,7 @@ class TokenCursor:
 
     def expect_punct(self, ch):
         if not self.punct(ch):
-            self.fail(f"expected {ch}", {ch})
+            self.fail(f"expected {ch}")
 
     def got(self) -> str:
         """The current token, quoted, as a failure message names it."""
@@ -179,9 +184,10 @@ class TokenCursor:
         t = self.cur
         return repr(t.value if t.kind != "eof" else "end of input")
 
-    def fail(self, message, expected=()):
+    def fail(self, message):
         got = self.got()
-        raise SqlSyntaxError(f"{message}, got {got}", self.cur.pos, expected)
+        raise EngineError(
+            SYNTAX, f"{message}, got {got} at position {self.cur.pos}")
 
 
 class _Parser(TokenCursor):
@@ -310,7 +316,7 @@ class _Parser(TokenCursor):
 
     def finish_cmp(self, left):
         if self.cur.kind != "op":
-            self.fail("expected comparison operator", CMP_OPS)
+            self.fail("expected comparison operator")
         op = self.advance().value
         right = self.term()
         return Cmp(left, op, right)
@@ -329,7 +335,8 @@ class _Parser(TokenCursor):
 
 
 def parse(text: str) -> SqlQuery:
-    """Parse a single statement; raises SqlSyntaxError on malformed input."""
+    """Parse a single statement; text that does not parse raises
+    EngineError(SYNTAX)."""
     if not isinstance(text, str):
-        raise SqlSyntaxError("input is not a string", 0)
+        raise EngineError(SYNTAX, "input is not a string at position 0")
     return _Parser(tokenize(text)).query()

@@ -7,6 +7,11 @@ single group under GROUP BY.  COUNT(*) counts every row, the other
 aggregates skip NULLs; SUM/AVG over no non-null input yield NULL while
 COUNT yields 0.
 
+A rejected query raises sqlast.EngineError where it is rejected: text
+that does not parse with the SYNTAX code, a query that does not resolve
+on the schema with the stable code of the first error name resolution
+finds, a reset script that does not load with SCRIPT.
+
 Executor.prepare validates and table-qualifies a query once, then compiles
 it for its schema into a Plan: column references become positions in a
 row tuple (a cross-product row is its tables' stored rows concatenated),
@@ -30,47 +35,17 @@ from typing import Callable, NamedTuple, Optional
 
 from .parser import Token, TokenCursor, parse, tokenize
 from .sqlast import (
-    UNION, ColumnRef, Const, InvalidQuery, Schema, SqlQuery, SqlSyntaxError,
-    qualify, render_pred, And, Or, Not, Cmp, TruthLit,
+    SCRIPT, TYPE_MISMATCH, UNION, ColumnRef, Const, EngineError, Schema,
+    SqlQuery, qualify, render_pred, And, Or, Not, Cmp, TruthLit,
 )
+# unused here; bound for the engine's callers, perfbench/spans.py among them
+from .sqlast import STABLE_ERROR_CODES  # noqa: F401
 # unused here; bound because perfbench/spans.py traces refdb.validate by name
 from .sqlast import validate  # noqa: F401
 from .values import (
     CANONICAL_SCALE, TruthValue, format_value, is_numeric, kleene_and,
     kleene_not, kleene_or, render_literal, row_sort_key,
 )
-
-UNKNOWN_TABLE = "UNKNOWN_TABLE"
-UNKNOWN_COLUMN = "UNKNOWN_COLUMN"
-NON_GROUPED_COLUMN = "NON_GROUPED_COLUMN"
-TYPE_MISMATCH = "TYPE_MISMATCH"
-DIV_BY_ZERO = "DIV_BY_ZERO"
-# not stable codes: text the lexer or parser rejects, and a reset script
-# that does not load
-SYNTAX = "SYNTAX"
-SCRIPT = "SCRIPT"
-
-STABLE_ERROR_CODES = (
-    UNKNOWN_TABLE, UNKNOWN_COLUMN, NON_GROUPED_COLUMN, TYPE_MISMATCH,
-    DIV_BY_ZERO,
-)
-
-_KIND_TO_CODE = {
-    "UnknownTable": UNKNOWN_TABLE,
-    "UnknownColumn": UNKNOWN_COLUMN,
-    "AmbiguousColumn": UNKNOWN_COLUMN,
-    "NonGroupedColumn": NON_GROUPED_COLUMN,
-    "TypeMismatch": TYPE_MISMATCH,
-    "GroupedMultiTable": NON_GROUPED_COLUMN,
-}
-
-
-class EngineError(Exception):
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
-        self.message = message
-
 
 # ---------------------------------------------------------------------------
 # storage
@@ -263,9 +238,11 @@ class Executor:
 
     def execute(self, db: Database, query,
                 schema: Optional[Schema] = None) -> dict:
-        """One-shot evaluation of a query (text or AST) on db.  schema
-        must be db's; a caller that runs many queries on one database
-        passes it to skip deriving it from db on every call."""
+        """One-shot evaluation of a query (text or AST) on db; text that
+        does not parse raises EngineError(SYNTAX), a query that does not
+        resolve EngineError with a stable code.  schema must be db's; a
+        caller that runs many queries on one database passes it to skip
+        deriving it from db on every call."""
         q = parse(query) if isinstance(query, str) else query
         if schema is None:
             schema = schema_of(db)
@@ -273,20 +250,17 @@ class Executor:
 
     def prepare(self, q: SqlQuery, schema: Schema) -> Plan:
         """Validate, table-qualify and compile q once, for running on any
-        database of this schema; a semantic error raises EngineError."""
-        try:
-            if self.fault == "having-pre-group" and q.having is not None:
-                # the faulty engine resolves HAVING like a WHERE clause,
-                # skipping the grouped-column check
-                qq = qualify(replace(q, having=None), schema)
-                having = qualify(replace(q, where=q.having, having=None),
-                                 schema).where
-                qq = replace(qq, having=having)
-            else:
-                qq = qualify(q, schema)
-        except InvalidQuery as exc:
-            e = exc.errors[0]
-            raise EngineError(_KIND_TO_CODE[e.kind], e.detail)
+        database of this schema; a query that does not resolve raises the
+        first EngineError name resolution finds."""
+        if self.fault == "having-pre-group" and q.having is not None:
+            # the faulty engine resolves HAVING like a WHERE clause,
+            # skipping the grouped-column check
+            qq = qualify(replace(q, having=None), schema)
+            having = qualify(replace(q, where=q.having, having=None),
+                             schema).where
+            qq = replace(qq, having=having)
+        else:
+            qq = qualify(q, schema)
         return self._compile(qq, schema)
 
     def run(self, db: Database, plan: Plan) -> dict:
@@ -449,10 +423,7 @@ def load_script(text: str) -> Database:
     lexed once, so a character the lexer rejects anywhere in it raises
     EngineError(SYNTAX) before any statement is read."""
     db: Database = {}
-    try:
-        tokens = tokenize(text)
-    except SqlSyntaxError as e:
-        raise EngineError(SYNTAX, str(e))
+    tokens = tokenize(text)
     start = 0
     for end, t in enumerate(tokens):
         if t.kind == "eof" or (t.kind == "punct" and t.value == ";"):
@@ -479,7 +450,7 @@ class _ScriptReader(TokenCursor):
     name as the three tokens it was lexed from, as the query grammar does
     where it expects a lone name, so its errors name the same tokens."""
 
-    def fail(self, message, expected=()):
+    def fail(self, message):
         raise EngineError(SCRIPT, f"{message}, got {self.got()}")
 
     def create(self, db):

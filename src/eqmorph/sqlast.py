@@ -3,6 +3,11 @@
 The subset: SELECT [DISTINCT] items FROM tables [WHERE p] [GROUP BY cols]
 [HAVING p], optionally combined once with UNION / UNION ALL.  Aggregate
 functions: COUNT, SUM, MIN, MAX, AVG.  No joins, subqueries, ORDER BY.
+
+EngineError(code, message) is the one error a rejected query raises, where
+it is rejected: text that does not lex or parse raises it with the SYNTAX
+code, name resolution with one of STABLE_ERROR_CODES, a reset script that
+does not load with SCRIPT.  The code and message go unchanged to the wire.
 """
 
 from __future__ import annotations
@@ -20,14 +25,30 @@ UNION_ALL = "UNION ALL"
 
 CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
+UNKNOWN_TABLE = "UNKNOWN_TABLE"
+UNKNOWN_COLUMN = "UNKNOWN_COLUMN"
+NON_GROUPED_COLUMN = "NON_GROUPED_COLUMN"
+TYPE_MISMATCH = "TYPE_MISMATCH"
+DIV_BY_ZERO = "DIV_BY_ZERO"
+# not stable codes: text the lexer or parser rejects, and a reset script
+# that does not load
+SYNTAX = "SYNTAX"
+SCRIPT = "SCRIPT"
 
-class SqlSyntaxError(Exception):
-    """Raised by the parser; carries position and the expected token set."""
+STABLE_ERROR_CODES = (
+    UNKNOWN_TABLE, UNKNOWN_COLUMN, NON_GROUPED_COLUMN, TYPE_MISMATCH,
+    DIV_BY_ZERO,
+)
 
-    def __init__(self, message: str, position: int, expected=()):
-        super().__init__(f"{message} at position {position}")
-        self.position = position
-        self.expected = tuple(expected)
+
+class EngineError(Exception):
+    """A rejected query or script: one of the codes above, and a message
+    that says what was rejected."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(f"{code}: {message}")
+        self.code = code
+        self.message = message
 
 
 @dataclass(frozen=True)
@@ -120,9 +141,12 @@ class SqlQuery:
             raise ValueError("FROM list must be non-empty")
         if self.having is not None and self.group_by is None:
             raise ValueError("HAVING requires GROUP BY")
-        if self.set_op is not None and \
-                self.set_op[0] not in (UNION, UNION_ALL):
-            raise ValueError(f"unknown set operation {self.set_op[0]!r}")
+        if self.set_op is not None:
+            if self.set_op[0] not in (UNION, UNION_ALL):
+                raise ValueError(
+                    f"unknown set operation {self.set_op[0]!r}")
+            if self.set_op[1].set_op is not None:
+                raise ValueError("nested set operations are unsupported")
 
     def has_aggregates(self) -> bool:
         return any(isinstance(it, AggCall) for it in self.select)
@@ -243,25 +267,6 @@ class Schema:
     def col_type(self, table: str, col: str) -> str:
         return self._index[table][col]
 
-    def has_column(self, table: str, col: str) -> bool:
-        return col in self._index.get(table, ())
-
-
-@dataclass(frozen=True)
-class SemanticError:
-    kind: str  # UnknownTable | UnknownColumn | AmbiguousColumn |
-    #            NonGroupedColumn | TypeMismatch | GroupedMultiTable
-    detail: str
-
-    def __str__(self):
-        return f"{self.kind}: {self.detail}"
-
-
-class InvalidQuery(Exception):
-    def __init__(self, errors):
-        super().__init__("; ".join(str(e) for e in errors))
-        self.errors = tuple(errors)
-
 
 def _value_type(v) -> str:
     if v is None:
@@ -283,19 +288,17 @@ class _Resolver:
     def resolve(self, ref: ColumnRef) -> Optional[ColumnRef]:
         if ref.table is not None:
             if ref.table not in self.from_tables:
-                self.errors.append(SemanticError("UnknownTable", ref.table))
+                self.errors.append(EngineError(UNKNOWN_TABLE, ref.table))
                 return None
             if (ref.table, ref.name) not in self.kinds:
-                self.errors.append(SemanticError("UnknownColumn", str(ref)))
+                self.errors.append(EngineError(UNKNOWN_COLUMN, str(ref)))
                 return None
             return ref
         owners = [t for t in self.from_tables
                   if (t, ref.name) in self.kinds]
-        if not owners:
-            self.errors.append(SemanticError("UnknownColumn", ref.name))
-            return None
-        if len(owners) > 1:
-            self.errors.append(SemanticError("AmbiguousColumn", ref.name))
+        if len(owners) != 1:
+            # an ambiguous name is as unknown as a missing one
+            self.errors.append(EngineError(UNKNOWN_COLUMN, ref.name))
             return None
         return ColumnRef(ref.name, owners[0])
 
@@ -305,15 +308,15 @@ class _Resolver:
         written); a subtree that needs no change comes back as the same
         object.  A comparison of a number with a string goes to
         mismatches; with group_keys, a ref outside them is a
-        NonGroupedColumn."""
+        NON_GROUPED_COLUMN error."""
         if isinstance(p, TruthLit):
             return p
         if isinstance(p, Cmp):
             left, lk = self._term(p.left, group_keys)
             right, rk = self._term(p.right, group_keys)
             if lk and rk and "null" not in (lk, rk) and lk != rk:
-                mismatches.append(SemanticError(
-                    "TypeMismatch", f"{p.left} {p.op} {p.right}"))
+                mismatches.append(EngineError(
+                    TYPE_MISMATCH, f"{p.left} {p.op} {p.right}"))
             if left is p.left and right is p.right:
                 return p
             return Cmp(left, p.op, right)
@@ -335,25 +338,25 @@ class _Resolver:
         if r is None:
             return t, None
         if group_keys is not None and r not in group_keys:
-            self.errors.append(SemanticError("NonGroupedColumn", str(t)))
+            self.errors.append(EngineError(NON_GROUPED_COLUMN, str(t)))
         return r, self.kinds[(r.table, r.name)]
 
 
 def _resolve(q: SqlQuery, schema: Schema):
-    """(q with every column ref table-qualified, its SemanticErrors): one
+    """(q with every column ref table-qualified, its EngineErrors): one
     walk over each select core.  Only what changes is rebuilt, so an
     already-qualified query comes back as the same object.  The qualified
     query is meaningful only when the error list is empty."""
     errors: list = []
     for t in q.from_tables:
         if not schema.has_table(t):
-            errors.append(SemanticError("UnknownTable", t))
+            errors.append(EngineError(UNKNOWN_TABLE, t))
     res = _Resolver(q, schema, errors)
 
     grouped = q.is_grouped()
     if grouped and len(q.from_tables) > 1:
-        errors.append(SemanticError(
-            "GroupedMultiTable", ", ".join(q.from_tables)))
+        errors.append(EngineError(
+            NON_GROUPED_COLUMN, ", ".join(q.from_tables)))
 
     group_by = q.group_by
     group_keys = set()
@@ -369,14 +372,14 @@ def _resolve(q: SqlQuery, schema: Schema):
             arg = res.resolve(it.arg) if it.arg is not None else None
             if arg is not None and it.fn in ("SUM", "AVG") \
                     and schema._kinds[(arg.table, arg.name)] == "str":
-                errors.append(SemanticError(
-                    "TypeMismatch", f"{it.fn} over string column"))
+                errors.append(EngineError(
+                    TYPE_MISMATCH, f"{it.fn} over string column"))
             select.append(it if arg is None or arg is it.arg
                           else AggCall(it.fn, arg))
         else:
             r = res.resolve(it)
             if r is not None and grouped and r not in group_keys:
-                errors.append(SemanticError("NonGroupedColumn", str(it)))
+                errors.append(EngineError(NON_GROUPED_COLUMN, str(it)))
             select.append(r or it)
     select = q.select if all(a is b for a, b in zip(select, q.select)) \
         else tuple(select)
@@ -417,23 +420,25 @@ def _set_operand_errors(left, right, schema: Schema) -> list:
 
     lk, rk = kinds(left), kinds(right)
     if len(lk) != len(rk):
-        return [SemanticError(
-            "TypeMismatch", f"set operands have arity {len(lk)} vs {len(rk)}")]
-    return [SemanticError("TypeMismatch", f"set operand column {i}")
+        return [EngineError(
+            TYPE_MISMATCH, f"set operands have arity {len(lk)} vs {len(rk)}")]
+    return [EngineError(TYPE_MISMATCH, f"set operand column {i}")
             for i, (a, b) in enumerate(zip(lk, rk))
             if "any" not in (a, b) and a != b]
 
 
 def validate(q: SqlQuery, schema: Schema):
-    """Return a list of SemanticError; empty means the query is valid."""
+    """The EngineErrors of q on schema, in the order found; empty means
+    the query is valid."""
     return _resolve(q, schema)[1]
 
 
 def qualify(q: SqlQuery, schema: Schema) -> SqlQuery:
-    """Return q with every column ref table-qualified; raises InvalidQuery."""
+    """Return q with every column ref table-qualified; raises the first
+    EngineError that validate finds."""
     qualified, errors = _resolve(q, schema)
     if errors:
-        raise InvalidQuery(errors)
+        raise errors[0]
     return qualified
 
 

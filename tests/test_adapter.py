@@ -14,9 +14,12 @@ from eqmorph.adapter import (
 )
 from eqmorph.dbgen import random_database
 from eqmorph.harness import generate_schema, generate_seed
-from eqmorph.refdb import STABLE_ERROR_CODES, TableData, dump_script
+from eqmorph.parser import parse
+from eqmorph.refdb import (
+    STABLE_ERROR_CODES, Executor, TableData, dump_script,
+)
 from eqmorph.shim import handle
-from eqmorph.sqlast import render
+from eqmorph.sqlast import qualify, render
 
 SHIM = f"{sys.executable} -m eqmorph.shim"
 
@@ -127,11 +130,18 @@ def _mangle(rng, text):
 
 def test_every_engine_failure_is_coded():
     """Generated reset scripts and seed queries, each given a few
-    character edits, fail on the built-in endpoint only with an
-    EngineError whose code is SYNTAX, SCRIPT or a stable one."""
+    character edits, fail only with an EngineError whose code is SYNTAX,
+    SCRIPT or a stable one: on the built-in endpoint, through
+    Executor.execute, and through parse then qualify."""
     codes = {"SYNTAX", "SCRIPT", *STABLE_ERROR_CODES}
     seen = Counter()
     ep = BuiltinEndpoint()
+
+    def execute(text):
+        Executor().execute(ep.db, text)
+
+    def resolve(text):
+        qualify(parse(text), ep.schema)
 
     def attempt(op, text):
         try:
@@ -156,7 +166,9 @@ def test_every_engine_failure_is_coded():
         if not attempt(ep.reset, _mangle(rng, script)):
             ep.reset(script)
         attempt(ep.exec_sql, sql)
-        attempt(ep.exec_sql, _mangle(rng, sql))
+        mangled = _mangle(rng, sql)
+        for op in (ep.exec_sql, execute, resolve):
+            attempt(op, mangled)
     assert seen.keys() >= {"ok", "SYNTAX", "SCRIPT"}, seen
 
 

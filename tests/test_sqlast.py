@@ -7,8 +7,8 @@ from eqmorph import sqlast
 from eqmorph.harness import generate_schema, generate_seed
 from eqmorph.parser import parse
 from eqmorph.sqlast import (
-    And, ColumnRef, Cmp, Const, InvalidQuery, Schema, SqlQuery, qualify,
-    render, validate,
+    UNION_ALL, And, ColumnRef, Cmp, Const, EngineError, Schema, SqlQuery,
+    qualify, render, validate,
 )
 
 SCHEMA = Schema.of({
@@ -18,7 +18,7 @@ SCHEMA = Schema.of({
 
 
 def errs(sql):
-    return [e.kind for e in validate(parse(sql), SCHEMA)]
+    return [e.code for e in validate(parse(sql), SCHEMA)]
 
 
 class TestValidate:
@@ -26,68 +26,71 @@ class TestValidate:
         assert errs("SELECT a, b FROM t0 WHERE c = 'x'") == []
 
     def test_unknown_table(self):
-        assert "UnknownTable" in errs("SELECT a FROM nope")
+        assert "UNKNOWN_TABLE" in errs("SELECT a FROM nope")
 
     def test_unknown_column(self):
-        assert "UnknownColumn" in errs("SELECT zz FROM t0")
-        assert "UnknownColumn" in errs("SELECT t0.d FROM t0")
+        assert "UNKNOWN_COLUMN" in errs("SELECT zz FROM t0")
+        assert "UNKNOWN_COLUMN" in errs("SELECT t0.d FROM t0")
 
     def test_ambiguous_column(self):
         # "a" lives in both tables
-        assert "AmbiguousColumn" in errs("SELECT a FROM t0, t1")
+        assert "UNKNOWN_COLUMN" in errs("SELECT a FROM t0, t1")
 
     def test_non_grouped_column(self):
-        assert "NonGroupedColumn" in errs("SELECT b FROM t0 GROUP BY a")
-        assert "NonGroupedColumn" in errs(
+        assert "NON_GROUPED_COLUMN" in errs("SELECT b FROM t0 GROUP BY a")
+        assert "NON_GROUPED_COLUMN" in errs(
             "SELECT a FROM t0 GROUP BY a HAVING b > 0")
 
     def test_grouped_multi_table(self):
-        assert "GroupedMultiTable" in errs(
+        assert "NON_GROUPED_COLUMN" in errs(
             "SELECT t0.b FROM t0, t1 GROUP BY t0.b")
-        assert "GroupedMultiTable" in errs("SELECT COUNT(*) FROM t0, t1")
+        assert "NON_GROUPED_COLUMN" in errs("SELECT COUNT(*) FROM t0, t1")
 
     def test_type_mismatch_comparison(self):
-        assert "TypeMismatch" in errs("SELECT a FROM t0 WHERE a = 'x'")
-        assert "TypeMismatch" in errs("SELECT a FROM t0 WHERE c < 1")
+        assert "TYPE_MISMATCH" in errs("SELECT a FROM t0 WHERE a = 'x'")
+        assert "TYPE_MISMATCH" in errs("SELECT a FROM t0 WHERE c < 1")
 
     def test_null_comparisons_are_type_neutral(self):
         assert errs("SELECT a FROM t0 WHERE a = NULL") == []
         assert errs("SELECT a FROM t0 WHERE c != NULL") == []
 
     def test_sum_avg_over_string(self):
-        assert "TypeMismatch" in errs("SELECT SUM(c) FROM t0")
-        assert "TypeMismatch" in errs("SELECT AVG(c) FROM t0")
+        assert "TYPE_MISMATCH" in errs("SELECT SUM(c) FROM t0")
+        assert "TYPE_MISMATCH" in errs("SELECT AVG(c) FROM t0")
         assert errs("SELECT MIN(c), MAX(c), COUNT(c) FROM t0") == []
 
     def test_set_op_arity(self):
-        assert "TypeMismatch" in errs(
+        assert "TYPE_MISMATCH" in errs(
             "SELECT a, b FROM t0 UNION SELECT a FROM t1")
 
     def test_set_op_column_types(self):
-        assert "TypeMismatch" in errs(
+        assert "TYPE_MISMATCH" in errs(
             "SELECT c FROM t0 UNION SELECT a FROM t1")
         assert errs("SELECT b FROM t0 UNION SELECT a FROM t1") == []
 
     @pytest.mark.parametrize("sql,first", [
         # grouped-column errors of HAVING come before its type errors
         ("SELECT a FROM t0 GROUP BY a HAVING c > 1",
-         ("NonGroupedColumn", "c")),
+         ("NON_GROUPED_COLUMN", "c")),
         ("SELECT a FROM t0 GROUP BY a HAVING a > 'x' AND c > 1",
-         ("NonGroupedColumn", "c")),
-        ("SELECT a FROM t0 GROUP BY a HAVING zz > 0", ("UnknownColumn", "zz")),
+         ("NON_GROUPED_COLUMN", "c")),
+        ("SELECT a FROM t0 GROUP BY a HAVING zz > 0",
+         ("UNKNOWN_COLUMN", "zz")),
         ("SELECT a FROM t0 GROUP BY a HAVING t0.zz > 0",
-         ("UnknownColumn", "t0.zz")),
+         ("UNKNOWN_COLUMN", "t0.zz")),
         # a bad operand leaves the set-operand check out
-        ("SELECT a FROM t0 UNION SELECT zz FROM t1", ("UnknownColumn", "zz")),
-        ("SELECT zz, a FROM t0 WHERE a = 'x'", ("UnknownColumn", "zz")),
+        ("SELECT a FROM t0 UNION SELECT zz FROM t1",
+         ("UNKNOWN_COLUMN", "zz")),
+        ("SELECT zz, a FROM t0 WHERE a = 'x'", ("UNKNOWN_COLUMN", "zz")),
     ])
     def test_first_error_and_no_repeats(self, sql, first):
-        found = [(e.kind, e.detail) for e in validate(parse(sql), SCHEMA)]
+        found = [(e.code, e.message) for e in validate(parse(sql), SCHEMA)]
         assert found[0] == first
         assert len(found) == len(set(found)), found
-        with pytest.raises(InvalidQuery) as exc:
+        # qualify raises the first error validate finds
+        with pytest.raises(EngineError) as exc:
             qualify(parse(sql), SCHEMA)
-        assert [(e.kind, e.detail) for e in exc.value.errors] == found
+        assert (exc.value.code, exc.value.message) == first
 
 
 class TestQualify:
@@ -98,8 +101,9 @@ class TestQualify:
         assert q.group_by == (ColumnRef("b", "t0"),)
 
     def test_invalid_raises(self):
-        with pytest.raises(InvalidQuery):
+        with pytest.raises(EngineError) as exc:
             qualify(parse("SELECT zz FROM t0"), SCHEMA)
+        assert (exc.value.code, exc.value.message) == ("UNKNOWN_COLUMN", "zz")
 
     def test_idempotent(self):
         q = qualify(parse("SELECT b FROM t0 WHERE b > 0"), SCHEMA)
@@ -209,6 +213,16 @@ class TestSqlQueryInvariants:
             SqlQuery((ColumnRef("a"),), ("t0",),
                      having=Cmp(ColumnRef("a"), "=", Const(1)))
 
+    def test_nested_set_operation_rejected(self):
+        # the reference executor runs only the outer set operation, so
+        # t0.a UNION ALL (t1.b UNION ALL t0.a) must not be built
+        inner = SqlQuery((ColumnRef("b", "t1"),), ("t1",),
+                         set_op=(UNION_ALL, SqlQuery((ColumnRef("a", "t0"),),
+                                                     ("t0",))))
+        with pytest.raises(ValueError, match="nested set operations"):
+            SqlQuery((ColumnRef("a", "t0"),), ("t0",),
+                     set_op=(UNION_ALL, inner))
+
 
 def test_schema_duplicate_table_rejected():
     with pytest.raises(ValueError):
@@ -217,13 +231,14 @@ def test_schema_duplicate_table_rejected():
 
 def test_schema_lookups():
     assert SCHEMA.col_type("t0", "b") == "dec"
-    assert SCHEMA.has_column("t1", "d")
-    assert not SCHEMA.has_column("t1", "b")
+    assert SCHEMA.col_type("t1", "d") == "dec"
+    assert "b" not in dict(SCHEMA.columns("t1"))
     assert SCHEMA.table_names() == ("t0", "t1")
     assert SCHEMA.columns("t1") == (("a", "int"), ("d", "dec"))
     # an unknown table
     assert not SCHEMA.has_table("t9")
-    assert not SCHEMA.has_column("t9", "a")
+    with pytest.raises(KeyError):
+        SCHEMA.col_type("t9", "a")
     with pytest.raises(KeyError):
         SCHEMA.columns("t9")
     # an unknown column
