@@ -1,16 +1,13 @@
-"""Equivalence vetting of candidate query pairs: prove first, then probe.
+"""Bounded equivalence probe of candidate query pairs.
 
 Transformed pairs are meant to be equivalent by construction, but the pair
-pipeline is exactly the kind of code that can be subtly wrong, so every
-pair is vetted before it reaches the target engine.  ``proven`` settles a
-pair exactly when both queries qualify and their lowered trees share a
-commute-normal form once every AND filter is split into one per conjunct: a
-qualified query cannot fail on the reference executor, so such a pair
-returns the same multiset on every database.  A pair the proof
-cannot settle goes to ``check_bounded``, which executes both queries on a
-budgeted sequence of small databases; any database where the two result
-multisets differ — or where either query errors — filters the pair out as
-not-equivalent, keeping false alarms out of bug reports.
+pipeline is exactly the kind of code that can be subtly wrong, so a pair
+that the harness's proof (algebra.equivalent_mod_commute over the pair's
+two lowered trees) cannot settle is probed before it reaches the target
+engine.  ``check_bounded`` executes both queries on a budgeted sequence of
+small databases; any database where the two result multisets differ — or
+where either query errors — filters the pair out as not-equivalent,
+keeping false alarms out of bug reports.
 """
 
 from __future__ import annotations
@@ -19,10 +16,9 @@ import copy
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import equivalent_mod_commute, lower
 from .dbgen import databases_for_search
 from .refdb import Database, EngineError, Executor
-from .sqlast import Schema, SqlQuery, qualify
+from .sqlast import Schema, SqlQuery
 
 DEFAULT_BUDGET = 32
 
@@ -40,27 +36,6 @@ class NotEquivalent:
 @dataclass(frozen=True)
 class NoCounterexample:
     budget_used: int
-
-
-def proven(q1: SqlQuery, q2: SqlQuery, schema: Schema,
-           e1=None, e2=None) -> bool:
-    """True when both queries qualify on schema and, lowered, have the same
-    commute-normal form with their AND filters split (see
-    equivalent_mod_commute), which proves them equivalent; False means
-    not proven, not different.
-
-    e1 and e2 are the lowered trees of q1 and q2 when the caller already
-    has them from a validated query (a QueryPair's left_tree and
-    right_tree); only a side that comes without its tree is qualified
-    and lowered here."""
-    try:
-        if e1 is None:
-            e1 = lower(qualify(q1, schema))
-        if e2 is None:
-            e2 = lower(qualify(q2, schema))
-    except EngineError:
-        return False
-    return equivalent_mod_commute(e1, e2)
 
 
 def check_bounded(q1: SqlQuery, q2: SqlQuery, schema: Schema,

@@ -3,7 +3,8 @@ generate/transform/filter/execute/compare loop.
 
 Each iteration builds a fresh random schema and database, loads it into
 the target engine, then streams generated seed queries through the rule
-catalog.  Pairs that the equivalence filter proves, or that survive its
+catalog.  Pairs whose two lowered trees share a commute-normal form
+(algebra.equivalent_mod_commute), or that survive the equivalence filter's
 bounded probe, run on the target; result multisets that differ become
 persisted bug reports with a self-contained SQL reproducer.
 
@@ -23,8 +24,9 @@ from pathlib import Path
 
 from . import dbgen
 from .adapter import EngineError
+from .algebra import equivalent_mod_commute
 from .equivfilter import (
-    DEFAULT_BUDGET, NoCounterexample, NotEquivalent, check_bounded, proven,
+    DEFAULT_BUDGET, NoCounterexample, NotEquivalent, check_bounded,
 )
 # unused here; bound because perfbench/spans.py traces harness.parse by name
 from .parser import parse  # noqa: F401
@@ -405,10 +407,10 @@ def run_iteration(endpoint, cfg: GeneratorConfig, campaign_seed: str,
         except NoRuleApplies:
             continue
 
-        # a pair probes no database when the filter is off or the pair is
-        # proven; the others share one probe corpus per iteration
-        if cfg.filter_budget <= 0 or proven(pair.left, pair.right, schema,
-                                           pair.left_tree, pair.right_tree):
+        # a pair probes no database when the filter is off or its two
+        # trees prove it; the others share one probe corpus per iteration
+        if cfg.filter_budget <= 0 or equivalent_mod_commute(
+                pair.left_tree, pair.right_tree):
             verdict = NoCounterexample(0)
         else:
             verdict = check_bounded(pair.left, pair.right, schema,

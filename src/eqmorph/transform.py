@@ -14,6 +14,12 @@ pair a rule can build for the seed, mirroring a transform-once policy:
 specific rules come before the generic rendering rule so that each seed
 shape feeds the rule that stresses it best.
 
+Every pair carries the lowered tree of each side, so the proof compares
+two trees and never qualifies or lowers.  A side a rule builds only from
+the qualified seed's parts (swapped set operands, reordered conjuncts, a
+group key compared with a constant picked for that key's column) is valid
+exactly when the seed is, so it is lowered without being qualified again.
+
 Rewrites of the lowered algebra tree live in one table, _IR_TABLE: each
 entry says whether the rule rewrites at a node and what node it rewrites
 it to; ir_sites, ir_rewrite and enumerate_mutants all read it.  The rules
@@ -50,18 +56,17 @@ class NoRuleApplies(Exception):
 
 @dataclass(frozen=True)
 class QueryPair:
-    """Two queries meant to be equivalent.  left_tree and right_tree hold
-    the lowered tree of a side the rule has already validated and lowered
-    (the qualified seed's own tree, or the tree a realized candidate
-    lowered to), so the proof need not redo it; a side the rule only
-    built, never validated, has None.  The trees are not part of a pair's
-    equality or repr."""
+    """Two queries meant to be equivalent, each with its lowered tree: the
+    qualified seed's own tree, the tree a realized candidate lowered to,
+    or the lowering of a side built from the qualified seed's parts.  The
+    proof compares the two trees; they are not part of a pair's equality
+    or repr."""
     left: SqlQuery
     right: SqlQuery
     rule: str
     pairing: str  # "seed-vs-mutant" | "mutant-vs-mutant"
-    left_tree: object = field(default=None, compare=False, repr=False)
-    right_tree: object = field(default=None, compare=False, repr=False)
+    left_tree: object = field(compare=False, repr=False)
+    right_tree: object = field(compare=False, repr=False)
 
 
 @dataclass
@@ -79,17 +84,6 @@ class TransformContext:
 SEED_VS_MUTANT = "seed-vs-mutant"
 MUTANT_VS_MUTANT = "mutant-vs-mutant"
 
-# catalog order: shape-specific rules first so grouped / distinct /
-# set-operation seeds reach the rule that stresses them hardest
-RULE_CATALOG = (
-    "grouped-filter-insertion",
-    "dedup-insertion",
-    "dedup-filter-commute",
-    "union-commute",
-    "selection-commute",
-    "projection-pull-up",
-    "projection-cascade",
-)
 
 def _texts_differ(a: SqlQuery, b: SqlQuery) -> bool:
     return render(a) != render(b)
@@ -149,7 +143,7 @@ def _grouped_filter_insertion(q, e, ctx, schema):
     if not _texts_differ(left, right):
         return None
     return QueryPair(left, right, "grouped-filter-insertion",
-                     MUTANT_VS_MUTANT)
+                     MUTANT_VS_MUTANT, lower(left), lower(right))
 
 
 def _dedup_insertion(q, e, ctx, schema):
@@ -183,7 +177,8 @@ def _union_commute(q, e, ctx, schema):
     right = replace(rhs, set_op=(op, left_core))
     if not _texts_differ(q, right):
         return None
-    return QueryPair(q, right, "union-commute", SEED_VS_MUTANT, e)
+    return QueryPair(q, right, "union-commute", SEED_VS_MUTANT, e,
+                     lower(right))
 
 
 def _selection_commute(q, e, ctx, schema):
@@ -199,7 +194,7 @@ def _selection_commute(q, e, ctx, schema):
             right = replace(q, **{attr: join_conjuncts(swapped)})
             if _texts_differ(q, right):
                 return QueryPair(q, right, "selection-commute",
-                                 SEED_VS_MUTANT, e)
+                                 SEED_VS_MUTANT, e, lower(right))
     return None
 
 
@@ -228,6 +223,8 @@ def _seed_tree(q, e):
     return [e] if q.set_op is None else []
 
 
+# catalog order: shape-specific rules first so grouped / distinct /
+# set-operation seeds reach the rule that stresses them hardest
 _RULE_FNS = {
     "grouped-filter-insertion": _grouped_filter_insertion,
     "dedup-insertion": _dedup_insertion,
@@ -245,6 +242,8 @@ _RULE_FNS = {
     "projection-cascade": _rendering_rule(
         "projection-cascade", lambda q, e: _rewrites("projection-cascade", e)),
 }
+
+RULE_CATALOG = tuple(_RULE_FNS)
 
 
 def transform_query(seed: SqlQuery, schema: Schema,

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import proven
 from eqmorph import algebra, equivfilter, harness
 from eqmorph.adapter import BuiltinEndpoint
 from eqmorph.algebra import (
@@ -14,7 +15,7 @@ from eqmorph.algebra import (
 )
 from eqmorph.dbgen import databases_for_search
 from eqmorph.equivfilter import (
-    DEFAULT_BUDGET, NoCounterexample, NotEquivalent, check_bounded, proven,
+    DEFAULT_BUDGET, NoCounterexample, NotEquivalent, check_bounded,
 )
 from eqmorph.harness import (
     GeneratorConfig, generate_database, generate_schema, generate_seed,
@@ -122,7 +123,8 @@ def test_one_probe_corpus_per_iteration(monkeypatch):
         # not look inside a predicate, so every pair is probed
         left = qualify(seed, schema)
         right = replace(left, where=Or(left.where.right, left.where.left))
-        return QueryPair(left, right, "selection-commute", SEED_VS_MUTANT)
+        return QueryPair(left, right, "selection-commute", SEED_VS_MUTANT,
+                         lower(left), lower(right))
 
     calls.clear()
     equivfilter._corpus.cache_clear()

@@ -1,9 +1,11 @@
 import json
 import random
+import sys
+from collections import Counter
 
 import pytest
 
-from eqmorph import harness
+from eqmorph import harness, sqlast
 from eqmorph.adapter import BuiltinEndpoint, EngineError
 from eqmorph.equivfilter import NotEquivalent
 from eqmorph.harness import (
@@ -12,7 +14,7 @@ from eqmorph.harness import (
     replay_report, run_iteration, value_hints_of,
 )
 from eqmorph.parser import parse
-from eqmorph.refdb import STABLE_ERROR_CODES
+from eqmorph.refdb import STABLE_ERROR_CODES, Executor
 from eqmorph.sqlast import render, validate
 
 
@@ -275,6 +277,48 @@ def test_one_engine_run_per_distinct_statement(monkeypatch, fault):
     assert bool(res.reports) == (fault is not None)
     for rep in res.reports:
         assert replay_report(rep, BuiltinEndpoint(fault)).reproduced
+
+
+def test_vetting_redoes_no_work(monkeypatch):
+    """Only the engine's prepare and transform_query qualify, the latter
+    once per call, and the proof compares the trees each pair carries."""
+    real_qualify = sqlast.qualify
+    callers = Counter()
+
+    def counting(q, schema):
+        callers[sys._getframe(1).f_code] += 1
+        return real_qualify(q, schema)
+
+    for name, module in list(sys.modules.items()):
+        if name == "eqmorph" or name.startswith("eqmorph."):
+            for attr, value in list(vars(module).items()):
+                if value is real_qualify:
+                    monkeypatch.setattr(module, attr, counting)
+
+    seeds, pairs, proofs = [], [], []
+    real_transform = harness.transform_query
+    real_proof = harness.equivalent_mod_commute
+
+    def transform_query(seed, schema, ctx):
+        seeds.append(seed)
+        pairs.append(real_transform(seed, schema, ctx))
+        return pairs[-1]
+
+    def proof(e1, e2):
+        proofs.append((e1, e2))
+        return real_proof(e1, e2)
+
+    monkeypatch.setattr(harness, "transform_query", transform_query)
+    monkeypatch.setattr(harness, "equivalent_mod_commute", proof)
+    cfg = GeneratorConfig(queries_per_iteration=50, filter_budget=32)
+    run_iteration(BuiltinEndpoint(), cfg, "no-redo", 0)
+
+    prepare, transform = Executor.prepare.__code__, real_transform.__code__
+    assert set(callers) == {prepare, transform}
+    assert callers[transform] == len(seeds)
+    assert pairs and len(proofs) == len(pairs)
+    for pair, (e1, e2) in zip(pairs, proofs):
+        assert e1 is pair.left_tree and e2 is pair.right_tree
 
 
 def test_no_state_crosses_campaigns():

@@ -1,23 +1,24 @@
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from conftest import proven
 from eqmorph import transform
 from eqmorph.algebra import (
     RemapError, commute_normal, equivalent_mod_commute, lower, remap_to_sql,
 )
 from eqmorph.dbgen import databases_for_search
-from eqmorph.equivfilter import proven
 from eqmorph.harness import (
     generate_database, generate_schema, generate_seed, value_hints_of,
 )
 from eqmorph.parser import parse
 from eqmorph.refdb import Executor
 from eqmorph.sensitivity import Sensitivity, classify
-from eqmorph.sqlast import Schema, qualify, render, validate
+from eqmorph.sqlast import Schema, qualify, render, type_kind, validate
 from eqmorph.transform import (
     IR_RULES, MUTANT_VS_MUTANT, RULE_CATALOG, SEED_VS_MUTANT, NoRuleApplies,
     QueryPair, TransformContext, _RULE_FNS, enumerate_mutants, ir_rewrite,
@@ -258,8 +259,9 @@ def _eager_dedup_insertion(q, e, ctx, schema):
     if not distinct_forms or not grouped_forms:
         return None
     left = distinct_forms[0]
-    return QueryPair(left, _furthest(render(left), grouped_forms),
-                     "dedup-insertion", MUTANT_VS_MUTANT)
+    right = _furthest(render(left), grouped_forms)
+    return QueryPair(left, right, "dedup-insertion", MUTANT_VS_MUTANT,
+                     lower(left), lower(right))
 
 
 def _eager_rendering_rule(rule, trees):
@@ -268,7 +270,8 @@ def _eager_rendering_rule(rule, trees):
                  if render(c) != render(q)]
         if not cands:
             return None
-        return QueryPair(q, _furthest(render(q), cands), rule, SEED_VS_MUTANT)
+        right = _furthest(render(q), cands)
+        return QueryPair(q, right, rule, SEED_VS_MUTANT, e, lower(right))
     return build
 
 
@@ -321,13 +324,13 @@ def test_lazy_selection_matches_verifying_every_candidate(monkeypatch):
             "projection-pull-up"} <= rules
 
 
-def test_pair_trees_are_the_lowered_sides():
-    """A tree a pair carries is the tree the proof would build from its
-    side, so handing it over changes no verdict.  Each seed is paired by
-    the catalog as a campaign does, and by each rule alone, so the rules
-    that never win first-match are covered too."""
-    carried = Counter()
-    sides = 0
+def _untrusted_sides(carried):
+    """(rule, side SQL, fault) for each pair side that comes without its
+    tree, does not validate, or carries a tree other than its lowered
+    qualified form.  The proof trusts every side a rule builds, so this is
+    the check of that trust.  Each seed is paired by the catalog as a
+    campaign does, and by each rule alone, so the rules that never win
+    first-match are covered too; carried counts the sides per rule."""
     for s in range(25):
         rng = random.Random(f"pair-trees:{s}")
         schema = generate_schema(rng)
@@ -344,17 +347,49 @@ def test_pair_trees_are_the_lowered_sides():
                     continue
                 for side, tree in ((pair.left, pair.left_tree),
                                    (pair.right, pair.right_tree)):
-                    sides += 1
-                    if tree is not None:
-                        carried[pair.rule] += 1
-                        assert tree == lower(qualify(side, schema)), \
-                            (pair.rule, render(side))
-                assert proven(pair.left, pair.right, schema,
-                              pair.left_tree, pair.right_tree) == \
+                    carried[pair.rule] += 1
+                    if tree is None:
+                        yield pair.rule, render(side), "no tree"
+                    elif validate(side, schema):
+                        yield pair.rule, render(side), "invalid"
+                    elif tree != lower(qualify(side, schema)):
+                        yield pair.rule, render(side), "wrong tree"
+                assert equivalent_mod_commute(
+                    pair.left_tree, pair.right_tree) == \
                     proven(pair.left, pair.right, schema)
-    # not vacuous: a tree comes with some side of every rule's pairs but
-    # grouped-filter-insertion's, which builds both sides, and
-    # projection-cascade's, which applies to no surface seed
-    assert set(carried) == set(RULE_CATALOG) - {
-        "grouped-filter-insertion", "projection-cascade"}
-    assert 0 < sum(carried.values()) < sides
+
+
+def test_pair_trees_are_the_lowered_sides():
+    """Every side of every pair carries its tree, validates, and its tree
+    is the one the proof would build from it, so the proof need not
+    qualify or lower."""
+    carried = Counter()
+    assert list(_untrusted_sides(carried)) == []
+    # not vacuous: every rule that applies to a surface seed builds pairs
+    # here; projection-cascade applies to none
+    assert set(carried) == set(RULE_CATALOG) - {"projection-cascade"}
+
+
+def test_guard_catches_a_constant_of_the_wrong_type(monkeypatch):
+    # grouped-filter-insertion compares a numeric key with a string
+    real = transform.pick_constant
+
+    def wrong_type(ctx, schema, col):
+        if type_kind(schema.col_type(col.table, col.name)) == "num":
+            return "x"
+        return real(ctx, schema, col)
+
+    monkeypatch.setattr(transform, "pick_constant", wrong_type)
+    assert next(_untrusted_sides(Counter()), None) is not None
+
+
+def test_guard_catches_a_tree_of_the_wrong_side(monkeypatch):
+    # union-commute carries the seed's tree on its swapped side too
+    real = _RULE_FNS["union-commute"]
+
+    def seed_tree_twice(q, e, ctx, schema):
+        pair = real(q, e, ctx, schema)
+        return pair and replace(pair, right_tree=pair.left_tree)
+
+    monkeypatch.setitem(_RULE_FNS, "union-commute", seed_tree_twice)
+    assert next(_untrusted_sides(Counter()), None) is not None
