@@ -1,13 +1,22 @@
 """Hand-rolled lexer and recursive-descent parser for the SQL subset.
 
+The lexer cuts text with one findall of _TOKEN_RE; each raw match is a
+lexeme with its leading whitespace.  A table maps a raw match to its
+tokens, a kind and a value each, shared and never changed; a miss
+classifies the lexeme once.  No token holds its position.
+
 Text that does not lex or parse raises EngineError(SYNTAX, "<what> at
-position N"), N being the offset of the token or character at fault."""
+position N"), N being the offset of the token or character at fault.
+Only then is the position derived, from the raw matches: a lexeme starts
+at the running sum of match lengths minus its own length.
+
+The lexer reads ASCII only: a non-ASCII digit, letter or space is a
+character no token starts with."""
 
 from __future__ import annotations
 
 import re
 from decimal import Decimal
-from functools import lru_cache
 
 from .sqlast import (
     AGG_FNS, SYNTAX, UNION, UNION_ALL, AggCall, And, ColumnRef, Cmp, Const,
@@ -23,110 +32,155 @@ KEYWORDS = {
     "CREATE", "TABLE", "INSERT", "INTO", "VALUES",
 }
 
-# One match per token; leading whitespace is part of the match.  A name,
-# a dot and a name with no space between them lex as one qualified ref
-# (most generated column refs are); \S catches any other character.
+# One raw match per lexeme; leading whitespace is part of the match.  A
+# name, a dot and a name with no space between them are one lexeme, a
+# qualified ref (most generated column refs are); \S catches any other
+# character.  re.ASCII keeps \d and \s to ASCII digits and whitespace.
 _TOKEN_RE = re.compile(r"""\s*(?:
-    (?P<qref>[A-Za-z_][A-Za-z_0-9]*\.[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<word>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<punct>[(),.;*])
-  | (?P<op><=|>=|!=|=|<|>)
-  | (?P<dec>-?\d+\.\d+)
-  | (?P<int>-?\d+)
-  | (?P<str>'(?:[^']|'')*')
-  | (?P<bad>\S)
-)""", re.VERBOSE)
+    [A-Za-z_][A-Za-z_0-9]*\.[A-Za-z_][A-Za-z_0-9]*  # qualified name
+  | [A-Za-z_][A-Za-z_0-9]*                         # word
+  | [(),.;*]                                      # punctuation
+  | <=|>=|!=|=|<|>                                 # operator
+  | -?\d+\.\d+                                     # decimal
+  | -?\d+                                          # integer
+  | '(?:[^']|'')*'                                 # string
+  | \S                                             # any other character
+)""", re.VERBOSE | re.ASCII)
+
+_SPACE = " \t\n\r\f\v"  # what \s matches under re.ASCII
+_NAME_START = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
+_OPS = frozenset(("<=", ">=", "!=", "=", "<", ">"))
 
 
 class Token:
-    __slots__ = ("kind", "value", "pos")
+    """A kind and a value.  Tokens are shared between statements, so
+    none is ever changed."""
+    __slots__ = ("kind", "value")
 
-    def __init__(self, kind, value, pos):
-        self.kind = kind
-        self.value = value
-        self.pos = pos
+    def __init__(self, kind, value):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "value", value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a token is immutable")
 
     def __repr__(self):
-        return f"Token({self.kind}, {self.value!r}, {self.pos})"
+        return f"Token({self.kind}, {self.value!r})"
 
 
-# A statement's names come from a small vocabulary (keywords, table and
-# column names), so each distinct word and dotted name is classified once.
-# The caches are bounded; a hit gives the same result as a miss, and
-# ColumnRef is immutable, so sharing one across tokens is safe.
+EOF = Token("eof", None)
+_DOT = Token("punct", ".")
+
+# Raw match -> its tokens.  Statements repeat a small vocabulary of raw
+# matches (keywords, names and small literals, each with its leading
+# whitespace: 72 distinct ones in 10,230 campaign statements), so each is
+# classified once.  The table is emptied when it holds _LEX_CACHE_SIZE of
+# them, so text full of distinct literals cannot grow it; a hit gives the
+# tokens a miss would.
 _LEX_CACHE_SIZE = 1024
+_LEXEMES: dict = {}
 
 # NOT, parentheses and each AND or OR link add a level to a predicate; the
 # bound keeps every walk over one, the parser's own included, shallow.
 MAX_PRED_DEPTH = 100
 
 
-@lru_cache(maxsize=_LEX_CACHE_SIZE)
-def _classify(word: str):
-    """(kind, value) of a word token."""
+def _word(word: str) -> Token:
     upper = word.upper()
     if upper in KEYWORDS:
-        return "kw", upper
-    return "ident", word.lower()
+        return Token("kw", upper)
+    return Token("ident", word.lower())
 
 
-@lru_cache(maxsize=_LEX_CACHE_SIZE)
-def _qualified(dotted: str):
-    """The ColumnRef a dotted name lexes to, or None when either part is
-    a keyword and it lexes as name, ".", name."""
-    table, _, name = dotted.partition(".")
-    if table.upper() in KEYWORDS or name.upper() in KEYWORDS:
-        return None
-    return ColumnRef(name.lower(), table.lower())
+def _lex(lexeme: str):
+    """The tokens of one lexeme as _TOKEN_RE cut it, or None for a
+    character no token starts with.  A name, a dot and a name are one
+    qref token, its value a ColumnRef, unless a keyword is among them."""
+    first = lexeme[0]
+    if first in _NAME_START:
+        table, dot, name = lexeme.partition(".")
+        if not dot:
+            return (_word(lexeme),)
+        left, right = _word(table), _word(name)
+        if left.kind == right.kind == "ident":
+            return (Token("qref", ColumnRef(right.value, left.value)),)
+        return (left, _DOT, right)
+    if first in "(),.;*":
+        return (Token("punct", first),)
+    if lexeme in _OPS:
+        return (Token("op", lexeme),)
+    if lexeme[-1] in "0123456789":
+        if "." in lexeme:
+            return (Token("dec", Decimal(lexeme)),)
+        return (Token("int", int(lexeme)),)
+    if first == "'" and len(lexeme) > 1:
+        return (Token("str", lexeme[1:-1].replace("''", "'")),)
+    return None
 
 
-def tokenize(text: str):
-    """Tokens of text, ending with an eof token.  A "qref" token's value
-    is a ColumnRef; unfold turns it back into ident, ".", ident."""
+def tokenize(text: str) -> list:
+    """Tokens of text, ending with EOF.  A "qref" token's value is a
+    ColumnRef; unfold turns it back into ident, ".", ident."""
     tokens = []
-    append = tokens.append
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        value = m.group(kind)
-        pos = m.start(kind)
-        if kind == "word":
-            append(Token(*_classify(value), pos))
-        elif kind == "qref":
-            ref = _qualified(value)
-            if ref is not None:
-                append(Token("qref", ref, pos))
-            else:
-                table, _, name = value.partition(".")
-                append(Token(*_classify(table), pos))
-                append(Token("punct", ".", pos + len(table)))
-                append(Token(*_classify(name), pos + len(table) + 1))
-        elif kind == "punct" or kind == "op":
-            append(Token(kind, value, pos))
-        elif kind == "int":
-            append(Token("int", int(value), pos))
-        elif kind == "dec":
-            append(Token("dec", Decimal(value), pos))
-        elif kind == "str":
-            append(Token("str", value[1:-1].replace("''", "'"), pos))
-        else:
-            raise EngineError(
-                SYNTAX, f"unexpected character {value!r} at position {pos}")
-    append(Token("eof", None, len(text)))
+    extend = tokens.extend
+    known = _LEXEMES.get
+    for raw in _TOKEN_RE.findall(text):
+        extend(known(raw) or _learn(text, raw))
+    tokens.append(EOF)
     return tokens
+
+
+def _learn(text, raw):
+    """Classify a raw match the table lacks and keep its tokens; a
+    character no token starts with raises EngineError(SYNTAX)."""
+    tokens = _lex(raw.lstrip(_SPACE))
+    if tokens is None:  # the first such character in text is at fault
+        for tokens, lexeme, start in _lexemes(text):
+            if tokens is None:
+                raise EngineError(SYNTAX, f"unexpected character "
+                                  f"{lexeme!r} at position {start}")
+    if len(_LEXEMES) >= _LEX_CACHE_SIZE:
+        _LEXEMES.clear()
+    _LEXEMES[raw] = tokens
+    return tokens
+
+
+def _lexemes(text):
+    """(tokens, lexeme, offset) of each raw match of text, in order; the
+    tokens are None for a character no token starts with."""
+    end = 0
+    for raw in _TOKEN_RE.findall(text):
+        end += len(raw)
+        lexeme = raw.lstrip(_SPACE)
+        yield _LEXEMES.get(raw) or _lex(lexeme), lexeme, end - len(lexeme)
+
+
+def positions(text: str, tokens: list) -> list:
+    """The offset in text of each of tokens, EOF's being len(text).
+    tokens are text's tokens, some qref tokens perhaps unfolded."""
+    out = []
+    for group, _, start in _lexemes(text):
+        if group[0].kind == "qref" and tokens[len(out)].kind != "qref":
+            group = unfold(group[0])
+        if len(group) == 1:
+            out.append(start)
+        else:  # name, ".", name
+            dot = start + len(group[0].value)
+            out += (start, dot, dot + 1)
+    out.append(len(text))
+    return out
 
 
 def unfold(tok: Token) -> list:
     """A qref token as the three tokens it was lexed from."""
     ref = tok.value
-    dot = tok.pos + len(ref.table)
-    return [Token("ident", ref.table, tok.pos), Token("punct", ".", dot),
-            Token("ident", ref.name, dot + 1)]
+    return [Token("ident", ref.table), _DOT, Token("ident", ref.name)]
 
 
 class TokenCursor:
     """The moves over a token list that the query grammar and the script
-    loader share.  A failed move raises EngineError(SYNTAX) naming the
-    token at fault and its position; a subclass may override fail."""
+    loader share.  A failed move calls fail(message), which each
+    subclass defines to raise its EngineError naming the token at fault."""
 
     def __init__(self, tokens):
         self.tokens = tokens
@@ -184,14 +238,18 @@ class TokenCursor:
         t = self.cur
         return repr(t.value if t.kind != "eof" else "end of input")
 
-    def fail(self, message):
-        got = self.got()
-        raise EngineError(
-            SYNTAX, f"{message}, got {got} at position {self.cur.pos}")
-
 
 class _Parser(TokenCursor):
     nesting = 0  # NOTs and parentheses open here
+
+    def __init__(self, text):
+        super().__init__(tokenize(text))
+        self.text = text
+
+    def fail(self, message):
+        got = self.got()
+        pos = positions(self.text, self.tokens)[self.i]
+        raise EngineError(SYNTAX, f"{message}, got {got} at position {pos}")
 
     def query(self) -> SqlQuery:
         q = self.select_core()
@@ -339,4 +397,4 @@ def parse(text: str) -> SqlQuery:
     EngineError(SYNTAX)."""
     if not isinstance(text, str):
         raise EngineError(SYNTAX, "input is not a string at position 0")
-    return _Parser(tokenize(text)).query()
+    return _Parser(text).query()

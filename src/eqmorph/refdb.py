@@ -33,7 +33,7 @@ from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .parser import Token, TokenCursor, parse, tokenize
+from .parser import EOF, TokenCursor, parse, positions, tokenize
 from .sqlast import (
     SCRIPT, TYPE_MISMATCH, UNION, ColumnRef, Const, EngineError, Schema,
     SqlQuery, qualify, render_pred, And, Or, Not, Cmp, TruthLit,
@@ -428,20 +428,21 @@ def load_script(text: str) -> Database:
     for end, t in enumerate(tokens):
         if t.kind == "eof" or (t.kind == "punct" and t.value == ";"):
             if end > start:
-                _load_statement(text, tokens[start:end] + [
-                    Token("eof", None, t.pos)], db)
+                _load_statement(text, tokens, start, end, db)
             start = end + 1
     return db
 
 
-def _load_statement(text, tokens, db):
-    reader = _ScriptReader(tokens)
+def _load_statement(text, tokens, start, end, db):
+    """Load the statement tokens[start:end] of text into db."""
+    reader = _ScriptReader(tokens[start:end] + [EOF])
     if reader.accept_kw("CREATE"):
         reader.create(db)
     elif reader.accept_kw("INSERT"):
         reader.insert(db)
     else:
-        stmt = text[tokens[0].pos:tokens[-1].pos].rstrip()
+        at = positions(text, tokens)
+        stmt = text[at[start]:at[end]].rstrip()
         raise EngineError(SCRIPT, f"unsupported statement: {stmt[:60]!r}")
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from eqmorph import parser
 from eqmorph.adapter import BuiltinEndpoint, EngineError
-from eqmorph.parser import MAX_PRED_DEPTH, parse, tokenize
+from eqmorph.parser import MAX_PRED_DEPTH, parse, positions, tokenize
 from eqmorph.refdb import load_script
 from eqmorph.sqlast import (
     AggCall, And, Cmp, ColumnRef, Const, Not, Or, SqlQuery, TruthLit, render,
@@ -163,7 +163,7 @@ def test_parser_total_on_sql_like_text(text):
 def test_tokenize_skips_whitespace_and_positions():
     toks = tokenize("SELECT  a")
     assert [t.kind for t in toks] == ["kw", "ident", "eof"]
-    assert toks[1].pos == 8
+    assert positions("SELECT  a", toks)[1] == 8
 
 
 LEXER_TEXTS = [
@@ -175,19 +175,20 @@ LEXER_TEXTS = [
 
 
 def _lexed(text):
-    return [(t.kind, t.value, t.pos) for t in tokenize(text)]
+    tokens = tokenize(text)
+    return [(t.kind, t.value, pos)
+            for t, pos in zip(tokens, positions(text, tokens))]
 
 
-def test_lexer_cache_gives_the_cold_tokens():
-    parser._classify.cache_clear()
-    parser._qualified.cache_clear()
+def test_lexer_cache_gives_the_cold_tokens(monkeypatch):
+    monkeypatch.setattr(parser, "_LEXEMES", {})
     cold = [_lexed(text) for text in LEXER_TEXTS]
-    assert parser._classify.cache_info().hits > 0
-    assert parser._qualified.cache_info().hits > 0
+    warm = dict(parser._LEXEMES)
     assert [_lexed(text) for text in LEXER_TEXTS] == cold
+    # every raw match was a hit the second time: none was classified again
+    assert all(parser._LEXEMES[raw] is warm[raw] for raw in warm)
     for text, tokens in zip(LEXER_TEXTS, cold):
-        parser._classify.cache_clear()
-        parser._qualified.cache_clear()
+        parser._LEXEMES.clear()
         assert _lexed(text) == tokens
 
 
@@ -201,9 +202,17 @@ def test_warm_cache_still_splits_keyword_names():
             ("eof", None, 8)]
 
 
-def test_lexer_caches_are_bounded():
-    for cached in (parser._classify, parser._qualified):
-        assert 0 < cached.cache_info().maxsize <= 4096
+def test_lexer_caches_are_bounded(monkeypatch):
+    assert 0 < parser._LEX_CACHE_SIZE <= 4096
+    monkeypatch.setattr(parser, "_LEXEMES", {})
+    peak = 0
+    for n in range(10_000):
+        assert parse(f"SELECT a FROM t WHERE a = {n}").where.right == Const(n)
+        assert load_script(f"CREATE TABLE t (a INT); "
+                           f"INSERT INTO t VALUES ({-n})")["t"].rows == \
+            {(-n,): 1}
+        peak = max(peak, len(parser._LEXEMES))
+    assert peak == parser._LEX_CACHE_SIZE
 
 
 # A name, a dot and a name lex as one token unless space or a keyword
@@ -306,3 +315,26 @@ def test_predicate_at_the_bound_runs(shape):
     assert ep.exec_sql(f"SELECT a FROM t0 WHERE {pred}") == [("1",)]
     assert ep.exec_sql(f"SELECT a FROM t0 GROUP BY a HAVING {pred}") == \
         [("1",)]
+
+
+# The lexer reads ASCII only: a non-ASCII digit or space is a character no
+# token starts with, and fails at its own position; inside a string
+# literal any character is kept.
+@pytest.mark.parametrize("load,text", [
+    (parse, "SELECT a FROM t WHERE a = ٣"),
+    (parse, "SELECT a FROM t WHERE a = １２"),
+    (parse, "SELECT a FROM t WHERE a = 1٥.5"),
+    (parse, "SELECT a　FROM t"),
+    (load_script, "CREATE TABLE t (a INT); INSERT INTO t VALUES (٣);"),
+])
+def test_non_ascii_digits_and_spaces_are_syntax_errors(load, text):
+    at = next(i for i, ch in enumerate(text) if not ch.isascii())
+    with pytest.raises(EngineError) as exc:
+        load(text)
+    assert (exc.value.code, exc.value.message) == (
+        "SYNTAX", f"unexpected character {text[at]!r} at position {at}")
+
+
+def test_non_ascii_text_in_a_string_literal_is_kept():
+    assert parse("SELECT a FROM t WHERE a = '٣　é'").where.right == \
+        Const("٣　é")
