@@ -10,8 +10,8 @@ position N"), N being the offset of the token or character at fault.
 Only then is the position derived, from the raw matches: a lexeme starts
 at the running sum of match lengths minus its own length.
 
-The lexer reads ASCII only: a non-ASCII digit, letter or space is a
-character no token starts with."""
+The lexer reads ASCII only: outside a string literal, a non-ASCII digit,
+letter or space is a character no token starts with."""
 
 from __future__ import annotations
 

@@ -276,6 +276,18 @@ def test_script_is_lexed_whole_before_any_statement_is_read():
         "SYNTAX", f"unexpected character '@' at position {script.index('@')}")
 
 
+@pytest.mark.parametrize("script,stmt", [
+    ("CREATE TABLE t (a INT);\n  DROP  t.a x ;", "DROP  t.a x"),
+    ("CREATE TABLE t (a INT); select.x ,  'it''s'  ", "select.x ,  'it''s'"),
+    ("SELECT t.a FROM t", "SELECT t.a FROM t"),
+])
+def test_unsupported_statement_is_named_as_written(script, stmt):
+    with pytest.raises(EngineError) as exc:
+        load_script(script)
+    assert (exc.value.code, exc.value.message) == (
+        "SCRIPT", f"unsupported statement: {stmt!r}")
+
+
 MISSING_OPERATOR = {
     "SELECT a FROM t WHERE a b": "got 'b' at position 24",
     "SELECT a FROM t WHERE a": "got 'end of input' at position 23",
