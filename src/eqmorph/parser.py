@@ -10,6 +10,21 @@ position N"), N being the offset of the token or character at fault.
 Only then is the position derived, from the raw matches: a lexeme starts
 at the running sum of match lengths minus its own length.
 
+The grammar is recursive descent, one method per rule:
+
+    query  := core [UNION [ALL] core] [";"]
+    core   := SELECT [DISTINCT] item {"," item} FROM name {"," name}
+              [WHERE or] [GROUP BY ref {"," ref}] [HAVING or]
+    or     := and {OR and}
+    and    := unary {AND unary}
+    unary  := NOT unary | "(" or ")" | TRUE | FALSE | NULL
+            | term op term
+
+or and and are loops that build left-deep trees.  Each choice tests the
+current token in place, and unary dispatches once on it: a qualified
+ref starts a comparison directly.  NOT, a parenthesis and each AND or OR
+link add a level; a predicate deeper than MAX_PRED_DEPTH fails.
+
 The lexer reads ASCII only: outside a string literal, a non-ASCII digit,
 letter or space is a character no token starts with."""
 
@@ -200,18 +215,15 @@ class TokenCursor:
             self.tokens[self.i:self.i + 1] = unfold(self.cur)
             self.cur = self.tokens[self.i]
 
-    def at_kw(self, *kws) -> bool:
+    def accept_kw(self, kw):
         t = self.cur
-        return t.kind == "kw" and t.value in kws
-
-    def accept_kw(self, *kws):
-        t = self.cur
-        if t.kind == "kw" and t.value in kws:
+        if t.kind == "kw" and t.value == kw:
             return self.advance()
         return None
 
     def expect_kw(self, kw):
-        if not self.at_kw(kw):
+        t = self.cur
+        if t.kind != "kw" or t.value != kw:
             self.fail(f"expected {kw}")
         return self.advance()
 
@@ -252,49 +264,68 @@ class _Parser(TokenCursor):
         raise EngineError(SYNTAX, f"{message}, got {got} at position {pos}")
 
     def query(self) -> SqlQuery:
-        q = self.select_core()
+        core = self.select_core()
+        set_op = None
         if self.accept_kw(UNION):
             op = UNION_ALL if self.accept_kw("ALL") else UNION
-            rhs = self.select_core()
-            if self.at_kw(UNION):
+            set_op = (op, SqlQuery(*self.select_core()))
+            t = self.cur
+            if t.kind == "kw" and t.value == UNION:
                 self.fail("at most one set operation is supported")
-            q = SqlQuery(q.select, q.from_tables, q.distinct, q.where,
-                         q.group_by, q.having, set_op=(op, rhs))
         self.punct(";")
         if self.cur.kind != "eof":
             self.fail("trailing input after query")
-        return q
+        return SqlQuery(*core, set_op=set_op)
 
-    def select_core(self) -> SqlQuery:
+    def select_core(self) -> tuple:
+        """One SELECT's parts, in SqlQuery's field order up to having."""
         self.expect_kw("SELECT")
-        distinct = self.accept_kw("DISTINCT") is not None
-        select = [self.select_item()]
-        while self.punct(","):
-            select.append(self.select_item())
+        t = self.cur
+        distinct = t.kind == "kw" and t.value == "DISTINCT"
+        if distinct:
+            self.advance()
+        select = self.comma_list(self.select_item)
         self.expect_kw("FROM")
-        tables = [self.expect("ident").value]
-        while self.punct(","):
-            tables.append(self.expect("ident").value)
+        tables = self.comma_list(self.table_name)
         where = group_by = having = None
-        if self.accept_kw("WHERE"):
+        t = self.cur
+        if t.kind == "kw" and t.value == "WHERE":
+            self.advance()
             where = self.pred()
-        if self.accept_kw("GROUP"):
+            t = self.cur
+        if t.kind == "kw" and t.value == "GROUP":
+            self.advance()
             self.expect_kw("BY")
-            group_by = [self.column_ref()]
-            while self.punct(","):
-                group_by.append(self.column_ref())
-        if self.at_kw("HAVING"):
+            group_by = self.comma_list(self.column_ref)
+            t = self.cur
+        if t.kind == "kw" and t.value == "HAVING":
             if group_by is None:
                 self.fail("HAVING without GROUP BY")
             self.advance()
             having = self.pred()
-        return SqlQuery(tuple(select), tuple(tables), distinct, where,
-                        tuple(group_by) if group_by is not None else None,
-                        having)
+        return select, tables, distinct, where, group_by, having
+
+    def comma_list(self, item) -> tuple:
+        """item(), then one more for each comma that follows."""
+        items = [item()]
+        t = self.cur
+        while t.kind == "punct" and t.value == ",":
+            self.advance()
+            items.append(item())
+            t = self.cur
+        return tuple(items)
+
+    def table_name(self) -> str:
+        return self.expect("ident").value
 
     def select_item(self):
-        if self.at_kw(*AGG_FNS):
-            fn = self.advance().value
+        t = self.cur
+        if t.kind == "qref":
+            self.advance()
+            return t.value
+        if t.kind == "kw" and t.value in AGG_FNS:
+            self.advance()
+            fn = t.value
             self.expect_punct("(")
             if self.punct("*"):
                 arg = None
@@ -323,16 +354,23 @@ class _Parser(TokenCursor):
         return self.or_pred()[0]
 
     def or_pred(self):
-        return self.chain("OR", Or, self.and_pred)
+        p, depth = self.and_pred()
+        t = self.cur
+        while t.kind == "kw" and t.value == "OR":
+            self.advance()
+            q, d = self.and_pred()
+            p, depth = Or(p, q), self.level(max(depth, d) + 1)
+            t = self.cur
+        return p, depth
 
     def and_pred(self):
-        return self.chain("AND", And, self.unary_pred)
-
-    def chain(self, kw, node, operand):
-        p, depth = operand()
-        while self.accept_kw(kw):
-            q, d = operand()
-            p, depth = node(p, q), self.level(max(depth, d) + 1)
+        p, depth = self.unary_pred()
+        t = self.cur
+        while t.kind == "kw" and t.value == "AND":
+            self.advance()
+            q, d = self.unary_pred()
+            p, depth = And(p, q), self.level(max(depth, d) + 1)
+            t = self.cur
         return p, depth
 
     def level(self, depth):
@@ -347,46 +385,54 @@ class _Parser(TokenCursor):
         return p, self.level(depth + 1)
 
     def unary_pred(self):
-        if self.accept_kw("NOT"):
-            p, depth = self.nest(self.unary_pred)
-            return Not(p), depth
-        if self.punct("("):
+        t = self.cur
+        kind = t.kind
+        if kind == "qref":
+            self.advance()
+            return self.finish_cmp(t.value), 0
+        if kind == "kw":
+            kw = t.value
+            if kw == "NOT":
+                self.advance()
+                p, depth = self.nest(self.unary_pred)
+                return Not(p), depth
+            if kw == "TRUE" or kw == "FALSE":
+                self.advance()
+                return TruthLit(TruthValue.TRUE if kw == "TRUE"
+                                else TruthValue.FALSE), 0
+            if kw == "NULL":
+                self.advance()
+                # NULL is a truth literal unless it starts a comparison
+                if self.cur.kind == "op":
+                    return self.finish_cmp(Const(None)), 0
+                return TruthLit(TruthValue.UNKNOWN), 0
+        elif kind == "punct" and t.value == "(":
+            self.advance()
             p, depth = self.nest(self.or_pred)
             self.expect_punct(")")
             return p, depth
-        return self.atom_pred(), 0
-
-    def atom_pred(self):
-        if self.at_kw("TRUE", "FALSE"):
-            kw = self.advance().value
-            return TruthLit(TruthValue.TRUE if kw == "TRUE"
-                            else TruthValue.FALSE)
-        if self.at_kw("NULL"):
-            # NULL is a truth literal unless it starts a comparison
-            if self.tokens[self.i + 1].kind == "op":
-                left = Const(None)
-                self.advance()
-                return self.finish_cmp(left)
-            self.advance()
-            return TruthLit(TruthValue.UNKNOWN)
-        left = self.term()
-        return self.finish_cmp(left)
+        return self.finish_cmp(self.term()), 0
 
     def finish_cmp(self, left):
-        if self.cur.kind != "op":
+        t = self.cur
+        if t.kind != "op":
             self.fail("expected comparison operator")
-        op = self.advance().value
-        right = self.term()
-        return Cmp(left, op, right)
+        self.advance()
+        right = self.cur
+        if right.kind == "qref":
+            self.advance()
+            return Cmp(left, t.value, right.value)
+        return Cmp(left, t.value, self.term())
 
     def term(self):
         t = self.cur
-        if t.kind == "ident" or t.kind == "qref":
+        kind = t.kind
+        if kind == "ident" or kind == "qref":
             return self.column_ref()
-        if t.kind in ("int", "dec", "str"):
+        if kind == "int" or kind == "dec" or kind == "str":
             self.advance()
             return Const(t.value)
-        if self.at_kw("NULL"):
+        if kind == "kw" and t.value == "NULL":
             self.advance()
             return Const(None)
         self.fail("expected a column, constant, or NULL")

@@ -15,9 +15,10 @@ finds, a reset script that does not load with SCRIPT.
 Executor.prepare validates and table-qualifies a query once, then compiles
 it for its schema into a Plan: column references become positions in a
 row tuple (a cross-product row is its tables' stored rows concatenated),
-and WHERE and HAVING become functions of that tuple.  Executor.run
-evaluates a plan over the stored row tuples of any database of that
-schema.
+and WHERE and HAVING become functions of that tuple, one closure per
+comparison.  The positions come from Schema.layout, which works them out
+once per FROM list and keeps them on the schema.  Executor.run evaluates
+a plan over the stored row tuples of any database of that schema.
 
 Faults are deliberate, named deviations used to exercise the detection
 pipeline.  Each is shape-triggered so that a broken behavior shows up on
@@ -105,29 +106,31 @@ _CMP_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
             "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def _compile_pred(p, positions: dict) -> Callable:
-    """p as a function from a row to a TruthValue; positions maps
-    (table, column) to a position in the row.  AND and OR evaluate both
-    operands, so a comparison that raises does so whatever its sibling
-    yields."""
+def _compile_pred(p, layout: dict) -> Callable:
+    """p as a function from a row to a TruthValue; layout maps (table,
+    column) to a position in the row.  AND and OR evaluate both operands,
+    so a comparison that raises does so whatever its sibling yields."""
     if isinstance(p, TruthLit):
         value = p.value
         return lambda row: value
     if isinstance(p, Not):
-        child = _compile_pred(p.child, positions)
+        child = _compile_pred(p.child, layout)
         return lambda row: kleene_not(child(row))
     if isinstance(p, (And, Or)):
-        left = _compile_pred(p.left, positions)
-        right = _compile_pred(p.right, positions)
+        left = _compile_pred(p.left, layout)
+        right = _compile_pred(p.right, layout)
         combine = kleene_and if isinstance(p, And) else kleene_or
         return lambda row: combine(left(row), right(row))
     if not isinstance(p, Cmp):
         raise TypeError(f"not a predicate: {p!r}")
     op = _CMP_OPS[p.op]
-    left, right = _term(p.left, positions), _term(p.right, positions)
+    # each side is a row position, or None and the side's constant
+    li, lc = _side(p.left, layout)
+    ri, rc = _side(p.right, layout)
 
     def compare(row):
-        lv, rv = left(row), right(row)
+        lv = lc if li is None else row[li]
+        rv = rc if ri is None else row[ri]
         if lv is None or rv is None:
             return _UNKNOWN
         if is_numeric(lv) != is_numeric(rv):
@@ -136,11 +139,10 @@ def _compile_pred(p, positions: dict) -> Callable:
     return compare
 
 
-def _term(t, positions: dict) -> Callable:
+def _side(t, layout: dict) -> tuple:
     if isinstance(t, Const):
-        value = t.value
-        return lambda row: value
-    return operator.itemgetter(positions[(t.table, t.name)])
+        return None, t.value
+    return layout[(t.table, t.name)], None
 
 
 def _picker(positions) -> Callable:
@@ -286,17 +288,17 @@ class Executor:
         present, decimal cells pass through a binary float before
         formatting.
         """
-        broken = self.fault == "float-format-split" and q.having is not None
-
-        def fmt(v):
-            if broken and isinstance(v, Decimal):
-                # full decimal expansion of the nearest binary double
-                return str(Decimal(float(v)))
-            return format_value(v)
+        fmt = format_value
+        if self.fault == "float-format-split" and q.having is not None:
+            def fmt(v):
+                if isinstance(v, Decimal):
+                    # full decimal expansion of the nearest binary double
+                    return str(Decimal(float(v)))
+                return format_value(v)
 
         out = []
         for row, mult in rows.items():
-            out.extend([tuple(fmt(v) for v in row)] * mult)
+            out.extend([tuple(map(fmt, row))] * mult)
         # every cell is a str, so plain tuple order is row_sort_key order
         out.sort()
         return out
@@ -304,16 +306,10 @@ class Executor:
     # -- internals ----------------------------------------------------------
 
     def _compile(self, q: SqlQuery, schema: Schema) -> Plan:
-        positions = {}
-        width = 0
-        for t in q.from_tables:
-            cols = schema.columns(t)
-            for i, (col, _) in enumerate(cols):
-                positions[(t, col)] = width + i
-            width += len(cols)
+        layout = schema.layout(q.from_tables)
 
         def pos(ref):
-            return positions[(ref.table, ref.name)]
+            return layout[(ref.table, ref.name)]
 
         project = key = None
         items = ()
@@ -337,10 +333,10 @@ class Executor:
 
         return Plan(
             tables=q.from_tables,
-            where=(_compile_pred(q.where, positions)
+            where=(_compile_pred(q.where, layout)
                    if q.where is not None else None),
             project=project, key=key, items=items,
-            having=(_compile_pred(q.having, positions)
+            having=(_compile_pred(q.having, layout)
                     if q.having is not None else None),
             distinct=q.distinct and self.fault != "drop-distinct",
             set_op=set_op)

@@ -232,6 +232,8 @@ class Schema:
     _index: dict = field(init=False, repr=False, compare=False)
     # (table, column) -> type_kind of its type, what name resolution reads
     _kinds: dict = field(init=False, repr=False, compare=False)
+    # FROM list -> its layout, filled in by layout()
+    _layouts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index = {}
@@ -249,6 +251,7 @@ class Schema:
         object.__setattr__(self, "_kinds", {
             (name, col): type_kind(t)
             for name, types in index.items() for col, t in types.items()})
+        object.__setattr__(self, "_layouts", {})
 
     @staticmethod
     def of(mapping) -> "Schema":
@@ -266,6 +269,22 @@ class Schema:
 
     def col_type(self, table: str, col: str) -> str:
         return self._index[table][col]
+
+    def layout(self, tables: tuple) -> dict:
+        """(table, column) -> position in a row of the cross product of
+        tables, each table's columns after those of the tables before it.
+        Worked out on first use and kept; the caller must not change it."""
+        layout = self._layouts.get(tables)
+        if layout is None:
+            layout = {}
+            width = 0
+            for t in tables:
+                cols = self.columns(t)
+                for i, (col, _) in enumerate(cols):
+                    layout[(t, col)] = width + i
+                width += len(cols)
+            self._layouts[tables] = layout
+        return layout
 
 
 def _value_type(v) -> str:
@@ -367,6 +386,7 @@ def _resolve(q: SqlQuery, schema: Schema):
             group_by = tuple(r or c for r, c in zip(keys, group_by))
 
     select = []
+    changed = False
     for it in q.select:
         if isinstance(it, AggCall):
             arg = res.resolve(it.arg) if it.arg is not None else None
@@ -374,15 +394,17 @@ def _resolve(q: SqlQuery, schema: Schema):
                     and schema._kinds[(arg.table, arg.name)] == "str":
                 errors.append(EngineError(
                     TYPE_MISMATCH, f"{it.fn} over string column"))
-            select.append(it if arg is None or arg is it.arg
-                          else AggCall(it.fn, arg))
+            if arg is not None and arg is not it.arg:
+                it, changed = AggCall(it.fn, arg), True
         else:
             r = res.resolve(it)
-            if r is not None and grouped and r not in group_keys:
-                errors.append(EngineError(NON_GROUPED_COLUMN, str(it)))
-            select.append(r or it)
-    select = q.select if all(a is b for a, b in zip(select, q.select)) \
-        else tuple(select)
+            if r is not None:
+                if grouped and r not in group_keys:
+                    errors.append(EngineError(NON_GROUPED_COLUMN, str(it)))
+                if r is not it:
+                    it, changed = r, True
+        select.append(it)
+    select = tuple(select) if changed else q.select
 
     where = res.pred(q.where, errors) if q.where is not None else None
     having = None
@@ -445,17 +467,20 @@ def qualify(q: SqlQuery, schema: Schema) -> SqlQuery:
 def pred_column_refs(p: Predicate):
     """All column refs mentioned in a predicate, in source order."""
     out = []
-
-    def walk(node):
-        if isinstance(node, Cmp):
-            for t in (node.left, node.right):
-                if isinstance(t, ColumnRef):
-                    out.append(t)
-        elif isinstance(node, Not):
-            walk(node.child)
-        elif isinstance(node, (And, Or)):
-            walk(node.left)
-            walk(node.right)
-
-    walk(p)
+    _collect_refs(p, out)
     return out
+
+
+def _collect_refs(node, out: list):
+    """Append the column refs of node to out, in source order.  (Not a
+    closure inside pred_column_refs: a nested function that calls itself
+    is a reference cycle, left for the garbage collector on every call.)"""
+    if isinstance(node, Cmp):
+        for t in (node.left, node.right):
+            if isinstance(t, ColumnRef):
+                out.append(t)
+    elif isinstance(node, Not):
+        _collect_refs(node.child, out)
+    elif isinstance(node, (And, Or)):
+        _collect_refs(node.left, out)
+        _collect_refs(node.right, out)

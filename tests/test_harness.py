@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import sys
@@ -342,3 +343,21 @@ def test_no_state_crosses_campaigns():
     for iteration in (0, 1):
         run("state-b", iteration)
     assert run("state-a", 0) == first
+
+
+@pytest.mark.parametrize("fault,iterations", [(None, 5), ("drop-distinct", 3)])
+def test_iterations_leave_no_garbage_cycles(fault, iterations):
+    """Every object an iteration makes is freed by reference counting, so
+    none waits for the cycle collector (a nested function that calls
+    itself, say, is a cycle on every call)."""
+    ep = BuiltinEndpoint(fault)
+    cfg = GeneratorConfig(queries_per_iteration=50)
+    run_iteration(ep, cfg, "no-cycles", 0)  # warm what outlives a call
+    gc.collect()
+    gc.disable()
+    try:
+        for k in range(1, iterations + 1):
+            run_iteration(ep, cfg, "no-cycles", k)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

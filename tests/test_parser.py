@@ -108,12 +108,15 @@ def test_trailing_semicolon_ok():
     assert parse("SELECT a FROM t;") == parse("SELECT a FROM t")
 
 
-@pytest.mark.parametrize("bad", [
+SYNTAX_ERROR_TEXTS = [
     "", "SELECT", "SELECT FROM t", "SELECT a", "SELECT a FROM",
     "SELECT a FROM t WHERE", "SELECT a FROM t GROUP a",
     "SELECT a FROM t extra", "FROM t SELECT a", "SELECT a FROM t WHERE a >",
     "SELECT a FROM t WHERE (a > 1", "SELECT a, FROM t",
-])
+]
+
+
+@pytest.mark.parametrize("bad", SYNTAX_ERROR_TEXTS)
 def test_syntax_errors(bad):
     assert syntax_error(bad)
 
@@ -217,7 +220,7 @@ def test_lexer_caches_are_bounded(monkeypatch):
 
 # A name, a dot and a name lex as one token unless space or a keyword
 # splits them; either way the parser sees the same statement.
-@pytest.mark.parametrize("sql,ast", [
+LEXER_EDGE_PARSES = [
     ("SELECT t0\n.\tc1 FROM t0", SqlQuery((ColumnRef("c1", "t0"),), ("t0",))),
     ("SELECT t0 . c1 FROM t0", SqlQuery((ColumnRef("c1", "t0"),), ("t0",))),
     ("SELECT T0.C1 FROM T0", SqlQuery((ColumnRef("c1", "t0"),), ("t0",))),
@@ -225,12 +228,15 @@ def test_lexer_caches_are_bounded(monkeypatch):
     ("SELECT a FROM t WHERE t.a>-5",
      SqlQuery((ColumnRef("a"),), ("t",),
               where=Cmp(ColumnRef("a", "t"), ">", Const(-5)))),
-])
+]
+
+
+@pytest.mark.parametrize("sql,ast", LEXER_EDGE_PARSES)
 def test_lexer_edge_cases_parse(sql, ast):
     assert parse(sql) == ast
 
 
-@pytest.mark.parametrize("sql,position,message", [
+LEXER_EDGE_FAILS = [
     ("SELECT t.FROM FROM t", 9, "expected ident, got 'FROM'"),
     ("SELECT FROM.a FROM t", 7, "expected ident, got 'FROM'"),
     ("SELECT t.c.d FROM t", 10, "expected FROM, got '.'"),
@@ -241,7 +247,10 @@ def test_lexer_edge_cases_parse(sql, ast):
     ("SELECT a FROM t t.x", 16, "trailing input after query, got 't'"),
     ("SELECT a FROM t WHERE t . a.b = 1", 27,
      "expected comparison operator, got '.'"),
-])
+]
+
+
+@pytest.mark.parametrize("sql,position,message", LEXER_EDGE_FAILS)
 def test_lexer_edge_cases_fail(sql, position, message):
     assert syntax_error(sql) == f"{message} at position {position}"
 

@@ -14,7 +14,7 @@ from eqmorph.refdb import (
     FAULTS, EngineError, Executor, TableData, dump_script, load_script,
     schema_of,
 )
-from eqmorph.sqlast import render
+from eqmorph.sqlast import Schema, render
 from eqmorph.values import row_sort_key
 
 SCRIPT = """
@@ -193,6 +193,27 @@ class TestSqliteDifferential:
                     assert compare_results(ours, theirs, "canonical"), sql
                     runs += 1
         assert runs > 5000
+
+
+def test_second_prepare_on_a_from_list_reads_no_columns(monkeypatch):
+    """The row layout of a FROM list is worked out once per schema."""
+    db = load_script("CREATE TABLE t (a INT, b VARCHAR); "
+                     "CREATE TABLE u (c INT); "
+                     "INSERT INTO t VALUES (1, 'x'), (2, 'y'); "
+                     "INSERT INTO u VALUES (2), (3);")
+    schema = schema_of(db)
+    columns, read = Schema.columns, []
+    monkeypatch.setattr(Schema, "columns",
+                        lambda self, t: read.append(t) or columns(self, t))
+    ex = Executor()
+    first = ex.prepare(parse("SELECT t.a FROM t, u WHERE u.c > 2"), schema)
+    assert read == ["t", "u"]
+    second = ex.prepare(parse("SELECT c, b FROM t, u WHERE a = c"), schema)
+    assert read == ["t", "u"]
+    assert ex.run(db, first) == {(1,): 1, (2,): 1}
+    assert ex.run(db, second) == {(2, "y"): 1}
+    ex.prepare(parse("SELECT c FROM u"), schema)
+    assert read == ["t", "u", "u"]
 
 
 def test_execute_derives_the_schema_it_is_not_given():

@@ -249,3 +249,28 @@ def test_schema_lookups():
     assert fresh == SCHEMA and hash(fresh) == hash(SCHEMA)
     assert {fresh: 1}[SCHEMA] == 1
     assert Schema(SCHEMA.tables[:1]) != SCHEMA
+
+
+def test_schema_layout_puts_each_table_after_those_before_it():
+    schema = Schema(SCHEMA.tables)
+    assert schema.layout(("t1", "t0")) == {
+        ("t1", "a"): 0, ("t1", "d"): 1,
+        ("t0", "a"): 2, ("t0", "b"): 3, ("t0", "c"): 4}
+    assert schema.layout(("t0",)) == {
+        ("t0", "a"): 0, ("t0", "b"): 1, ("t0", "c"): 2}
+    # kept: the same FROM list gets the same layout back
+    assert schema.layout(("t1", "t0")) is schema.layout(("t1", "t0"))
+
+
+def test_schema_equality_hash_and_repr_ignore_layouts():
+    used, fresh = Schema(SCHEMA.tables), Schema(SCHEMA.tables)
+    used.layout(("t0", "t1"))
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) == f"Schema(tables={SCHEMA.tables!r})"
+
+
+def test_equal_schemas_keep_their_own_layouts():
+    first, second = Schema(SCHEMA.tables), Schema(SCHEMA.tables)
+    layout = first.layout(("t0", "t1"))
+    assert second.layout(("t0", "t1")) == layout
+    assert second.layout(("t0", "t1")) is not layout
