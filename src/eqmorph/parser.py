@@ -20,10 +20,10 @@ The grammar is recursive descent, one method per rule:
     unary  := NOT unary | "(" or ")" | TRUE | FALSE | NULL
             | term op term
 
-or and and are loops that build left-deep trees.  Each choice tests the
-current token in place, and unary dispatches once on it: a qualified
-ref starts a comparison directly.  NOT, a parenthesis and each AND or OR
-link add a level; a predicate deeper than MAX_PRED_DEPTH fails.
+The or and and rules are loops that build left-deep trees.  Each choice
+tests the current token in place, and unary dispatches once on it: a
+qualified ref starts a comparison directly.  NOT, a parenthesis and each
+AND or OR link add a level; a predicate deeper than MAX_PRED_DEPTH fails.
 
 The lexer reads ASCII only: outside a string literal, a non-ASCII digit,
 letter or space is a character no token starts with."""
