@@ -227,10 +227,10 @@ def rebuild(e, child):
 
 def _cached(keys: dict, obj, fn):
     """fn(obj), computed at most once per keys table: one commute_normal
-    call's predicate refs and sort keys, column ref sets and sorted key
-    orders.  Entries are keyed by identity (hashing a tree costs about as
-    much as normalising it) and hold their object, so no id is reused
-    while the table lives."""
+    call's predicate refs, column ref sets and sorted key orders.  Entries
+    are keyed by identity (hashing a tree costs about as much as
+    normalising it) and hold their object, so no id is reused while the
+    table lives."""
     table = keys[fn]
     hit = table.get(id(obj))
     if hit is None or hit[0] is not obj:
@@ -255,8 +255,7 @@ def _canon_once(spine: list, k: dict):
         t, ct = type(e), type(child)
         if t is Filter:
             if ct is Filter:
-                moves = (_cached(k, e.pred, render_pred)
-                         < _cached(k, child.pred, render_pred))
+                moves = render_pred(e.pred) < render_pred(child.pred)
             elif ct is Dedup or ct is Agg:
                 moves = (_cached(k, e.pred, pred_refs)
                          <= _cached(k, child.keys, _refset))
@@ -296,6 +295,18 @@ def _canon_once(spine: list, k: dict):
     return out if changed else None
 
 
+def _operand(e, k: dict):
+    """(normal form, its repr) of the set operand e, worked out at most
+    once per memo and keyed by identity as in _cached: the two sides of a
+    union-commute pair hold the same operands in swapped order."""
+    table = k[_operand]
+    hit = table.get(id(e))
+    if hit is None or hit[0] is not e:
+        n = _normal(e, k)
+        hit = table[id(e)] = (e, (n, repr(n)))
+    return hit[1]
+
+
 def _normal(e, k: dict):
     """The normal form of e.  A commutation looks only at a unary node and
     its child, never into the Scan or set operation the unary spine stands
@@ -308,9 +319,9 @@ def _normal(e, k: dict):
         spine.append(e)
         e = e.child
     if type(e) is not Scan:
-        l, r = _normal(e.left, k), _normal(e.right, k)
+        (l, lt), (r, rt) = _operand(e.left, k), _operand(e.right, k)
         # operand order never changes the result multiset
-        if repr(r) < repr(l):
+        if rt < lt:
             l, r = r, l
         if l is not e.left or r is not e.right:
             e = type(e)(l, r)
@@ -333,7 +344,8 @@ def commute_normal(e, memo=None):
     two set operations that differ only in the order of their operands
     (the operands of Union and UnionAll are ordered by repr).  Calls that
     pass one memo (a defaultdict(dict)) share what _cached computes for
-    the predicate and key objects their trees share.
+    the predicate and key objects their trees share, and the normal form
+    and repr of each set operand they share.
     """
     return _normal(e, defaultdict(dict) if memo is None else memo)
 

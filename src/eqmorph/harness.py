@@ -32,8 +32,8 @@ from .equivfilter import (
 from .parser import parse  # noqa: F401
 from .refdb import STABLE_ERROR_CODES, dump_script
 from .sqlast import (
-    CMP_OPS, UNION, UNION_ALL, VALID_COL_TYPES, AggCall, And, Cmp, ColumnRef,
-    Const, Not, Or, Schema, SqlQuery, TruthLit, render, type_kind,
+    CMP_OPS, UNION, UNION_ALL, VALID_COL_TYPES, AggCall, And, Cmp, Const,
+    Not, Or, Schema, SqlQuery, TruthLit, render,
 )
 from .transform import NoRuleApplies, TransformContext, transform_query
 from .values import TruthValue, parse_rendered, row_sort_key
@@ -125,15 +125,15 @@ def _gen_leaf_pred(rng, cols, schema):
         return TruthLit(rng.choice((TruthValue.TRUE, TruthValue.FALSE,
                                     TruthValue.UNKNOWN)))
     col = rng.choice(cols)
-    ty = schema.col_type(col.table, col.name)
     op = rng.choice(CMP_OPS)
-    kind = type_kind(ty)
-    peers = [c for c in cols
-             if type_kind(schema.col_type(c.table, c.name)) == kind]
+    kinds = schema._kinds
+    kind = kinds[(col.table, col.name)]
+    peers = [c for c in cols if kinds[(c.table, c.name)] == kind]
     if len(peers) > 1 and rng.random() < 0.25:
         other = rng.choice([c for c in peers if c != col] or peers)
         return Cmp(col, op, other)
-    return Cmp(col, op, _gen_term_const(rng, ty))
+    return Cmp(col, op, _gen_term_const(
+        rng, schema.col_type(col.table, col.name)))
 
 
 def gen_pred(rng, cols, schema, depth):
@@ -149,17 +149,13 @@ def gen_pred(rng, cols, schema, depth):
     return Not(gen_pred(rng, cols, schema, depth - 1))
 
 
-def _table_cols(schema, table):
-    return [ColumnRef(c, table) for c, _ in schema.columns(table)]
-
-
 def _gen_plain_core(rng, schema, with_where):
     tables = [rng.choice(schema.table_names())]
     if len(schema.table_names()) > 1 and rng.random() < P_TWO_TABLES:
         other = rng.choice([t for t in schema.table_names()
                             if t != tables[0]])
         tables.append(other)
-    cols = [c for t in tables for c in _table_cols(schema, t)]
+    cols = [c for t in tables for c in schema.column_refs(t)]
     select = tuple(_pick_subset(rng, cols))
     where = gen_pred(rng, cols, schema, PRED_DEPTH) if with_where else None
     return SqlQuery(select, tuple(tables), where=where)
@@ -167,9 +163,8 @@ def _gen_plain_core(rng, schema, with_where):
 
 def _gen_agg_core(rng, schema):
     table = rng.choice(schema.table_names())
-    cols = _table_cols(schema, table)
-    numeric = [c for c in cols
-               if type_kind(schema.col_type(table, c.name)) == "num"]
+    cols = schema.column_refs(table)
+    numeric = [c for c in cols if schema._kinds[(table, c.name)] == "num"]
     keys = _pick_subset(rng, cols, min_size=0) if rng.random() < 0.8 else []
     select = [k for k in keys if rng.random() < 0.7]
     for _ in range(rng.randint(1, 2)):
@@ -191,7 +186,7 @@ def _gen_agg_core(rng, schema):
 
 def _gen_grouped_core(rng, schema):
     table = rng.choice(schema.table_names())
-    cols = _table_cols(schema, table)
+    cols = schema.column_refs(table)
     keys = _pick_subset(rng, cols)
     select = tuple(_pick_subset(rng, keys))
     where = (gen_pred(rng, cols, schema, PRED_DEPTH)
@@ -204,13 +199,13 @@ def _gen_grouped_core(rng, schema):
 
 def _matching_core(rng, schema, left: SqlQuery):
     """A second plain core whose column types match left's, per position."""
-    want = [type_kind(schema.col_type(it.table, it.name))
-            for it in left.select]
+    kinds = schema._kinds
+    want = [kinds[(it.table, it.name)] for it in left.select]
     for table in sorted(schema.table_names(), key=lambda t: rng.random()):
-        cols = _table_cols(schema, table)
+        cols = schema.column_refs(table)
         by_kind = {"num": [], "str": []}
         for c in cols:
-            by_kind[type_kind(schema.col_type(table, c.name))].append(c)
+            by_kind[kinds[(table, c.name)]].append(c)
         if all(by_kind[k] for k in want):
             select = tuple(rng.choice(by_kind[k]) for k in want)
             where = (gen_pred(rng, cols, schema, PRED_DEPTH)

@@ -86,9 +86,21 @@ class AggCall:
         return f"{self.fn}({self.arg if self.arg is not None else '*'})"
 
 
+# A predicate keeps its rendered text, without the parentheses a parent
+# may need, once it is first rendered (see render_pred).  Like
+# SqlQuery._text, the text is not a field, so ==, hash and repr ignore it.
+
+_TRUTH_TEXT = {TruthValue.TRUE: "TRUE", TruthValue.FALSE: "FALSE",
+               TruthValue.UNKNOWN: "NULL"}
+
+
 @dataclass(frozen=True)
 class TruthLit:
     value: TruthValue
+
+    @cached_property
+    def _text(self) -> str:
+        return _TRUTH_TEXT[self.value]
 
 
 @dataclass(frozen=True)
@@ -101,11 +113,19 @@ class Cmp:
         if self.op not in CMP_OPS:
             raise ValueError(f"unknown comparison operator {self.op!r}")
 
+    @cached_property
+    def _text(self) -> str:
+        return f"{self.left} {self.op} {self.right}"
+
 
 @dataclass(frozen=True)
 class And:
     left: "Predicate"
     right: "Predicate"
+
+    @cached_property
+    def _text(self) -> str:
+        return f"{render_pred(self.left, 2)} AND {render_pred(self.right, 3)}"
 
 
 @dataclass(frozen=True)
@@ -113,10 +133,18 @@ class Or:
     left: "Predicate"
     right: "Predicate"
 
+    @cached_property
+    def _text(self) -> str:
+        return f"{render_pred(self.left, 1)} OR {render_pred(self.right, 2)}"
+
 
 @dataclass(frozen=True)
 class Not:
     child: "Predicate"
+
+    @cached_property
+    def _text(self) -> str:
+        return f"NOT {render_pred(self.child, 4)}"
 
 
 Predicate = TUnion[TruthLit, Cmp, And, Or, Not]
@@ -183,27 +211,16 @@ class SqlQuery:
 # ---------------------------------------------------------------------------
 # rendering
 
-_PREC = {Or: 1, And: 2, Not: 3}
+_PREC = {Or: 1, And: 2, Not: 3, TruthLit: 5, Cmp: 5}
 
 
 def render_pred(p: Predicate, parent_prec: int = 0) -> str:
-    if isinstance(p, TruthLit):
-        s = {TruthValue.TRUE: "TRUE", TruthValue.FALSE: "FALSE",
-             TruthValue.UNKNOWN: "NULL"}[p.value]
-    elif isinstance(p, Cmp):
-        s = f"{p.left} {p.op} {p.right}"
-    elif isinstance(p, And):
-        s = f"{render_pred(p.left, 2)} AND {render_pred(p.right, 3)}"
-    elif isinstance(p, Or):
-        s = f"{render_pred(p.left, 1)} OR {render_pred(p.right, 2)}"
-    elif isinstance(p, Not):
-        s = f"NOT {render_pred(p.child, 4)}"
-    else:
+    """p's text, in parentheses when its operator binds less tightly than
+    parent_prec asks; the text itself is built once per predicate."""
+    prec = _PREC.get(type(p))
+    if prec is None:
         raise TypeError(f"not a predicate: {p!r}")
-    prec = _PREC.get(type(p), 5)
-    if prec < parent_prec:
-        s = f"({s})"
-    return s
+    return p._text if prec >= parent_prec else f"({p._text})"
 
 
 def render(q: SqlQuery) -> str:
@@ -230,10 +247,13 @@ class Schema:
     tables: tuple  # of (table_name, ((col, type), ...))
     # table name -> {column: type}, in declaration order
     _index: dict = field(init=False, repr=False, compare=False)
-    # (table, column) -> type_kind of its type, what name resolution reads
+    # (table, column) -> type_kind of its type, what name resolution and
+    # the seed generator read
     _kinds: dict = field(init=False, repr=False, compare=False)
     # FROM list -> its layout, filled in by layout()
     _layouts: dict = field(init=False, repr=False, compare=False)
+    # table -> its column refs, filled in by column_refs()
+    _refs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index = {}
@@ -252,6 +272,7 @@ class Schema:
             (name, col): type_kind(t)
             for name, types in index.items() for col, t in types.items()})
         object.__setattr__(self, "_layouts", {})
+        object.__setattr__(self, "_refs", {})
 
     @staticmethod
     def of(mapping) -> "Schema":
@@ -269,6 +290,15 @@ class Schema:
 
     def col_type(self, table: str, col: str) -> str:
         return self._index[table][col]
+
+    def column_refs(self, table: str) -> tuple:
+        """table's columns as table-qualified ColumnRefs, in declaration
+        order.  Made on first use and kept."""
+        refs = self._refs.get(table)
+        if refs is None:
+            refs = self._refs[table] = tuple(
+                ColumnRef(col, table) for col in self._index[table])
+        return refs
 
     def layout(self, tables: tuple) -> dict:
         """(table, column) -> position in a row of the cross product of

@@ -18,14 +18,23 @@ Every pair carries the lowered tree of each side, so the proof compares
 two trees and never qualifies or lowers.  A side a rule builds only from
 the qualified seed's parts (swapped set operands, reordered conjuncts, a
 group key compared with a constant picked for that key's column) is valid
-exactly when the seed is, so it is lowered without being qualified again.
+exactly when the seed is, and its tree is built from the seed's tree, as
+lower would build it: the set operands swapped, or the filters of the one
+clause that changed built again.  So grouped-filter-insertion's sides are
+the seed's tree with Filter(p) inserted just below the grouping node
+(WHERE) or just above its HAVING filters.
 
 Rewrites of the lowered algebra tree live in one table, _IR_TABLE: each
 entry says whether the rule rewrites at a node and what node it rewrites
 it to; ir_sites, ir_rewrite and enumerate_mutants all read it.  The rules
 that pair the seed with another surface rendering of a lowered tree
 (dedup-filter-commute, projection-pull-up, projection-cascade) come from
-one builder, _rendering_rule, and differ only in the trees they render.
+one builder, _rendering_rule, and differ only in the trees they render
+and in a gate: one walk of the seed's tree that rules the rule out before
+any candidate is built or rendered.  projection-cascade needs a Project
+directly on a Project, which no lowered seed has; dedup-filter-commute a
+Filter next to a Dedup; projection-pull-up a Dedup or an Agg with keys,
+without which the seed's own rendering is its only surface form.
 """
 
 from __future__ import annotations
@@ -35,9 +44,9 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .algebra import (
-    Agg, Dedup, Filter, Project, Union, UnionAll, commute_normal,
+    Agg, Dedup, Filter, Project, Scan, Union, UnionAll, commute_normal,
     join_conjuncts, lower, realized_tree, rebuild, split_conjuncts,
-    surface_candidates, _may_cross, _refset,
+    surface_candidates, _decompose, _may_cross, _refset,
 )
 # unused here; bound because perfbench/spans.py traces
 # transform.remap_to_sql by name
@@ -129,10 +138,46 @@ def pick_constant(ctx: TransformContext, schema: Schema, col: ColumnRef):
 # rule implementations over the surface query
 
 
+def _clause_filters(nodes, attr: str):
+    """(lo, hi): nodes[lo:hi] are the filters of the seed's WHERE (or
+    HAVING), from the unary nodes of a lowered core.  WHERE filters stand
+    on the Scan; HAVING filters stand on the grouping node (the Agg, or
+    the Dedup of GROUP BY), the lowest node that is not a WHERE filter."""
+    hi = len(nodes)
+    while hi and type(nodes[hi - 1]) is Filter:
+        hi -= 1
+    if attr == "where":
+        return hi, len(nodes)
+    lo = hi = hi - 1
+    while lo and type(nodes[lo - 1]) is Filter:
+        lo -= 1
+    return lo, hi
+
+
+def _refiltered(e, attr: str, pred):
+    """The tree the seed's query lowers to once its WHERE (or HAVING) is
+    pred: the seed's tree e with that clause's filters built again, one
+    per conjunct of pred and the first innermost, as lower builds them.
+    Nothing below them is built again."""
+    core = e.left if type(e) in (Union, UnionAll) else e
+    nodes, tree = _decompose(core)
+    lo, hi = _clause_filters(nodes, attr)
+    if hi < len(nodes):
+        tree = nodes[hi]
+    for p in split_conjuncts(pred):
+        tree = Filter(p, tree)
+    for n in reversed(nodes[:lo]):
+        tree = rebuild(n, tree)
+    return tree if core is e else type(e)(tree, e.right)
+
+
 def _grouped_filter_insertion(q, e, ctx, schema):
     """WHERE p against HAVING p for p over a group key: equivalent because
     a group vanishes exactly when its key fails p, whether the rows are
-    dropped before grouping or the finished group is dropped after."""
+    dropped before grouping or the finished group is dropped after.  p is
+    the last conjunct of each side, so each side's tree is the seed's with
+    Filter(p) just below the grouping node, or just above its HAVING
+    filters."""
     if q.group_by is None or not q.group_by or q.set_op is not None:
         return None
     key = ctx.rng.choice(q.group_by)
@@ -143,7 +188,8 @@ def _grouped_filter_insertion(q, e, ctx, schema):
     if not _texts_differ(left, right):
         return None
     return QueryPair(left, right, "grouped-filter-insertion",
-                     MUTANT_VS_MUTANT, lower(left), lower(right))
+                     MUTANT_VS_MUTANT, _refiltered(e, "where", left.where),
+                     _refiltered(e, "having", right.having))
 
 
 def _dedup_insertion(q, e, ctx, schema):
@@ -178,7 +224,7 @@ def _union_commute(q, e, ctx, schema):
     if not _texts_differ(q, right):
         return None
     return QueryPair(q, right, "union-commute", SEED_VS_MUTANT, e,
-                     lower(right))
+                     type(e)(e.right, e.left))
 
 
 def _selection_commute(q, e, ctx, schema):
@@ -194,14 +240,19 @@ def _selection_commute(q, e, ctx, schema):
             right = replace(q, **{attr: join_conjuncts(swapped)})
             if _texts_differ(q, right):
                 return QueryPair(q, right, "selection-commute",
-                                 SEED_VS_MUTANT, e, lower(right))
+                                 SEED_VS_MUTANT, e,
+                                 _refiltered(e, attr, getattr(right, attr)))
     return None
 
 
-def _rendering_rule(rule: str, trees):
+def _rendering_rule(rule: str, trees, possible):
     """A seed-vs-mutant rule that pairs the seed with the valid surface
-    rendering of trees(q, e) furthest from the seed's text."""
+    rendering of trees(q, e) furthest from the seed's text.  When
+    possible(e) is false, trees(q, e) has no rendering other than the
+    seed's, and the rule returns before it builds or renders any."""
     def build(q, e, ctx, schema):
+        if not possible(e):
+            return None
         seed_text = render(q)
         cands = []
         for t in trees(q, e):
@@ -223,6 +274,42 @@ def _seed_tree(q, e):
     return [e] if q.set_op is None else []
 
 
+def _unary_nodes(e):
+    """e's unary nodes, those in the operands of a set operation too: a
+    plain walk that builds no paths."""
+    out, todo = [], [e]
+    while todo:
+        n = todo.pop()
+        t = type(n)
+        if t is Union or t is UnionAll:
+            todo += (n.right, n.left)
+        elif t is not Scan:
+            out.append(n)
+            todo.append(n.child)
+    return out
+
+
+# what a tree must hold for a rendering rule to find a rendering other
+# than the seed's: one walk, no candidates
+
+def _has_project_chain(e) -> bool:
+    return any(type(n) is Project and type(n.child) is Project
+               for n in _unary_nodes(e))
+
+
+def _has_filter_by_dedup(e) -> bool:
+    return any({type(n), type(n.child)} == {Filter, Dedup}
+               for n in _unary_nodes(e))
+
+
+def _has_many_forms(e) -> bool:
+    """Whether e has more than one surface form.  Without a Dedup or an
+    Agg with keys, every filter renders as WHERE and the one form left is
+    the seed's own."""
+    return any(type(n) is Dedup or type(n) is Agg and n.keys
+               for n in _unary_nodes(e))
+
+
 # catalog order: shape-specific rules first so grouped / distinct /
 # set-operation seeds reach the rule that stresses them hardest
 _RULE_FNS = {
@@ -232,15 +319,18 @@ _RULE_FNS = {
     "dedup-filter-commute": _rendering_rule(
         "dedup-filter-commute",
         lambda q, e: [t for t in _seed_tree(q, e)
-                      if ir_sites("dedup-filter-commute", t)]),
+                      if ir_sites("dedup-filter-commute", t)],
+        _has_filter_by_dedup),
     "union-commute": _union_commute,
     "selection-commute": _selection_commute,
     # an alternative surface rendering of the same algebra tree
-    "projection-pull-up": _rendering_rule("projection-pull-up", _seed_tree),
+    "projection-pull-up": _rendering_rule(
+        "projection-pull-up", _seed_tree, _has_many_forms),
     # lowered surface queries never contain a projection chain, so this
     # only fires on synthetic algebra seeds
     "projection-cascade": _rendering_rule(
-        "projection-cascade", lambda q, e: _rewrites("projection-cascade", e)),
+        "projection-cascade", lambda q, e: _rewrites("projection-cascade", e),
+        _has_project_chain),
 }
 
 RULE_CATALOG = tuple(_RULE_FNS)

@@ -130,13 +130,16 @@ def test_non_text_is_a_syntax_error():
     assert syntax_error(5) == "input is not a string at position 0"
 
 
+FIXPOINT_TEXTS = [
+    "SELECT DISTINCT t0.a FROM t0 WHERE t0.a > 0",
+    "SELECT a, SUM(b) FROM t WHERE b > 1 GROUP BY a HAVING a > 0",
+    "SELECT a FROM t UNION ALL SELECT b FROM u",
+    "SELECT COUNT(*) FROM t WHERE NOT (a = 1 OR b = 2)",
+]
+
+
 def test_render_parse_fixpoint_examples():
-    for sql in [
-        "SELECT DISTINCT t0.a FROM t0 WHERE t0.a > 0",
-        "SELECT a, SUM(b) FROM t WHERE b > 1 GROUP BY a HAVING a > 0",
-        "SELECT a FROM t UNION ALL SELECT b FROM u",
-        "SELECT COUNT(*) FROM t WHERE NOT (a = 1 OR b = 2)",
-    ]:
+    for sql in FIXPOINT_TEXTS:
         q = parse(sql)
         assert parse(render(q)) == q
         assert render(parse(render(q))) == render(q)

@@ -1,15 +1,23 @@
 import random
 from dataclasses import replace
+from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eqmorph import sqlast
-from eqmorph.harness import generate_schema, generate_seed
-from eqmorph.parser import parse
-from eqmorph.sqlast import (
-    UNION_ALL, And, ColumnRef, Cmp, Const, EngineError, Schema, SqlQuery,
-    qualify, render, validate,
+from eqmorph.algebra import lower, surface_candidates
+from eqmorph.harness import (
+    generate_database, generate_schema, generate_seed, value_hints_of,
 )
+from eqmorph.parser import MAX_PRED_DEPTH, parse
+from eqmorph.sqlast import (
+    CMP_OPS, UNION_ALL, And, ColumnRef, Cmp, Const, EngineError, Not, Or,
+    Schema, SqlQuery, TruthLit, qualify, render, validate,
+)
+from eqmorph.transform import NoRuleApplies, TransformContext, transform_query
+from eqmorph.values import TruthValue
+from test_parser import DEEP, FIXPOINT_TEXTS, LEXER_EDGE_PARSES
 
 SCHEMA = Schema.of({
     "t0": (("a", "int"), ("b", "dec"), ("c", "str")),
@@ -202,6 +210,149 @@ class TestKeptText:
         assert render(replace(q, where=None)) == "SELECT a FROM t0"
 
 
+# ---------------------------------------------------------------------------
+# a predicate's kept text against a renderer that keeps nothing
+
+
+def reference_render_pred(p, parent_prec=0):
+    """p's text built afresh on every call, in parentheses when its
+    operator binds less tightly than parent_prec asks."""
+    if isinstance(p, TruthLit):
+        s = {TruthValue.TRUE: "TRUE", TruthValue.FALSE: "FALSE",
+             TruthValue.UNKNOWN: "NULL"}[p.value]
+    elif isinstance(p, Cmp):
+        s = f"{p.left} {p.op} {p.right}"
+    elif isinstance(p, And):
+        s = (f"{reference_render_pred(p.left, 2)} AND "
+             f"{reference_render_pred(p.right, 3)}")
+    elif isinstance(p, Or):
+        s = (f"{reference_render_pred(p.left, 1)} OR "
+             f"{reference_render_pred(p.right, 2)}")
+    else:
+        s = f"NOT {reference_render_pred(p.child, 4)}"
+    prec = {Or: 1, And: 2, Not: 3}.get(type(p), 5)
+    return f"({s})" if prec < parent_prec else s
+
+
+def _subpredicates(p) -> list:
+    """p and every predicate inside it, each parent before its
+    children."""
+    out, todo = [], [p]
+    while todo:
+        n = todo.pop()
+        out.append(n)
+        if isinstance(n, (And, Or)):
+            todo += (n.right, n.left)
+        elif isinstance(n, Not):
+            todo.append(n.child)
+    return out
+
+
+def _query_preds(q) -> list:
+    """The WHERE and HAVING predicates of q and of its set operand."""
+    cores = [q] if q.set_op is None else [q, q.set_op[1]]
+    return [p for c in cores for p in (c.where, c.having) if p is not None]
+
+
+def kept_text_mismatches(preds):
+    """(predicate, parent precedence, text, reference text) wherever
+    render_pred differs from the reference.  Each predicate is rendered
+    first at the highest precedence, parents before children, so a text
+    that keeps the parentheses of its first render shows at the lower
+    ones."""
+    for root in preds:
+        for p in _subpredicates(root):
+            for prec in (5, 4, 3, 2, 1, 0):
+                got = sqlast.render_pred(p, prec)
+                want = reference_render_pred(p, prec)
+                if got != want:
+                    yield p, prec, got, want
+
+
+def _seed_and_candidate_preds() -> list:
+    """Predicates of generated seeds, of their surface candidates and of
+    the pairs built from them, none rendered before."""
+    preds = []
+    for s in range(12):
+        rng = random.Random(f"kept-text:{s}")
+        schema = generate_schema(rng)
+        ctx = TransformContext(rng=rng, value_hints=value_hints_of(
+            generate_database(rng, schema)))
+        for _ in range(30):
+            q = qualify(generate_seed(rng, schema), schema)
+            preds += _query_preds(q)
+            for c in surface_candidates(lower(q)):
+                preds += _query_preds(c)
+            try:
+                pair = transform_query(q, schema, ctx)
+            except NoRuleApplies:
+                continue
+            preds += _query_preds(pair.left) + _query_preds(pair.right)
+    return preds
+
+
+def _parser_corpus_preds() -> list:
+    texts = FIXPOINT_TEXTS + [sql for sql, _ in LEXER_EDGE_PARSES] + [
+        f"SELECT a FROM t0 WHERE {DEEP[shape](n)}"
+        for shape in DEEP for n in (1, 2, 3, MAX_PRED_DEPTH)]
+    return [p for sql in texts for p in _query_preds(parse(sql))]
+
+
+class TestKeptPredicateText:
+    def test_matches_reference_on_generated_seeds_and_candidates(self):
+        preds = _seed_and_candidate_preds()
+        assert list(kept_text_mismatches(preds)) == []
+        # not vacuous: every operator is nested under every other here
+        shapes = {(type(p), type(c)) for root in preds
+                  for p in _subpredicates(root)
+                  for c in _subpredicates(p)[1:]}
+        assert {(a, b) for a in (And, Or, Not)
+                for b in (And, Or, Not)} <= shapes
+
+    def test_matches_reference_on_parser_corpora(self):
+        assert list(kept_text_mismatches(_parser_corpus_preds())) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(
+        st.one_of(
+            st.builds(TruthLit, st.sampled_from(TruthValue)),
+            st.builds(
+                Cmp,
+                st.builds(ColumnRef, st.sampled_from(("a", "b", "c")),
+                          st.sampled_from((None, "t0"))),
+                st.sampled_from(CMP_OPS),
+                st.builds(Const, st.one_of(
+                    st.none(), st.integers(-5, 5),
+                    st.sampled_from((Decimal("0.5"), Decimal("-1.25"))),
+                    st.text(alphabet="ab' ", max_size=3))))),
+        lambda kids: st.one_of(st.builds(And, kids, kids),
+                               st.builds(Or, kids, kids),
+                               st.builds(Not, kids)),
+        max_leaves=12))
+    def test_matches_reference_on_arbitrary_predicates(self, pred):
+        assert list(kept_text_mismatches([pred])) == []
+
+    def test_guard_catches_text_kept_with_its_first_parentheses(
+            self, monkeypatch):
+        real, kept = sqlast.render_pred, {}
+
+        def first_render_kept(p, parent_prec=0):
+            if id(p) not in kept:
+                kept[id(p)] = (p, real(p, parent_prec))
+            return kept[id(p)][1]
+
+        monkeypatch.setattr(sqlast, "render_pred", first_render_kept)
+        assert next(kept_text_mismatches(_parser_corpus_preds()),
+                    None) is not None
+
+    def test_text_is_not_part_of_the_value(self):
+        p, copy = (parse("SELECT a FROM t0 WHERE NOT (a = 1 OR b < 2)").where
+                   for _ in range(2))
+        sqlast.render_pred(p, 4)
+        assert "_text" in vars(p) and "_text" not in vars(copy)
+        assert p == copy and hash(p) == hash(copy) and repr(p) == repr(copy)
+
+
 class TestSqlQueryInvariants:
     def test_empty_select_rejected(self):
         with pytest.raises(ValueError):
@@ -274,3 +425,20 @@ def test_equal_schemas_keep_their_own_layouts():
     layout = first.layout(("t0", "t1"))
     assert second.layout(("t0", "t1")) == layout
     assert second.layout(("t0", "t1")) is not layout
+
+
+def test_schema_keeps_each_tables_column_refs():
+    schema = Schema(SCHEMA.tables)
+    refs = schema.column_refs("t1")
+    assert refs == (ColumnRef("a", "t1"), ColumnRef("d", "t1"))
+    # kept: a repeated call returns the same tuple
+    assert schema.column_refs("t1") is refs
+    with pytest.raises(KeyError):
+        schema.column_refs("t9")
+
+
+def test_schema_equality_hash_and_repr_ignore_column_refs():
+    used, fresh = Schema(SCHEMA.tables), Schema(SCHEMA.tables)
+    used.column_refs("t0")
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) == f"Schema(tables={SCHEMA.tables!r})"

@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 from conftest import proven
-from eqmorph import transform
+from eqmorph import algebra, transform
 from eqmorph.algebra import (
-    RemapError, commute_normal, equivalent_mod_commute, lower, remap_to_sql,
+    Project, RemapError, Union, commute_normal, equivalent_mod_commute, lower,
+    remap_to_sql, surface_candidates,
 )
 from eqmorph.dbgen import databases_for_search
 from eqmorph.harness import (
@@ -276,7 +277,8 @@ def _eager_rendering_rule(rule, trees):
 
 
 # the catalog with every rule that picks among remap candidates verifying
-# all of them first
+# all of them first; the rendering rules here have no gate, so comparing
+# with them checks the gates too
 _EAGER_RULE_FNS = dict(
     _RULE_FNS,
     **{"dedup-insertion": _eager_dedup_insertion,
@@ -393,3 +395,110 @@ def test_guard_catches_a_tree_of_the_wrong_side(monkeypatch):
 
     monkeypatch.setitem(_RULE_FNS, "union-commute", seed_tree_twice)
     assert next(_untrusted_sides(Counter()), None) is not None
+
+
+# ---------------------------------------------------------------------------
+# work a rule skips: gates, and sides built from the seed's tree
+
+RENDERING_RULES = ("dedup-filter-commute", "projection-pull-up",
+                   "projection-cascade")
+
+
+def _refuse(*args, **kw):
+    raise AssertionError("candidate work for a seed with one surface form")
+
+
+def test_rendering_rules_skip_seeds_with_one_surface_form(monkeypatch):
+    """A seed without DISTINCT or GROUP BY has one surface form, its own,
+    so the rules that pair it with another rendering return before they
+    walk paths, build candidates or normalise a tree."""
+    seeds = []
+    for s in range(30):
+        rng = random.Random(f"one-form:{s}")
+        schema = generate_schema(rng)
+        for _ in range(40):
+            q = qualify(generate_seed(rng, schema), schema)
+            cores = [q] if q.set_op is None else [q, q.set_op[1]]
+            if any(c.distinct or c.group_by is not None for c in cores):
+                continue
+            e = lower(q)
+            assert len(surface_candidates(e)) == 1
+            seeds.append((schema, q, e))
+    # not vacuous: plain, filtered, aggregate and set-operation seeds
+    assert sum(q.set_op is not None for _, q, _ in seeds) >= 20
+    assert sum(q.has_aggregates() for _, q, _ in seeds) >= 100
+    assert sum(q.where is not None for _, q, _ in seeds) >= 100
+    for name in ("surface_candidates", "commute_normal", "_paths"):
+        monkeypatch.setattr(transform, name, _refuse)
+    for schema, q, e in seeds:
+        for rule in RENDERING_RULES:
+            assert _RULE_FNS[rule](q, e, ctx(), schema) is None
+
+
+def test_projection_cascade_fires_on_project_chains_through_its_gate():
+    """Lowered seeds never hold a Project on a Project, so synthetic
+    trees check that projection-cascade still pairs through its gate,
+    in a pipeline and in a set operand, as the ungated rule does."""
+    def tree(sql):
+        return lower(qualify(parse(sql), SCHEMA))
+
+    chain = Project(tree("SELECT a FROM t0").cols,
+                    tree("SELECT a, b FROM t0 WHERE a > 0 AND b < 1"))
+    cases = [
+        ("SELECT a FROM t0 WHERE b < 1 AND a > 0", chain,
+         "SELECT t0.a FROM t0 WHERE t0.a > 0 AND t0.b < 1"),
+        ("SELECT a FROM t0 WHERE b < 1 AND a > 0 UNION SELECT d FROM t1",
+         Union(chain, tree("SELECT d FROM t1")),
+         "SELECT t0.a FROM t0 WHERE t0.a > 0 AND t0.b < 1 "
+         "UNION SELECT t1.d FROM t1"),
+    ]
+    for sql, e, want in cases:
+        q = qualify(parse(sql), SCHEMA)
+        pair = _RULE_FNS["projection-cascade"](q, e, ctx(), SCHEMA)
+        assert pair is not None and render(pair.right) == want
+        assert pair == _EAGER_RULE_FNS["projection-cascade"](
+            q, e, ctx(), SCHEMA)
+
+
+def test_transform_lowers_the_seed_only(monkeypatch):
+    """Each side's tree is built from the seed's tree or is the tree its
+    candidate was verified with, so transform_query lowers nothing but
+    the seed."""
+    lowered = Counter()
+    real = transform.lower
+    monkeypatch.setattr(transform, "lower",
+                        lambda q: lowered.update([q]) or real(q))
+    rules = Counter()
+    for s in range(10):
+        rng = random.Random(f"lower-once:{s}")
+        schema = generate_schema(rng)
+        c = TransformContext(rng=rng, value_hints=value_hints_of(
+            generate_database(rng, schema)))
+        for _ in range(50):
+            seed = generate_seed(rng, schema)
+            lowered.clear()
+            try:
+                rules[transform_query(seed, schema, c).rule] += 1
+            except NoRuleApplies:
+                pass
+            assert list(lowered.values()) == [1]
+    assert {"grouped-filter-insertion", "union-commute",
+            "selection-commute", "dedup-insertion"} <= set(rules)
+
+
+def test_union_commute_proof_normalises_each_operand_once(monkeypatch):
+    pair = pair_for("SELECT a FROM t0 WHERE a > 0 UNION SELECT d FROM t1",
+                    rules=["union-commute"])
+    seed = pair.left_tree
+    assert pair.right_tree.left is seed.right
+    assert pair.right_tree.right is seed.left
+    normalised, reprs = [], []
+    real = algebra._normal
+    monkeypatch.setattr(algebra, "_normal",
+                        lambda e, k: normalised.append(e) or real(e, k))
+    monkeypatch.setattr(algebra, "repr", lambda e: reprs.append(e) or
+                        repr(e), raising=False)
+    assert equivalent_mod_commute(pair.left_tree, pair.right_tree)
+    assert [e for e in normalised if e is seed.left or e is seed.right] \
+        == [seed.left, seed.right]
+    assert len(reprs) == 2
