@@ -154,20 +154,26 @@ def _clause_filters(nodes, attr: str):
     return lo, hi
 
 
+def _filtered_at(nodes, at: int, preds, below):
+    """nodes[:at] over one Filter per pred, the first innermost, over
+    below: only what stands above below is built again."""
+    tree = below
+    for p in preds:
+        tree = Filter(p, tree)
+    for n in reversed(nodes[:at]):
+        tree = rebuild(n, tree)
+    return tree
+
+
 def _refiltered(e, attr: str, pred):
     """The tree the seed's query lowers to once its WHERE (or HAVING) is
     pred: the seed's tree e with that clause's filters built again, one
-    per conjunct of pred and the first innermost, as lower builds them.
-    Nothing below them is built again."""
+    per conjunct of pred, as lower builds them."""
     core = e.left if type(e) in (Union, UnionAll) else e
-    nodes, tree = _decompose(core)
+    nodes, scan = _decompose(core)
     lo, hi = _clause_filters(nodes, attr)
-    if hi < len(nodes):
-        tree = nodes[hi]
-    for p in split_conjuncts(pred):
-        tree = Filter(p, tree)
-    for n in reversed(nodes[:lo]):
-        tree = rebuild(n, tree)
+    tree = _filtered_at(nodes, lo, split_conjuncts(pred),
+                        nodes[hi] if hi < len(nodes) else scan)
     return tree if core is e else type(e)(tree, e.right)
 
 
@@ -187,9 +193,12 @@ def _grouped_filter_insertion(q, e, ctx, schema):
     right = replace(q, having=And(q.having, p) if q.having is not None else p)
     if not _texts_differ(left, right):
         return None
+    nodes, _ = _decompose(e)
+    h, g = _clause_filters(nodes, "having")
     return QueryPair(left, right, "grouped-filter-insertion",
-                     MUTANT_VS_MUTANT, _refiltered(e, "where", left.where),
-                     _refiltered(e, "having", right.having))
+                     MUTANT_VS_MUTANT,
+                     _filtered_at(nodes, g + 1, [p], nodes[g].child),
+                     _filtered_at(nodes, h, [p], nodes[h]))
 
 
 def _dedup_insertion(q, e, ctx, schema):
