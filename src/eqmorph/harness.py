@@ -323,6 +323,10 @@ class BugReport:
 
 @dataclass
 class IterationStats:
+    """One iteration's counters.  A seed sends the target the two sides of
+    its emitted pair, or, with no pair (no rule applies, or the filter
+    found a counterexample), itself; validAfterExecution counts the seeds
+    whose every sent statement ran without error."""
     iteration: int
     generated: int = 0
     validAfterExecution: int = 0
@@ -390,16 +394,10 @@ def run_iteration(endpoint, cfg: GeneratorConfig, campaign_seed: str,
     for i in range(cfg.queries_per_iteration):
         seed_q = generate_seed(rng, schema)
         stats.generated += 1
-        seed_sql = render(seed_q)
-        try:
-            seed = ("rows", endpoint.exec_sql(seed_sql))
-            stats.validAfterExecution += 1
-        except EngineError:
-            continue
-
         try:
             pair = transform_query(seed_q, schema, ctx)
         except NoRuleApplies:
+            stats.validAfterExecution += _runs_alone(endpoint, seed_q)
             continue
 
         # a pair probes no database when the filter is off or its two
@@ -413,15 +411,16 @@ def run_iteration(endpoint, cfg: GeneratorConfig, campaign_seed: str,
                                     seed=f"{campaign_seed}:{iteration}")
         if isinstance(verdict, NotEquivalent):
             stats.pairsFiltered += 1
+            stats.validAfterExecution += _runs_alone(endpoint, seed_q)
             continue
         stats.pairsEmitted += 1
 
-        # a side that renders to the seed's text reuses the seed's rows
+        # the two sides of a pair never render to the same text
         left_sql, right_sql = render(pair.left), render(pair.right)
-        left = seed if left_sql == seed_sql \
-            else _target_outcome(endpoint, left_sql)
-        right = seed if right_sql == seed_sql \
-            else _target_outcome(endpoint, right_sql)
+        left = _target_outcome(endpoint, left_sql)
+        right = _target_outcome(endpoint, right_sql)
+        if left[0] == right[0] == "rows":
+            stats.validAfterExecution += 1
 
         mismatch = _judge(left, right, compare_mode, error_list)
         if mismatch is None:
@@ -443,6 +442,12 @@ def run_iteration(endpoint, cfg: GeneratorConfig, campaign_seed: str,
 
     stats.elapsed = time.monotonic() - t0
     return IterationResult(stats, reports)
+
+
+def _runs_alone(endpoint, seed_q) -> bool:
+    """Whether a seed with no pair to compare runs on the target without
+    error; it is sent once, for its validity alone."""
+    return _target_outcome(endpoint, render(seed_q))[0] == "rows"
 
 
 def _target_outcome(endpoint, sql):

@@ -13,7 +13,6 @@ does not load with SCRIPT.  The code and message go unchanged to the wire.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Union as TUnion
 
 from .values import TruthValue, is_numeric, render_literal
@@ -86,6 +85,23 @@ class AggCall:
         return f"{self.fn}({self.arg if self.arg is not None else '*'})"
 
 
+class _once:
+    """A method read as an attribute, computed on first access and stored
+    in the instance __dict__, where it shadows this non-data descriptor
+    from then on.  functools.cached_property does the same, but under
+    Python 3.11 it takes a lock on every first access."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
+        return value
+
+
 # A predicate keeps its rendered text, without the parentheses a parent
 # may need, once it is first rendered (see render_pred).  Like
 # SqlQuery._text, the text is not a field, so ==, hash and repr ignore it.
@@ -98,7 +114,7 @@ _TRUTH_TEXT = {TruthValue.TRUE: "TRUE", TruthValue.FALSE: "FALSE",
 class TruthLit:
     value: TruthValue
 
-    @cached_property
+    @_once
     def _text(self) -> str:
         return _TRUTH_TEXT[self.value]
 
@@ -113,7 +129,7 @@ class Cmp:
         if self.op not in CMP_OPS:
             raise ValueError(f"unknown comparison operator {self.op!r}")
 
-    @cached_property
+    @_once
     def _text(self) -> str:
         return f"{self.left} {self.op} {self.right}"
 
@@ -123,7 +139,7 @@ class And:
     left: "Predicate"
     right: "Predicate"
 
-    @cached_property
+    @_once
     def _text(self) -> str:
         return f"{render_pred(self.left, 2)} AND {render_pred(self.right, 3)}"
 
@@ -133,7 +149,7 @@ class Or:
     left: "Predicate"
     right: "Predicate"
 
-    @cached_property
+    @_once
     def _text(self) -> str:
         return f"{render_pred(self.left, 1)} OR {render_pred(self.right, 2)}"
 
@@ -142,7 +158,7 @@ class Or:
 class Not:
     child: "Predicate"
 
-    @cached_property
+    @_once
     def _text(self) -> str:
         return f"NOT {render_pred(self.child, 4)}"
 
@@ -182,7 +198,7 @@ class SqlQuery:
     def is_grouped(self) -> bool:
         return self.group_by is not None or self.has_aggregates()
 
-    @cached_property
+    @_once
     def _text(self) -> str:
         """render(self), built once: a query never changes, and the
         cached text is not a field, so ==, hash and repr ignore it."""

@@ -203,8 +203,10 @@ def _grouped_filter_insertion(q, e, ctx, schema):
 
 def _dedup_insertion(q, e, ctx, schema):
     """DISTINCT form against GROUP BY form of one duplicate-insensitive
-    query."""
-    if q.set_op is not None or q.has_aggregates():
+    query.  Grouped forms are single-table only, so a seed over two
+    tables has no valid GROUP BY side, and the rule returns before it
+    builds any candidate."""
+    if q.set_op is not None or q.has_aggregates() or len(q.from_tables) > 1:
         return None
     if classify(e) is Sensitivity.SENSITIVE:
         return None

@@ -17,6 +17,7 @@ from eqmorph.harness import (
 from eqmorph.parser import parse
 from eqmorph.refdb import STABLE_ERROR_CODES, Executor
 from eqmorph.sqlast import render, validate
+from eqmorph.transform import MUTANT_VS_MUTANT, SEED_VS_MUTANT
 
 
 class TestGeneration:
@@ -234,10 +235,10 @@ class TestRunIteration:
         assert json.loads(lines[0])["generated"] == 20
 
 
-@pytest.mark.parametrize("fault", [None, "drop-distinct"])
-def test_one_engine_run_per_distinct_statement(monkeypatch, fault):
-    """Each seed's turn sends a text to the engine at most once: a pair
-    side that renders to the seed's text reuses the seed's rows."""
+def record_turns(monkeypatch, endpoint):
+    """One dict per seed's turn of the next run_iteration: the seed's text,
+    its pair (None when no rule applies), whether the filter dropped the
+    pair, and the texts sent to endpoint."""
     turns = []
 
     def wrap(name, on_result):
@@ -254,30 +255,160 @@ def test_one_engine_run_per_distinct_statement(monkeypatch, fault):
     wrap("transform_query", lambda p: turns[-1].update(pair=p))
     wrap("check_bounded", lambda v: turns[-1].update(
         filtered=isinstance(v, NotEquivalent)))
-    endpoint = BuiltinEndpoint(fault)
     real_exec = endpoint.exec_sql
 
     def exec_sql(sql):
         turns[-1]["sent"].append(sql)
         return real_exec(sql)
     monkeypatch.setattr(endpoint, "exec_sql", exec_sql)
+    return turns
 
+
+def emitted(turn):
+    return turn["pair"] is not None and not turn["filtered"]
+
+
+@pytest.mark.parametrize("fault", [None, "drop-distinct"])
+def test_one_engine_run_per_distinct_statement(monkeypatch, fault):
+    """A turn with an emitted pair sends the pair's two sides, each once,
+    and nothing else; any other turn sends its seed alone, once."""
+    endpoint = BuiltinEndpoint(fault)
+    turns = record_turns(monkeypatch, endpoint)
     res = run_iteration(endpoint, GeneratorConfig(queries_per_iteration=150),
                         "one-run", 0)
-    assert len(turns) == res.stats.generated == 150
-    differing = 0
+    s = res.stats
+    assert len(turns) == s.generated == 150
     for t in turns:
-        assert t["sent"][0] == t["seed"]
-        assert len(set(t["sent"])) == len(t["sent"])
-        if t["pair"] is not None and not t["filtered"]:
-            differing += sum(render(side) != t["seed"]
-                             for side in (t["pair"].left, t["pair"].right))
+        if emitted(t):
+            sides = [render(t["pair"].left), render(t["pair"].right)]
+            assert sides[0] != sides[1]
+            assert t["sent"] == sides
+        else:
+            assert t["sent"] == [t["seed"]]
+    # not vacuous: pairs with and without the seed's text, pairless seeds
+    assert 0 < sum(map(emitted, turns)) == s.pairsEmitted < s.generated
+    assert any(emitted(t) and t["seed"] in t["sent"] for t in turns)
+    assert any(emitted(t) and t["seed"] not in t["sent"] for t in turns)
     calls = sum(len(t["sent"]) for t in turns)
-    assert calls == res.stats.generated + differing
-    assert calls < res.stats.generated + 2 * res.stats.pairsEmitted
+    assert calls == 2 * s.pairsEmitted + (s.generated - s.pairsEmitted)
     assert bool(res.reports) == (fault is not None)
     for rep in res.reports:
         assert replay_report(rep, BuiltinEndpoint(fault)).reproduced
+
+
+# ---------------------------------------------------------------------------
+# seed validity: a seed is valid when every statement it sends runs
+
+
+class FailingEndpoint(BuiltinEndpoint):
+    """The clean engine, except that each text in fail raises EngineError
+    with the code fail gives it; every text sent is kept in sent."""
+
+    def __init__(self, fail):
+        super().__init__()
+        self.fail = fail
+        self.sent = []
+
+    def exec_sql(self, sql):
+        self.sent.append(sql)
+        if sql in self.fail:
+            raise EngineError(self.fail[sql], "injected")
+        return super().exec_sql(sql)
+
+
+VALIDITY_CFG = GeneratorConfig(queries_per_iteration=120)
+UNLISTED = "SEGFAULT"
+assert UNLISTED not in STABLE_ERROR_CODES
+
+
+@pytest.fixture
+def clean_turns(monkeypatch):
+    """The turns and stats of one clean iteration, and the texts it sends
+    exactly once, so failing one of them touches one turn only."""
+    endpoint = BuiltinEndpoint()
+    turns = record_turns(monkeypatch, endpoint)
+    stats = run_iteration(endpoint, VALIDITY_CFG, "validity", 0).stats
+    monkeypatch.undo()
+    sent = Counter(sql for t in turns for sql in t["sent"])
+    return turns, stats, {sql for sql, n in sent.items() if n == 1}
+
+
+def run_failing(clean_turns, fail):
+    """The clean iteration again, on an engine that fails the texts in
+    fail; it must send what the clean run sent and count every seed and
+    pair as it did, with one seed less valid."""
+    turns, clean, _ = clean_turns
+    endpoint = FailingEndpoint(fail)
+    res = run_iteration(endpoint, VALIDITY_CFG, "validity", 0)
+    assert endpoint.sent == [sql for t in turns for sql in t["sent"]]
+    s = res.stats
+    assert (s.generated, s.pairsEmitted, s.pairsFiltered) == \
+        (clean.generated, clean.pairsEmitted, clean.pairsFiltered)
+    assert clean.validAfterExecution == clean.generated
+    assert s.validAfterExecution == clean.generated - 1
+    assert s.mismatches == len(res.reports)
+    return endpoint, res
+
+
+def pairless_seed(clean_turns):
+    turns, _, once = clean_turns
+    return next(t["seed"] for t in turns
+                if not emitted(t) and t["seed"] in once)
+
+
+def pair_sides(clean_turns, pairing):
+    """The two texts of the first emitted pair of that pairing whose
+    sides are each sent once in the iteration."""
+    turns, _, once = clean_turns
+    return next(t["sent"] for t in turns
+                if emitted(t) and t["pair"].pairing == pairing
+                and set(t["sent"]) <= once)
+
+
+@pytest.mark.parametrize("code", [STABLE_ERROR_CODES[0], UNLISTED])
+def test_failing_pairless_seed_is_invalid_and_unreported(clean_turns, code):
+    """A seed with no pair to compare sends itself; if that fails, with
+    any code, the seed is not valid and nothing is reported."""
+    _, res = run_failing(clean_turns, {pairless_seed(clean_turns): code})
+    assert res.reports == []
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("pairing", [SEED_VS_MUTANT, MUTANT_VS_MUTANT])
+def test_side_failing_with_a_listed_code_is_invalid_and_unreported(
+        clean_turns, pairing, side):
+    sides = pair_sides(clean_turns, pairing)
+    for code in STABLE_ERROR_CODES:
+        _, res = run_failing(clean_turns, {sides[side]: code})
+        assert res.reports == []
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("pairing", [SEED_VS_MUTANT, MUTANT_VS_MUTANT])
+def test_side_failing_with_an_unlisted_code_is_an_error_divergence(
+        clean_turns, pairing, side):
+    """A side the engine rejects with a code outside the list is judged,
+    seed-vs-mutant pairs included, where a failing seed was once dropped
+    before its pair was built."""
+    sides = pair_sides(clean_turns, pairing)
+    endpoint, res = run_failing(clean_turns, {sides[side]: UNLISTED})
+    [rep] = res.reports
+    assert (rep.kind, rep.compareMode) == ("error-divergence", "n/a")
+    assert [rep.leftSql, rep.rightSql] == sides
+    assert rep.pairing == pairing
+    results = [rep.leftResult, rep.rightResult]
+    assert results[side] == {"error": {"code": UNLISTED,
+                                       "message": "injected"}}
+    assert "rows" in results[1 - side]
+    assert replay_report(rep, endpoint).reproduced
+    assert not replay_report(rep, BuiltinEndpoint()).reproduced
+
+
+@pytest.mark.parametrize("code", [STABLE_ERROR_CODES[0], UNLISTED])
+def test_both_sides_failing_with_one_code_are_unreported(clean_turns, code):
+    sides = pair_sides(clean_turns, MUTANT_VS_MUTANT)
+    _, res = run_failing(clean_turns, dict.fromkeys(sides, code))
+    assert res.reports == []
 
 
 def test_vetting_redoes_no_work(monkeypatch):

@@ -435,6 +435,34 @@ def test_rendering_rules_skip_seeds_with_one_surface_form(monkeypatch):
             assert _RULE_FNS[rule](q, e, ctx(), schema) is None
 
 
+def test_dedup_insertion_skips_seeds_over_two_tables(monkeypatch):
+    """A grouped form reads one table, so a seed over two has no GROUP BY
+    side: dedup-insertion returns before it builds any candidate, and on
+    every seed it gives what the rule that verifies every candidate does."""
+    seeds = []
+    for s in range(40):
+        rng = random.Random(f"two-tables:{s}")
+        schema = generate_schema(rng)
+        for _ in range(50):
+            q = qualify(generate_seed(rng, schema), schema)
+            seeds.append((schema, q, lower(q)))
+    rule = _RULE_FNS["dedup-insertion"]
+    outcomes = [rule(q, e, ctx(), schema) for schema, q, e in seeds]
+    assert outcomes == [_eager_dedup_insertion(q, e, ctx(), schema)
+                        for schema, q, e in seeds]
+    # not vacuous: the rule pairs, and two-table DISTINCT seeds occur,
+    # each with a valid DISTINCT form that the full rule builds
+    assert sum(p is not None for p in outcomes) >= 200
+    two = [(schema, q, e) for schema, q, e in seeds
+           if len(q.from_tables) > 1 and q.distinct and q.set_op is None]
+    assert len(two) >= 20
+    for schema, q, e in two:
+        assert any(c.distinct for c in _valid_candidates(e, schema))
+    monkeypatch.setattr(transform, "surface_candidates", _refuse)
+    for schema, q, e in two:
+        assert rule(q, e, ctx(), schema) is None
+
+
 def test_projection_cascade_fires_on_project_chains_through_its_gate():
     """Lowered seeds never hold a Project on a Project, so synthetic
     trees check that projection-cascade still pairs through its gate,
