@@ -21,7 +21,6 @@ input and realizes the tree an unvalidated candidate lowers to.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -225,26 +224,13 @@ def rebuild(e, child):
     raise TypeError(e)
 
 
-def _cached(keys: dict, obj, fn):
-    """fn(obj), computed at most once per keys table: one commute_normal
-    call's predicate refs, column ref sets and sorted key orders.  Entries
-    are keyed by identity (hashing a tree costs about as much as
-    normalising it) and hold their object, so no id is reused while the
-    table lives."""
-    table = keys[fn]
-    hit = table.get(id(obj))
-    if hit is None or hit[0] is not obj:
-        hit = table[id(obj)] = (obj, fn(obj))
-    return hit[1]
-
-
 def _sorted_keys(keys: tuple) -> tuple:
     """keys in canonical order; keys itself when already in it."""
     ordered = tuple(sorted(keys, key=str))
     return keys if ordered == keys else ordered
 
 
-def _canon_once(spine: list, k: dict):
+def _canon_once(spine: list):
     """One bottom-up pass of the commutations over a unary spine (leaf
     first).  Only an element's operator and payload count, not its child.
     Returns the new spine, or None when no commutation applied."""
@@ -257,11 +243,9 @@ def _canon_once(spine: list, k: dict):
             if ct is Filter:
                 moves = render_pred(e.pred) < render_pred(child.pred)
             elif ct is Dedup or ct is Agg:
-                moves = (_cached(k, e.pred, pred_refs)
-                         <= _cached(k, child.keys, _refset))
+                moves = pred_refs(e.pred) <= _refset(child.keys)
             elif ct is Project:
-                moves = (_cached(k, e.pred, pred_refs)
-                         <= _cached(k, child.cols, _refset))
+                moves = pred_refs(e.pred) <= _refset(child.cols)
             else:
                 moves = False
             if moves:  # the filter sinks below its child
@@ -271,23 +255,21 @@ def _canon_once(spine: list, k: dict):
                 continue
         elif t is Dedup:
             # key order never affects which rows collapse
-            ordered = _cached(k, e.keys, _sorted_keys)
+            ordered = _sorted_keys(e.keys)
             if ordered is not e.keys:
                 out.append(Dedup(ordered, None))
                 changed = True
                 continue
-            if ct is Dedup and _cached(k, e.keys, _refset) == \
-                    _cached(k, child.keys, _refset):
+            if ct is Dedup and _refset(e.keys) == _refset(child.keys):
                 changed = True
                 continue
-            if ct is Project and _cached(k, e.keys, _refset) == \
-                    _cached(k, child.cols, _refset):
+            if ct is Project and _refset(e.keys) == _refset(child.cols):
                 out[-1] = Dedup(tuple(dict.fromkeys(child.cols)), None)
                 out.append(child)
                 changed = True
                 continue
         elif t is Project and ct is Project and \
-                _cached(k, e.cols, _refset) <= _cached(k, child.cols, _refset):
+                _refset(e.cols) <= _refset(child.cols):
             out[-1] = e
             changed = True
             continue
@@ -295,59 +277,39 @@ def _canon_once(spine: list, k: dict):
     return out if changed else None
 
 
-def _operand(e, k: dict):
-    """(normal form, its repr) of the set operand e, worked out at most
-    once per memo and keyed by identity as in _cached: the two sides of a
-    union-commute pair hold the same operands in swapped order."""
-    table = k[_operand]
-    hit = table.get(id(e))
-    if hit is None or hit[0] is not e:
-        n = _normal(e, k)
-        hit = table[id(e)] = (e, (n, repr(n)))
-    return hit[1]
+def commute_normal(e):
+    """Normal form under the equivalence-preserving commutations.
 
-
-def _normal(e, k: dict):
-    """The normal form of e.  A commutation looks only at a unary node and
-    its child, never into the Scan or set operation the unary spine stands
-    on, so the spine and the operands of a set operation normalise apart:
-    the spine pass by pass as a list, the operands first and then ordered
-    by repr.  That is where rewriting the whole tree pass by pass until a
-    pass changes nothing leaves them."""
+    Two pipelines that differ only in filter/dedup/projection placement
+    allowed by the side conditions map to the same normal form, and so do
+    two set operations that differ only in the order of their operands.
+    A commutation looks only at a unary node and its child, never into the
+    Scan or set operation the unary spine stands on, so the spine and the
+    operands of a set operation normalise apart: the spine pass by pass as
+    a list, the operands first and then ordered by repr.  That is where
+    rewriting the whole tree pass by pass until a pass changes nothing
+    leaves them.
+    """
     spine = []
     while type(e) not in (Scan, Union, UnionAll):
         spine.append(e)
         e = e.child
     if type(e) is not Scan:
-        (l, lt), (r, rt) = _operand(e.left, k), _operand(e.right, k)
+        l, r = commute_normal(e.left), commute_normal(e.right)
         # operand order never changes the result multiset
-        if rt < lt:
+        if repr(r) < repr(l):
             l, r = r, l
         if l is not e.left or r is not e.right:
             e = type(e)(l, r)
     spine.reverse()
     while True:
-        nxt = _canon_once(spine, k)
+        nxt = _canon_once(spine)
         if nxt is None:
             break
         spine = nxt
     for node in spine:
         e = node if node.child is e else rebuild(node, e)
     return e
-
-
-def commute_normal(e, memo=None):
-    """Normal form under the equivalence-preserving commutations.
-
-    Two pipelines that differ only in filter/dedup/projection placement
-    allowed by the side conditions map to the same normal form, and so do
-    two set operations that differ only in the order of their operands
-    (the operands of Union and UnionAll are ordered by repr).  Calls that
-    pass one memo (a defaultdict(dict)) share what _cached computes for
-    the predicate and key objects their trees share, and the normal form
-    and repr of each set operand they share.
-    """
-    return _normal(e, defaultdict(dict) if memo is None else memo)
 
 
 def _filter_conjuncts(p: Predicate) -> list:
@@ -383,11 +345,9 @@ def equivalent_mod_commute(e1, e2) -> bool:
     """Whether e1 and e2 share a commute-normal form once their filters
     are split into conjuncts, which proves them equivalent.  Only the
     comparison splits: commute_normal itself, which verifies remap
-    candidates, sees each filter as it is.  The two sides share one memo,
-    since a pair's trees share most of their predicates and keys."""
-    memo = defaultdict(dict)
-    return commute_normal(_split_filters(e1), memo) == \
-        commute_normal(_split_filters(e2), memo)
+    candidates, sees each filter as it is."""
+    return commute_normal(_split_filters(e1)) == \
+        commute_normal(_split_filters(e2))
 
 
 # ---------------------------------------------------------------------------

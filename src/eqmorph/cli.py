@@ -149,6 +149,11 @@ def _run_one(cfg: CampaignConfig, gen_cfg: GeneratorConfig,
 
 def cmd_run(args) -> int:
     cfg = build_config(args)
+    out = Path(cfg.out)
+    if (out / "stats.jsonl").exists() or any(out.glob("report-*")):
+        # appending would mix two campaigns and overwrite same-id reports
+        raise ValueError(f"--out {cfg.out} already holds a campaign's "
+                         "stats.jsonl or reports; choose an empty directory")
     gen_cfg = GeneratorConfig(queries_per_iteration=cfg.queries,
                               filter_budget=cfg.filter_budget)
     total_reports = 0

@@ -15,6 +15,7 @@ Everything is driven by a string seed so a campaign replays byte-for-byte
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from collections import Counter
@@ -496,12 +497,24 @@ def _judge(left, right, compare_mode, error_list):
 # persistence and replay
 
 
+def _write_atomically(path: Path, text: str) -> None:
+    """Write text under a hidden temporary name beside path, then rename
+    it into place: a write cut short leaves no partial file at path."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
 def persist_iteration(out_dir, result: IterationResult):
+    """Write the iteration's reports, each file whole or not at all, then
+    append its stats line last, as the iteration's commit mark."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for rep in result.reports:
-        (out / f"report-{rep.id}.json").write_text(rep.to_json() + "\n")
-        (out / f"report-{rep.id}.sql").write_text(rep.reproducer_sql())
+        _write_atomically(out / f"report-{rep.id}.json",
+                          rep.to_json() + "\n")
+        _write_atomically(out / f"report-{rep.id}.sql",
+                          rep.reproducer_sql())
     with (out / "stats.jsonl").open("a") as fh:
         fh.write(result.stats.to_json() + "\n")
 

@@ -194,19 +194,6 @@ def eval_agg(fn: str, pos: Optional[int], members):
     raise TypeError(f"unknown aggregate {fn!r}")
 
 
-def _distinct_rows(members):
-    """members with each distinct formatted row once, in first-seen
-    order (the sum-skips-duplicates fault)."""
-    seen = set()
-    out = []
-    for r, _ in members:
-        sig = tuple(map(format_value, r))
-        if sig not in seen:
-            seen.add(sig)
-            out.append((r, 1))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # executor
 
@@ -391,9 +378,11 @@ class Executor:
                 members = [(r, m) for r, m in members if having(r) is _TRUE]
             elif having is not None and having(first) is not _TRUE:
                 continue
+            # members hold each scanned row once, so the
+            # sum-skips-duplicates fault counts each with multiplicity 1
             cells = tuple(
                 first[p] if fn is None
-                else eval_agg(fn, p, _distinct_rows(members) if dedup
+                else eval_agg(fn, p, [(r, 1) for r, _ in members] if dedup
                               else members)
                 for fn, p, dedup in plan.items)
             out[cells] = out.get(cells, 0) + 1

@@ -129,6 +129,26 @@ class TestRun:
         assert "must not be negative" in capsys.readouterr().err
         assert not (tmp_path / "stats.jsonl").exists()
 
+    def test_used_out_is_refused_and_left_as_it_is(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "campaign.conf").write_text("queries = 5\n")
+        args = ("run", "--target", "builtin:drop-distinct", "--queries",
+                "200", "--seed", "cli-used", "--out", str(out))
+        # a directory with only a config file in it is not a campaign
+        assert run_cli(*args) == EXIT_BUGS
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert any(name.startswith("report-") for name in before)
+        capsys.readouterr()
+        assert run_cli(*args) == EXIT_OPERATIONAL
+        assert capsys.readouterr().err.startswith(
+            f"error: --out {out} already holds")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        # reports without a stats line are refused too
+        (out / "stats.jsonl").unlink()
+        assert run_cli(*args) == EXIT_OPERATIONAL
+        assert not (out / "stats.jsonl").exists()
+
     def test_workers_key_is_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "campaign.conf"
         cfg.write_text("workers = 2\n")
@@ -228,9 +248,12 @@ class TestConfigFile:
         parsed = load_config_file(str(cfg))
         assert parsed["target"] == "builtin:drop-distinct"
         assert parsed["iterations"] == "2"
-        # flags win over the file: overriding the target to clean
-        rc = run_cli("run", "--config", str(cfg), "--target", "builtin")
+        # flags win over the file: overriding the target to clean, and
+        # the output directory, which a second campaign may not reuse
+        rc = run_cli("run", "--config", str(cfg), "--target", "builtin",
+                     "--out", str(tmp_path / "clean"))
         assert rc == EXIT_CLEAN
+        assert not (tmp_path / "reports").exists()
         rc = run_cli("run", "--config", str(cfg))
         assert rc == EXIT_BUGS
 

@@ -3,6 +3,7 @@ import json
 import random
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -233,6 +234,29 @@ class TestRunIteration:
         lines = (tmp_path / "stats.jsonl").read_text().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[0])["generated"] == 20
+
+
+def test_a_write_cut_short_leaves_no_partial_report(tmp_path, monkeypatch):
+    res = run_iteration(BuiltinEndpoint("drop-distinct"), GeneratorConfig(
+        queries_per_iteration=200), "atomic", 0)
+    assert res.reports
+    real = Path.write_text
+
+    def cut_short(path, text):
+        real(path, text[:len(text) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", cut_short)
+    with pytest.raises(OSError):
+        persist_iteration(tmp_path, res)
+    assert not list(tmp_path.glob("report-*"))
+    assert not (tmp_path / "stats.jsonl").exists()
+    monkeypatch.undo()
+    # a whole write leaves the files and no temporary one
+    persist_iteration(tmp_path, res)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [f"report-{r.id}{ext}" for r in res.reports
+         for ext in (".json", ".sql")] + ["stats.jsonl"])
 
 
 def record_turns(monkeypatch, endpoint):

@@ -1,3 +1,4 @@
+import ast
 import re
 import subprocess
 import sys
@@ -54,3 +55,42 @@ def test_source_lines_fit_79_columns():
             for n, line in enumerate(p.read_text().splitlines(), 1)
             if len(line) > 79]
     assert long == []
+
+
+def _unread_imports(path: Path):
+    """(name, line, excused) for each name path imports but never reads.
+    An import is excused when its line carries "# noqa: F401" and the
+    comment just above it says who reads the name."""
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name in read:
+                continue
+            above = []
+            for line in reversed(lines[:node.lineno - 1]):
+                if not line.startswith("#"):
+                    break
+                above.append(line)
+            excused = ("# noqa: F401" in lines[node.lineno - 1]
+                       and "bound" in " ".join(above))
+            yield name, node.lineno, excused
+
+
+def test_source_imports_are_used():
+    unread = [(p.name, name, n, excused)
+              for p in sorted(PACKAGE.glob("*.py"))
+              for name, n, excused in _unread_imports(p)]
+    assert [u[:3] for u in unread if not u[3]] == []
+    # the names bound for callers that look them up in the module
+    assert sorted((f, name) for f, name, _, _ in unread) == [
+        ("harness.py", "parse"), ("refdb.py", "STABLE_ERROR_CODES"),
+        ("refdb.py", "validate"), ("transform.py", "remap_to_sql")]

@@ -368,6 +368,15 @@ class TestFaults:
         sql = "SELECT SUM(b) FROM t0"
         assert rows(clean, db, sql) == rows(bad, db, sql)
 
+    def test_sum_skips_duplicates_keeps_null_apart_from_its_text(self):
+        db = load_script("CREATE TABLE t (a INT, s VARCHAR);"
+                         "INSERT INTO t VALUES (1, NULL), (1, 'NULL'),"
+                         " (1, 'x'), (1, 'x');")
+        sql = "SELECT SUM(a) FROM t WHERE a > 0"
+        # three distinct rows: NULL and the string 'NULL' are not one
+        assert rows(Executor("sum-skips-duplicates"), db, sql) == {(3,): 1}
+        assert rows(Executor(), db, sql) == {(4,): 1}
+
     def test_float_format_split(self, db):
         clean, bad = Executor(), Executor("float-format-split")
         sql = "SELECT a, SUM(b) FROM t0 GROUP BY a HAVING a = 1"
