@@ -499,9 +499,14 @@ def _judge(left, right, compare_mode, error_list):
 
 def _write_atomically(path: Path, text: str) -> None:
     """Write text under a hidden temporary name beside path, then rename
-    it into place: a write cut short leaves no partial file at path."""
+    it into place: a write cut short leaves no partial file, at path or
+    under the temporary name."""
     tmp = path.with_name(f".{path.name}.tmp")
-    tmp.write_text(text)
+    try:
+        tmp.write_text(text)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 

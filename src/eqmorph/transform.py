@@ -54,9 +54,11 @@ from .algebra import remap_to_sql  # noqa: F401
 from .dbgen import RANDOM_POOLS
 from .sensitivity import Sensitivity, classify
 from .sqlast import (
-    CMP_OPS, And, Cmp, ColumnRef, Const, Schema, SqlQuery, qualify, render,
-    validate,
+    CMP_OPS, And, Cmp, ColumnRef, Const, Schema, SqlQuery, render, validate,
 )
+# unused here; bound because perfbench/spans.py traces
+# transform.qualify by name
+from .sqlast import qualify  # noqa: F401
 
 
 class NoRuleApplies(Exception):
@@ -351,16 +353,19 @@ def transform_query(seed: SqlQuery, schema: Schema,
                     ctx: Optional[TransformContext] = None) -> QueryPair:
     """First rule in catalog order that yields a pair for this seed.
 
-    Seed-vs-mutant rules only commute, swap or re-render the seed, so both
-    sides keep the seed's static sensitivity class.
+    The seed must be qualified and valid on schema, as generate_seed
+    builds it (every ref from Schema.column_refs); like lower, this trusts
+    its input and does not check it.  Pass qualify(q, schema) for a query
+    from anywhere else.  Seed-vs-mutant rules only commute, swap or
+    re-render the seed, so both sides keep the seed's static sensitivity
+    class.
     """
     ctx = ctx or TransformContext()
-    q = qualify(seed, schema)
-    e = lower(q)
+    e = lower(seed)
     for name in RULE_CATALOG:
         if not ctx.allows(name):
             continue
-        pair = _RULE_FNS[name](q, e, ctx, schema)
+        pair = _RULE_FNS[name](seed, e, ctx, schema)
         if pair is not None:
             return pair
     raise NoRuleApplies(f"no rule applies to: {render(seed)}")

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from eqmorph import harness, sqlast
+from eqmorph import harness, sqlast, transform
 from eqmorph.adapter import BuiltinEndpoint, EngineError
 from eqmorph.equivfilter import NotEquivalent
 from eqmorph.harness import (
@@ -249,8 +249,8 @@ def test_a_write_cut_short_leaves_no_partial_report(tmp_path, monkeypatch):
     monkeypatch.setattr(Path, "write_text", cut_short)
     with pytest.raises(OSError):
         persist_iteration(tmp_path, res)
-    assert not list(tmp_path.glob("report-*"))
-    assert not (tmp_path / "stats.jsonl").exists()
+    # no report, no stats line, and no hidden temporary file
+    assert list(tmp_path.iterdir()) == []
     monkeypatch.undo()
     # a whole write leaves the files and no temporary one
     persist_iteration(tmp_path, res)
@@ -436,8 +436,8 @@ def test_both_sides_failing_with_one_code_are_unreported(clean_turns, code):
 
 
 def test_vetting_redoes_no_work(monkeypatch):
-    """Only the engine's prepare and transform_query qualify, the latter
-    once per call, and the proof compares the trees each pair carries."""
+    """Only the engine's prepare qualifies (transform_query trusts the
+    generated seed), and the proof compares the trees each pair carries."""
     real_qualify = sqlast.qualify
     callers = Counter()
 
@@ -451,12 +451,11 @@ def test_vetting_redoes_no_work(monkeypatch):
                 if value is real_qualify:
                     monkeypatch.setattr(module, attr, counting)
 
-    seeds, pairs, proofs = [], [], []
+    pairs, proofs = [], []
     real_transform = harness.transform_query
     real_proof = harness.equivalent_mod_commute
 
     def transform_query(seed, schema, ctx):
-        seeds.append(seed)
         pairs.append(real_transform(seed, schema, ctx))
         return pairs[-1]
 
@@ -469,12 +468,38 @@ def test_vetting_redoes_no_work(monkeypatch):
     cfg = GeneratorConfig(queries_per_iteration=50, filter_budget=32)
     run_iteration(BuiltinEndpoint(), cfg, "no-redo", 0)
 
-    prepare, transform = Executor.prepare.__code__, real_transform.__code__
-    assert set(callers) == {prepare, transform}
-    assert callers[transform] == len(seeds)
+    assert set(callers) == {Executor.prepare.__code__}
     assert pairs and len(proofs) == len(pairs)
     for pair, (e1, e2) in zip(pairs, proofs):
         assert e1 is pair.left_tree and e2 is pair.right_tree
+
+
+@pytest.mark.parametrize("fault", [None, "drop-distinct"])
+def test_transform_trusts_the_generated_seed(monkeypatch, fault):
+    """transform_query takes each generated seed as it is: with its
+    qualify made to raise, three 50-query iterations give the counters
+    and report ids they give unpatched."""
+    cfg = GeneratorConfig(queries_per_iteration=50)
+
+    def run():
+        out = []
+        for iteration in range(3):
+            res = run_iteration(BuiltinEndpoint(fault), cfg, "trusted",
+                                iteration)
+            stats = json.loads(res.stats.to_json())
+            stats.pop("elapsed")
+            out.append((stats, [rep.id for rep in res.reports]))
+        return out
+
+    unpatched = run()
+    assert all(stats["pairsEmitted"] for stats, _ in unpatched)
+    assert (fault is None) == (not any(ids for _, ids in unpatched))
+
+    def refuse(q, schema):
+        raise AssertionError("transform_query qualified its seed")
+
+    monkeypatch.setattr(transform, "qualify", refuse)
+    assert run() == unpatched
 
 
 def test_no_state_crosses_campaigns():

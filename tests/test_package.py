@@ -93,4 +93,5 @@ def test_source_imports_are_used():
     # the names bound for callers that look them up in the module
     assert sorted((f, name) for f, name, _, _ in unread) == [
         ("harness.py", "parse"), ("refdb.py", "STABLE_ERROR_CODES"),
-        ("refdb.py", "validate"), ("transform.py", "remap_to_sql")]
+        ("refdb.py", "validate"), ("transform.py", "qualify"),
+        ("transform.py", "remap_to_sql")]

@@ -42,7 +42,7 @@ def ctx(seed=0, rules=None):
 
 
 def pair_for(sql, **kw):
-    return transform_query(parse(sql), SCHEMA, ctx(**kw))
+    return transform_query(qualify(parse(sql), SCHEMA), SCHEMA, ctx(**kw))
 
 
 def assert_pair_equivalent(pair, tag):
