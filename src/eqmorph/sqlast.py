@@ -426,15 +426,14 @@ def _resolve(q: SqlQuery, schema: Schema):
     kinds = schema._kinds
     errors: list = []
     for t in from_tables:
-        if t not in schema._index:
+        if not schema.has_table(t):
             errors.append(EngineError(UNKNOWN_TABLE, t))
 
-    group_by = q.group_by
-    grouped = group_by is not None or any(
-        type(it) is AggCall for it in q.select)
+    grouped = q.is_grouped()
     if grouped and len(from_tables) > 1:
         errors.append(EngineError(NON_GROUPED_COLUMN, ", ".join(from_tables)))
 
+    group_by = q.group_by
     group_keys = set()
     if group_by is not None:
         keys = [_resolve_ref(c, from_tables, kinds, errors) for c in group_by]
