@@ -13,7 +13,6 @@ does not load with SCRIPT.  The code and message go unchanged to the wire.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from decimal import Decimal
 from typing import Optional, Union as TUnion
 
 from .values import TruthValue, is_numeric, render_literal
@@ -342,79 +341,70 @@ def _value_type(v) -> str:
     return "str"
 
 
-# the kind of a Const by the type of its value; _value_type decides any
-# other type (a bool is not a number)
-_CONST_KINDS = {int: "num", Decimal: "num", str: "str", type(None): "null"}
+class _Resolver:
+    """Resolves the column refs of one select core against its FROM list,
+    appending what fails to errors."""
 
+    def __init__(self, q: SqlQuery, schema: Schema, errors: list):
+        self.from_tables = q.from_tables
+        self.kinds = schema._kinds
+        self.errors = errors
 
-def _resolve_ref(ref: ColumnRef, from_tables: tuple, kinds: dict,
-                 errors: list) -> Optional[ColumnRef]:
-    """ref table-qualified against from_tables, or None when it does not
-    resolve; what fails is appended to errors."""
-    table = ref.table
-    if table is not None:
-        if table not in from_tables:
-            errors.append(EngineError(UNKNOWN_TABLE, table))
+    def resolve(self, ref: ColumnRef) -> Optional[ColumnRef]:
+        if ref.table is not None:
+            if ref.table not in self.from_tables:
+                self.errors.append(EngineError(UNKNOWN_TABLE, ref.table))
+                return None
+            if (ref.table, ref.name) not in self.kinds:
+                self.errors.append(EngineError(UNKNOWN_COLUMN, str(ref)))
+                return None
+            return ref
+        owners = [t for t in self.from_tables
+                  if (t, ref.name) in self.kinds]
+        if len(owners) != 1:
+            # an ambiguous name is as unknown as a missing one
+            self.errors.append(EngineError(UNKNOWN_COLUMN, ref.name))
             return None
-        if (table, ref.name) not in kinds:
-            errors.append(EngineError(UNKNOWN_COLUMN, str(ref)))
-            return None
-        return ref
-    name = ref.name
-    owners = [t for t in from_tables if (t, name) in kinds]
-    if len(owners) != 1:
-        # an ambiguous name is as unknown as a missing one
-        errors.append(EngineError(UNKNOWN_COLUMN, name))
-        return None
-    return ColumnRef(name, owners[0])
+        return ColumnRef(ref.name, owners[0])
 
-
-def _resolve_term(t: Term, from_tables: tuple, kinds: dict, errors: list,
-                  group_keys):
-    """(t qualified, its kind); the kind is None if t does not resolve.
-    With group_keys, a ref outside them is a NON_GROUPED_COLUMN error."""
-    if type(t) is Const:
-        v = t.value
-        return t, _CONST_KINDS.get(type(v)) or _value_type(v)
-    r = _resolve_ref(t, from_tables, kinds, errors)
-    if r is None:
-        return t, None
-    if group_keys is not None and r not in group_keys:
-        errors.append(EngineError(NON_GROUPED_COLUMN, str(t)))
-    return r, kinds[(r.table, r.name)]
-
-
-def _resolve_pred(p: Predicate, from_tables: tuple, kinds: dict,
-                  errors: list, mismatches: list, group_keys) -> Predicate:
-    """p with its column refs qualified (a ref that fails stays as
-    written); a subtree that needs no change comes back as the same
-    object.  A comparison of a number with a string goes to mismatches,
-    every other error to errors."""
-    tp = type(p)
-    if tp is Cmp:
-        left, lk = _resolve_term(p.left, from_tables, kinds, errors,
-                                 group_keys)
-        right, rk = _resolve_term(p.right, from_tables, kinds, errors,
-                                  group_keys)
-        if lk and rk and lk != rk and "null" not in (lk, rk):
-            mismatches.append(EngineError(
-                TYPE_MISMATCH, f"{p.left} {p.op} {p.right}"))
+    def pred(self, p: Predicate, mismatches: list,
+             group_keys=None) -> Predicate:
+        """p with its column refs qualified (a ref that fails stays as
+        written); a subtree that needs no change comes back as the same
+        object.  A comparison of a number with a string goes to
+        mismatches; with group_keys, a ref outside them is a
+        NON_GROUPED_COLUMN error."""
+        if isinstance(p, TruthLit):
+            return p
+        if isinstance(p, Cmp):
+            left, lk = self._term(p.left, group_keys)
+            right, rk = self._term(p.right, group_keys)
+            if lk and rk and "null" not in (lk, rk) and lk != rk:
+                mismatches.append(EngineError(
+                    TYPE_MISMATCH, f"{p.left} {p.op} {p.right}"))
+            if left is p.left and right is p.right:
+                return p
+            return Cmp(left, p.op, right)
+        if isinstance(p, Not):
+            child = self.pred(p.child, mismatches, group_keys)
+            return p if child is p.child else Not(child)
+        left = self.pred(p.left, mismatches, group_keys)
+        right = self.pred(p.right, mismatches, group_keys)
         if left is p.left and right is p.right:
             return p
-        return Cmp(left, p.op, right)
-    if tp is TruthLit:
-        return p
-    if tp is Not:
-        child = _resolve_pred(p.child, from_tables, kinds, errors,
-                              mismatches, group_keys)
-        return p if child is p.child else Not(child)
-    left = _resolve_pred(p.left, from_tables, kinds, errors, mismatches,
-                         group_keys)
-    right = _resolve_pred(p.right, from_tables, kinds, errors, mismatches,
-                          group_keys)
-    if left is p.left and right is p.right:
-        return p
-    return tp(left, right)
+        return type(p)(left, right)
+
+    def _term(self, t: Term, group_keys):
+        """(t qualified, its kind); the kind is None if t does not
+        resolve."""
+        if isinstance(t, Const):
+            return t, _value_type(t.value)
+        r = self.resolve(t)
+        if r is None:
+            return t, None
+        if group_keys is not None and r not in group_keys:
+            self.errors.append(EngineError(NON_GROUPED_COLUMN, str(t)))
+        return r, self.kinds[(r.table, r.name)]
 
 
 def _resolve(q: SqlQuery, schema: Schema):
@@ -422,21 +412,21 @@ def _resolve(q: SqlQuery, schema: Schema):
     walk over each select core.  Only what changes is rebuilt, so an
     already-qualified query comes back as the same object.  The qualified
     query is meaningful only when the error list is empty."""
-    from_tables = q.from_tables
-    kinds = schema._kinds
     errors: list = []
-    for t in from_tables:
+    for t in q.from_tables:
         if not schema.has_table(t):
             errors.append(EngineError(UNKNOWN_TABLE, t))
+    res = _Resolver(q, schema, errors)
 
     grouped = q.is_grouped()
-    if grouped and len(from_tables) > 1:
-        errors.append(EngineError(NON_GROUPED_COLUMN, ", ".join(from_tables)))
+    if grouped and len(q.from_tables) > 1:
+        errors.append(EngineError(
+            NON_GROUPED_COLUMN, ", ".join(q.from_tables)))
 
     group_by = q.group_by
     group_keys = set()
     if group_by is not None:
-        keys = [_resolve_ref(c, from_tables, kinds, errors) for c in group_by]
+        keys = [res.resolve(c) for c in group_by]
         group_keys = {r for r in keys if r is not None}
         if any(r is not None and r is not c for r, c in zip(keys, group_by)):
             group_by = tuple(r or c for r, c in zip(keys, group_by))
@@ -444,19 +434,16 @@ def _resolve(q: SqlQuery, schema: Schema):
     select = []
     changed = False
     for it in q.select:
-        if type(it) is AggCall:
-            arg = it.arg
-            if arg is not None:
-                r = _resolve_ref(arg, from_tables, kinds, errors)
-                if r is not None:
-                    if it.fn in ("SUM", "AVG") \
-                            and kinds[(r.table, r.name)] == "str":
-                        errors.append(EngineError(
-                            TYPE_MISMATCH, f"{it.fn} over string column"))
-                    if r is not arg:
-                        it, changed = AggCall(it.fn, r), True
+        if isinstance(it, AggCall):
+            arg = res.resolve(it.arg) if it.arg is not None else None
+            if arg is not None and it.fn in ("SUM", "AVG") \
+                    and schema._kinds[(arg.table, arg.name)] == "str":
+                errors.append(EngineError(
+                    TYPE_MISMATCH, f"{it.fn} over string column"))
+            if arg is not None and arg is not it.arg:
+                it, changed = AggCall(it.fn, arg), True
         else:
-            r = _resolve_ref(it, from_tables, kinds, errors)
+            r = res.resolve(it)
             if r is not None:
                 if grouped and r not in group_keys:
                     errors.append(EngineError(NON_GROUPED_COLUMN, str(it)))
@@ -465,15 +452,12 @@ def _resolve(q: SqlQuery, schema: Schema):
         select.append(it)
     select = tuple(select) if changed else q.select
 
-    where = q.where
-    if where is not None:
-        where = _resolve_pred(where, from_tables, kinds, errors, errors, None)
-    having = q.having
-    if having is not None:
+    where = res.pred(q.where, errors) if q.where is not None else None
+    having = None
+    if q.having is not None:
         # every grouped-column error of HAVING comes before its type errors
         mismatches: list = []
-        having = _resolve_pred(having, from_tables, kinds, errors,
-                               mismatches, group_keys)
+        having = res.pred(q.having, mismatches, group_keys)
         errors.extend(mismatches)
 
     set_op = q.set_op
@@ -489,7 +473,7 @@ def _resolve(q: SqlQuery, schema: Schema):
     if (select is q.select and where is q.where and having is q.having
             and group_by is q.group_by and set_op is q.set_op):
         return q, errors
-    return SqlQuery(select, from_tables, q.distinct, where, group_by,
+    return SqlQuery(select, q.from_tables, q.distinct, where, group_by,
                     having, set_op), errors
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from eqmorph import harness, sqlast, transform
+from eqmorph import harness, sqlast
 from eqmorph.adapter import BuiltinEndpoint, EngineError
 from eqmorph.equivfilter import NotEquivalent
 from eqmorph.harness import (
@@ -437,7 +437,8 @@ def test_both_sides_failing_with_one_code_are_unreported(clean_turns, code):
 
 def test_vetting_redoes_no_work(monkeypatch):
     """Only the engine's prepare qualifies (transform_query trusts the
-    generated seed), and the proof compares the trees each pair carries."""
+    generated seed), and the proof compares the trees each pair carries,
+    on a clean engine and on one whose fault is reported."""
     real_qualify = sqlast.qualify
     callers = Counter()
 
@@ -466,40 +467,17 @@ def test_vetting_redoes_no_work(monkeypatch):
     monkeypatch.setattr(harness, "transform_query", transform_query)
     monkeypatch.setattr(harness, "equivalent_mod_commute", proof)
     cfg = GeneratorConfig(queries_per_iteration=50, filter_budget=32)
-    run_iteration(BuiltinEndpoint(), cfg, "no-redo", 0)
+    for fault in (None, "drop-distinct"):
+        callers.clear()
+        pairs.clear()
+        proofs.clear()
+        res = run_iteration(BuiltinEndpoint(fault), cfg, "no-redo", 0)
 
-    assert set(callers) == {Executor.prepare.__code__}
-    assert pairs and len(proofs) == len(pairs)
-    for pair, (e1, e2) in zip(pairs, proofs):
-        assert e1 is pair.left_tree and e2 is pair.right_tree
-
-
-@pytest.mark.parametrize("fault", [None, "drop-distinct"])
-def test_transform_trusts_the_generated_seed(monkeypatch, fault):
-    """transform_query takes each generated seed as it is: with its
-    qualify made to raise, three 50-query iterations give the counters
-    and report ids they give unpatched."""
-    cfg = GeneratorConfig(queries_per_iteration=50)
-
-    def run():
-        out = []
-        for iteration in range(3):
-            res = run_iteration(BuiltinEndpoint(fault), cfg, "trusted",
-                                iteration)
-            stats = json.loads(res.stats.to_json())
-            stats.pop("elapsed")
-            out.append((stats, [rep.id for rep in res.reports]))
-        return out
-
-    unpatched = run()
-    assert all(stats["pairsEmitted"] for stats, _ in unpatched)
-    assert (fault is None) == (not any(ids for _, ids in unpatched))
-
-    def refuse(q, schema):
-        raise AssertionError("transform_query qualified its seed")
-
-    monkeypatch.setattr(transform, "qualify", refuse)
-    assert run() == unpatched
+        assert (fault is None) == (not res.reports)
+        assert set(callers) == {Executor.prepare.__code__}
+        assert pairs and len(proofs) == len(pairs)
+        for pair, (e1, e2) in zip(pairs, proofs):
+            assert e1 is pair.left_tree and e2 is pair.right_tree
 
 
 def test_no_state_crosses_campaigns():
