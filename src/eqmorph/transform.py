@@ -34,7 +34,14 @@ and in a gate: one walk of the seed's tree that rules the rule out before
 any candidate is built or rendered.  projection-cascade needs a Project
 directly on a Project, which no lowered seed has; dedup-filter-commute a
 Filter next to a Dedup; projection-pull-up a Dedup or an Agg with keys,
-without which the seed's own rendering is its only surface form.
+without which the seed's own rendering is its only surface form.  Two
+more facts close both gates: a grouped form reads one table, so a tree
+over two tables has no valid grouped form, and a Dedup directly over an
+Agg without keys (DISTINCT over one row) renders only as DISTINCT.
+
+Every rule needs a GROUP BY, a DISTINCT, a set operation or two conjuncts
+in WHERE (_may_pair, next to the catalog), so transform_query refuses a
+seed with none of them before it lowers the seed or offers it to a rule.
 """
 
 from __future__ import annotations
@@ -303,24 +310,38 @@ def _unary_nodes(e):
 
 
 # what a tree must hold for a rendering rule to find a rendering other
-# than the seed's: one walk, no candidates
+# than the seed's: walks of the tree, no candidates
 
 def _has_project_chain(e) -> bool:
     return any(type(n) is Project and type(n.child) is Project
                for n in _unary_nodes(e))
 
 
+def _over_one_table(e) -> bool:
+    """Whether e is a pipeline over a one-table Scan.  A grouped form
+    reads one table, so over two the only valid form is the seed's own
+    (DISTINCT, every filter in WHERE); set operations are left to
+    union-commute."""
+    while type(e) is not Scan:
+        if type(e) is Union or type(e) is UnionAll:
+            return False
+        e = e.child
+    return len(e.tables) == 1
+
+
 def _has_filter_by_dedup(e) -> bool:
-    return any({type(n), type(n.child)} == {Filter, Dedup}
-               for n in _unary_nodes(e))
+    return _over_one_table(e) and any(
+        {type(n), type(n.child)} == {Filter, Dedup} for n in _unary_nodes(e))
 
 
 def _has_many_forms(e) -> bool:
-    """Whether e has more than one surface form.  Without a Dedup or an
-    Agg with keys, every filter renders as WHERE and the one form left is
-    the seed's own."""
-    return any(type(n) is Dedup or type(n) is Agg and n.keys
-               for n in _unary_nodes(e))
+    """Whether e has more than one valid surface form.  Without a Dedup
+    or an Agg with keys, every filter renders as WHERE and the one form
+    left is the seed's own; a Dedup directly over an Agg without keys
+    renders only as DISTINCT."""
+    return _over_one_table(e) and any(
+        type(n) is Dedup and not (type(n.child) is Agg and not n.child.keys)
+        or type(n) is Agg and n.keys for n in _unary_nodes(e))
 
 
 # catalog order: shape-specific rules first so grouped / distinct /
@@ -349,6 +370,19 @@ _RULE_FNS = {
 RULE_CATALOG = tuple(_RULE_FNS)
 
 
+def _may_pair(q: SqlQuery) -> bool:
+    """Whether some rule in the catalog can pair q.
+    grouped-filter-insertion needs group keys (HAVING needs them too);
+    dedup-insertion, dedup-filter-commute and projection-pull-up a Dedup
+    or a keyed Agg, which only DISTINCT or GROUP BY lowers to;
+    union-commute a set operation; selection-commute two conjuncts in
+    WHERE or HAVING; and projection-cascade a Project on a Project, which
+    no lowered seed has.  The rules keep their own checks, since tests
+    call them directly."""
+    return (q.group_by is not None or q.distinct or q.set_op is not None
+            or type(q.where) is And)
+
+
 def transform_query(seed: SqlQuery, schema: Schema,
                     ctx: Optional[TransformContext] = None) -> QueryPair:
     """First rule in catalog order that yields a pair for this seed.
@@ -358,8 +392,11 @@ def transform_query(seed: SqlQuery, schema: Schema,
     its input and does not check it.  Pass qualify(q, schema) for a query
     from anywhere else.  Seed-vs-mutant rules only commute, swap or
     re-render the seed, so both sides keep the seed's static sensitivity
-    class.
+    class.  A seed that no rule can pair (see _may_pair) is refused
+    before it is lowered.
     """
+    if not _may_pair(seed):
+        raise NoRuleApplies(f"no rule applies to: {render(seed)}")
     ctx = ctx or TransformContext()
     e = lower(seed)
     for name in RULE_CATALOG:

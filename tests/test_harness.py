@@ -2,6 +2,7 @@ import gc
 import json
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -519,3 +520,25 @@ def test_iterations_leave_no_garbage_cycles(fault, iterations):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_iterations_keep_the_traced_heap_flat():
+    """Nothing a campaign keeps grows with the iterations it runs: once
+    the bounded tables are warm, 60 more builtin iterations leave the
+    Python heap, as tracemalloc sees it after a collection, within 16 KB
+    of where it was."""
+    ep = BuiltinEndpoint()
+    cfg = GeneratorConfig(queries_per_iteration=50)
+    for k in range(20):
+        run_iteration(ep, cfg, "flat-heap", k)
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(20, 80):
+            run_iteration(ep, cfg, "flat-heap", k)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 16 * 1024, grown

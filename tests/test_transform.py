@@ -405,34 +405,74 @@ RENDERING_RULES = ("dedup-filter-commute", "projection-pull-up",
 
 
 def _refuse(*args, **kw):
-    raise AssertionError("candidate work for a seed with one surface form")
+    raise AssertionError("work that a gate rules out")
+
+
+def _generated(tag, schemas, per_schema):
+    """(schema, qualified seed, the seed's tree) for generated seeds."""
+    out = []
+    for s in range(schemas):
+        rng = random.Random(f"{tag}:{s}")
+        schema = generate_schema(rng)
+        for _ in range(per_schema):
+            q = qualify(generate_seed(rng, schema), schema)
+            out.append((schema, q, lower(q)))
+    return out
 
 
 def test_rendering_rules_skip_seeds_with_one_surface_form(monkeypatch):
     """A seed without DISTINCT or GROUP BY has one surface form, its own,
     so the rules that pair it with another rendering return before they
-    walk paths, build candidates or normalise a tree."""
-    seeds = []
-    for s in range(30):
-        rng = random.Random(f"one-form:{s}")
-        schema = generate_schema(rng)
-        for _ in range(40):
-            q = qualify(generate_seed(rng, schema), schema)
-            cores = [q] if q.set_op is None else [q, q.set_op[1]]
-            if any(c.distinct or c.group_by is not None for c in cores):
-                continue
-            e = lower(q)
+    walk paths, build candidates or normalise a tree.  So does a DISTINCT
+    seed over two tables, since a grouped form reads one table, and a
+    DISTINCT aggregate without GROUP BY, since a Dedup over an Agg
+    without keys renders only as DISTINCT; on those the gated rules
+    return what the ungated ones do."""
+    seeds, distinct = [], []
+    for schema, q, e in _generated("one-form", 100, 50):
+        cores = [q] if q.set_op is None else [q, q.set_op[1]]
+        if not any(c.distinct or c.group_by is not None for c in cores):
             assert len(surface_candidates(e)) == 1
             seeds.append((schema, q, e))
-    # not vacuous: plain, filtered, aggregate and set-operation seeds
+        elif q.set_op is None and q.distinct and (
+                len(q.from_tables) > 1
+                or q.has_aggregates() and q.group_by is None):
+            distinct.append((schema, q, e))
+    # not vacuous: plain, filtered, aggregate and set-operation seeds, and
+    # both DISTINCT shapes, the two-table ones with a WHERE too
     assert sum(q.set_op is not None for _, q, _ in seeds) >= 20
     assert sum(q.has_aggregates() for _, q, _ in seeds) >= 100
     assert sum(q.where is not None for _, q, _ in seeds) >= 100
+    two = [q for _, q, _ in distinct if len(q.from_tables) > 1]
+    assert len(two) >= 20 and sum(q.where is not None for q in two) >= 10
+    assert sum(q.has_aggregates() for _, q, _ in distinct) >= 20
+    eager = [[_EAGER_RULE_FNS[rule](q, e, ctx(), schema)
+              for rule in RENDERING_RULES] for schema, q, e in distinct]
+    assert eager == [[None] * len(RENDERING_RULES)] * len(distinct)
     for name in ("surface_candidates", "commute_normal", "_paths"):
         monkeypatch.setattr(transform, name, _refuse)
-    for schema, q, e in seeds:
+    for schema, q, e in seeds + distinct:
         for rule in RENDERING_RULES:
             assert _RULE_FNS[rule](q, e, ctx(), schema) is None
+
+
+def test_catalog_refuses_only_seeds_no_rule_pairs(monkeypatch):
+    """A seed without GROUP BY, DISTINCT, a set operation or an AND at
+    the top of WHERE gets no pair from any rule, and transform_query
+    refuses it before it lowers it or builds a candidate."""
+    seeds = _generated("one-form", 100, 50)
+    refused = [(schema, q, e) for schema, q, e in seeds
+               if not transform._may_pair(q)]
+    # not vacuous: plain, filtered and aggregate seeds are refused
+    assert len(refused) >= 0.3 * len(seeds)
+    for schema, q, e in refused:
+        for name, rule in _RULE_FNS.items():
+            assert rule(q, e, ctx(), schema) is None, (name, render(q))
+    for name in ("lower", "surface_candidates", "commute_normal"):
+        monkeypatch.setattr(transform, name, _refuse)
+    for schema, q, _ in refused:
+        with pytest.raises(NoRuleApplies):
+            transform_query(q, schema, ctx())
 
 
 def test_dedup_insertion_skips_seeds_over_two_tables(monkeypatch):
@@ -491,7 +531,7 @@ def test_projection_cascade_fires_on_project_chains_through_its_gate():
 def test_transform_lowers_the_seed_only(monkeypatch):
     """Each side's tree is built from the seed's tree or is the tree its
     candidate was verified with, so transform_query lowers nothing but
-    the seed."""
+    the seed, and a seed that no rule can pair not even that."""
     lowered = Counter()
     real = transform.lower
     monkeypatch.setattr(transform, "lower",
@@ -509,9 +549,13 @@ def test_transform_lowers_the_seed_only(monkeypatch):
                 rules[transform_query(seed, schema, c).rule] += 1
             except NoRuleApplies:
                 pass
-            assert list(lowered.values()) == [1]
+            if transform._may_pair(seed):
+                assert list(lowered.values()) == [1]
+            else:
+                rules["refused"] += 1
+                assert not lowered
     assert {"grouped-filter-insertion", "union-commute",
-            "selection-commute", "dedup-insertion"} <= set(rules)
+            "selection-commute", "dedup-insertion", "refused"} <= set(rules)
 
 
 def test_union_commute_sides_share_their_operands():
