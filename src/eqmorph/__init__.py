@@ -40,7 +40,7 @@ _EXPORTS = {
     "sqlast": ("Schema", "SqlQuery", "qualify", "render", "validate"),
     "transform": (
         "NoRuleApplies", "QueryPair", "RULE_CATALOG", "TransformContext",
-        "enumerate_mutants", "transform_query",
+        "transform_query",
     ),
 }
 

@@ -9,8 +9,11 @@ multisets on every database.  Two pairing modes exist:
   many-to-one keyword correspondence — DISTINCT against GROUP BY for
   deduplication, WHERE against HAVING for a filter over group keys.
 
-transform_query walks the rule catalog in order and returns the first
-pair a rule can build for the seed, mirroring a transform-once policy:
+_RULE_FNS is the rule catalog, the one place a rule's name and pairing
+mode are written: each entry maps the name to the pairing and the rule's
+function, which returns the two sides and their trees, or None.
+transform_query walks the catalog in order and builds the QueryPair from
+the first rule that returns sides, mirroring a transform-once policy:
 specific rules come before the generic rendering rule so that each seed
 shape feeds the rule that stresses it best.
 
@@ -24,20 +27,21 @@ clause that changed built again.  So grouped-filter-insertion's sides are
 the seed's tree with Filter(p) inserted just below the grouping node
 (WHERE) or just above its HAVING filters.
 
-Rewrites of the lowered algebra tree live in one table, _IR_TABLE: each
-entry says whether the rule rewrites at a node and what node it rewrites
-it to; ir_sites, ir_rewrite and enumerate_mutants all read it.  The rules
-that pair the seed with another surface rendering of a lowered tree
-(dedup-filter-commute, projection-pull-up, projection-cascade) come from
-one builder, _rendering_rule, and differ only in the trees they render
-and in a gate: one walk of the seed's tree that rules the rule out before
-any candidate is built or rendered.  projection-cascade needs a Project
-directly on a Project, which no lowered seed has; dedup-filter-commute a
-Filter next to a Dedup; projection-pull-up a Dedup or an Agg with keys,
-without which the seed's own rendering is its only surface form.  Two
-more facts close both gates: a grouped form reads one table, so a tree
-over two tables has no valid grouped form, and a Dedup directly over an
-Agg without keys (DISTINCT over one row) renders only as DISTINCT.
+The rules that pair the seed with another surface rendering of a lowered
+tree (dedup-filter-commute, projection-pull-up, projection-cascade) come
+from one builder, _rendering_rule.  The first two render the seed's own
+tree; projection-cascade renders the trees _cascades gives, one walk that
+collapses each Project lying directly on a Project whose columns cover
+it.  Each has a gate: one walk of the seed's tree that rules the rule out
+before any candidate is built or rendered.  projection-cascade needs a
+Project directly on a Project, which no lowered seed has;
+dedup-filter-commute a Filter next to a Dedup whose keys cover it, so
+that the filter may cross the Dedup; projection-pull-up a Dedup or an Agg
+with keys, without which the seed's own rendering is its only surface
+form.  Two more facts close the last two gates: a grouped form reads one
+table, so a tree over two tables, or a set operation, has no valid
+grouped form, and a Dedup directly over an Agg without keys (DISTINCT
+over one row) renders only as DISTINCT.
 
 Every rule needs a GROUP BY, a DISTINCT, a set operation or two conjuncts
 in WHERE (_may_pair, next to the catalog), so transform_query refuses a
@@ -193,21 +197,17 @@ def _grouped_filter_insertion(q, e, ctx, schema):
     the last conjunct of each side, so each side's tree is the seed's with
     Filter(p) just below the grouping node, or just above its HAVING
     filters."""
-    if q.group_by is None or not q.group_by or q.set_op is not None:
+    if not q.group_by or q.set_op is not None:
         return None
     key = ctx.rng.choice(q.group_by)
     op = ctx.rng.choice(CMP_OPS)
     p = Cmp(key, op, Const(pick_constant(ctx, schema, key)))
     left = replace(q, where=And(q.where, p) if q.where is not None else p)
     right = replace(q, having=And(q.having, p) if q.having is not None else p)
-    if not _texts_differ(left, right):
-        return None
     nodes, _ = _decompose(e)
     h, g = _clause_filters(nodes, "having")
-    return QueryPair(left, right, "grouped-filter-insertion",
-                     MUTANT_VS_MUTANT,
-                     _filtered_at(nodes, g + 1, [p], nodes[g].child),
-                     _filtered_at(nodes, h, [p], nodes[h]))
+    return (left, right, _filtered_at(nodes, g + 1, [p], nodes[g].child),
+            _filtered_at(nodes, h, [p], nodes[h]))
 
 
 def _dedup_insertion(q, e, ctx, schema):
@@ -231,8 +231,7 @@ def _dedup_insertion(q, e, ctx, schema):
                        if c.group_by is not None and not c.distinct]), schema)
     if right is None:
         return None
-    return QueryPair(left, right, "dedup-insertion", MUTANT_VS_MUTANT,
-                     left_tree, right_tree)
+    return left, right, left_tree, right_tree
 
 
 def _union_commute(q, e, ctx, schema):
@@ -243,8 +242,7 @@ def _union_commute(q, e, ctx, schema):
     right = replace(rhs, set_op=(op, left_core))
     if not _texts_differ(q, right):
         return None
-    return QueryPair(q, right, "union-commute", SEED_VS_MUTANT, e,
-                     type(e)(e.right, e.left))
+    return q, right, e, type(e)(e.right, e.left)
 
 
 def _selection_commute(q, e, ctx, schema):
@@ -259,23 +257,22 @@ def _selection_commute(q, e, ctx, schema):
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
             right = replace(q, **{attr: join_conjuncts(swapped)})
             if _texts_differ(q, right):
-                return QueryPair(q, right, "selection-commute",
-                                 SEED_VS_MUTANT, e,
-                                 _refiltered(e, attr, getattr(right, attr)))
+                return (q, right, e,
+                        _refiltered(e, attr, getattr(right, attr)))
     return None
 
 
-def _rendering_rule(rule: str, trees, possible):
+def _rendering_rule(trees, possible):
     """A seed-vs-mutant rule that pairs the seed with the valid surface
-    rendering of trees(q, e) furthest from the seed's text.  When
-    possible(e) is false, trees(q, e) has no rendering other than the
+    rendering of trees(e) furthest from the seed's text.  When
+    possible(e) is false, trees(e) has no rendering other than the
     seed's, and the rule returns before it builds or renders any."""
     def build(q, e, ctx, schema):
         if not possible(e):
             return None
         seed_text = render(q)
         cands = []
-        for t in trees(q, e):
+        for t in trees(e):
             others = [c for c in surface_candidates(t)
                       if render(c) != seed_text]
             if others:
@@ -285,13 +282,25 @@ def _rendering_rule(rule: str, trees, possible):
             _furthest_first(seed_text, cands), schema)
         if right is None:
             return None
-        return QueryPair(q, right, rule, SEED_VS_MUTANT, e, right_tree)
+        return q, right, e, right_tree
     return build
 
 
-def _seed_tree(q, e):
-    """The seed's own tree; set operations are left to union-commute."""
-    return [e] if q.set_op is None else []
+def _cascades(e) -> list:
+    """Each tree that collapses one Project of e lying directly on a
+    Project whose columns cover it, set operands included, in pre-order
+    of the collapsed node."""
+    t = type(e)
+    if t is Scan:
+        return []
+    if t is Union or t is UnionAll:
+        return ([t(c, e.right) for c in _cascades(e.left)]
+                + [t(e.left, c) for c in _cascades(e.right)])
+    out = [rebuild(e, c) for c in _cascades(e.child)]
+    if t is Project and type(e.child) is Project \
+            and _refset(e.cols) <= _refset(e.child.cols):
+        out.insert(0, Project(e.cols, e.child.child))
+    return out
 
 
 def _unary_nodes(e):
@@ -330,8 +339,13 @@ def _over_one_table(e) -> bool:
 
 
 def _has_filter_by_dedup(e) -> bool:
+    """Whether a Filter stands next to a Dedup whose keys cover it, so
+    that the filter may cross the Dedup."""
     return _over_one_table(e) and any(
-        {type(n), type(n.child)} == {Filter, Dedup} for n in _unary_nodes(e))
+        type(n) is Filter and type(n.child) is Dedup
+        and _may_cross(n.child.keys, n.pred)
+        or type(n) is Dedup and type(n.child) is Filter
+        and _may_cross(n.keys, n.child.pred) for n in _unary_nodes(e))
 
 
 def _has_many_forms(e) -> bool:
@@ -344,27 +358,24 @@ def _has_many_forms(e) -> bool:
         or type(n) is Agg and n.keys for n in _unary_nodes(e))
 
 
-# catalog order: shape-specific rules first so grouped / distinct /
-# set-operation seeds reach the rule that stresses them hardest
+# rule -> (pairing, rule function), in catalog order: shape-specific
+# rules first so grouped / distinct / set-operation seeds reach the rule
+# that stresses them hardest
 _RULE_FNS = {
-    "grouped-filter-insertion": _grouped_filter_insertion,
-    "dedup-insertion": _dedup_insertion,
+    "grouped-filter-insertion": (MUTANT_VS_MUTANT, _grouped_filter_insertion),
+    "dedup-insertion": (MUTANT_VS_MUTANT, _dedup_insertion),
     # a filter covered by the dedup keys moves across the dedup
-    "dedup-filter-commute": _rendering_rule(
-        "dedup-filter-commute",
-        lambda q, e: [t for t in _seed_tree(q, e)
-                      if ir_sites("dedup-filter-commute", t)],
-        _has_filter_by_dedup),
-    "union-commute": _union_commute,
-    "selection-commute": _selection_commute,
+    "dedup-filter-commute": (
+        SEED_VS_MUTANT, _rendering_rule(lambda e: [e], _has_filter_by_dedup)),
+    "union-commute": (SEED_VS_MUTANT, _union_commute),
+    "selection-commute": (SEED_VS_MUTANT, _selection_commute),
     # an alternative surface rendering of the same algebra tree
-    "projection-pull-up": _rendering_rule(
-        "projection-pull-up", _seed_tree, _has_many_forms),
+    "projection-pull-up": (
+        SEED_VS_MUTANT, _rendering_rule(lambda e: [e], _has_many_forms)),
     # lowered surface queries never contain a projection chain, so this
     # only fires on synthetic algebra seeds
-    "projection-cascade": _rendering_rule(
-        "projection-cascade", lambda q, e: _rewrites("projection-cascade", e),
-        _has_project_chain),
+    "projection-cascade": (
+        SEED_VS_MUTANT, _rendering_rule(_cascades, _has_project_chain)),
 }
 
 RULE_CATALOG = tuple(_RULE_FNS)
@@ -402,96 +413,10 @@ def transform_query(seed: SqlQuery, schema: Schema,
     for name in RULE_CATALOG:
         if not ctx.allows(name):
             continue
-        pair = _RULE_FNS[name](seed, e, ctx, schema)
-        if pair is not None:
-            return pair
+        pairing, rule = _RULE_FNS[name]
+        sides = rule(seed, e, ctx, schema)
+        if sides is not None:
+            left, right, left_tree, right_tree = sides
+            return QueryPair(left, right, name, pairing, left_tree,
+                             right_tree)
     raise NoRuleApplies(f"no rule applies to: {render(seed)}")
-
-
-# ---------------------------------------------------------------------------
-# algebra-level rewrite sites (used by mutant enumeration and rule tests)
-
-
-def _paths(e, path=()):
-    yield path, e
-    if isinstance(e, (Project, Filter, Dedup, Agg)):
-        yield from _paths(e.child, path + ("child",))
-    elif isinstance(e, (Union, UnionAll)):
-        yield from _paths(e.left, path + ("left",))
-        yield from _paths(e.right, path + ("right",))
-
-
-def _get(e, path):
-    for step in path:
-        e = getattr(e, step)
-    return e
-
-
-def _set(e, path, new):
-    """e with the node at path replaced by new."""
-    if not path:
-        return new
-    head, rest = path[0], path[1:]
-    child = _set(getattr(e, head), rest, new)
-    if head == "left":
-        return type(e)(child, e.right)
-    if head == "right":
-        return type(e)(e.left, child)
-    return rebuild(e, child)
-
-
-def _swap(n):
-    """n and its child trade places."""
-    return rebuild(n.child, rebuild(n, n.child.child))
-
-
-# rule -> (does it rewrite this node?, the node it rewrites it to)
-_IR_TABLE = {
-    "selection-commute": (
-        lambda n: isinstance(n, Filter) and isinstance(n.child, Filter)
-        and n.pred != n.child.pred,
-        _swap),
-    "projection-cascade": (
-        lambda n: isinstance(n, Project) and isinstance(n.child, Project)
-        and _refset(n.cols) <= _refset(n.child.cols),
-        lambda n: Project(n.cols, n.child.child)),
-    "union-commute": (
-        lambda n: isinstance(n, (Union, UnionAll)),
-        lambda n: type(n)(n.right, n.left)),
-    "dedup-filter-commute": (
-        lambda n: isinstance(n, Filter) and isinstance(n.child, Dedup)
-        and _may_cross(n.child.keys, n.pred)
-        or isinstance(n, Dedup) and isinstance(n.child, Filter)
-        and _may_cross(n.keys, n.child.pred),
-        _swap),
-}
-
-IR_RULES = tuple(_IR_TABLE)
-
-
-def ir_sites(rule: str, e) -> list:
-    """Paths where an algebra-level rule can rewrite the tree."""
-    applies, _ = _IR_TABLE[rule]
-    return [p for p, n in _paths(e) if applies(n)]
-
-
-def ir_rewrite(rule: str, e, site):
-    return _set(e, site, _IR_TABLE[rule][1](_get(e, site)))
-
-
-def _rewrites(rule: str, e) -> list:
-    return [ir_rewrite(rule, e, site) for site in ir_sites(rule, e)]
-
-
-def enumerate_mutants(e, limit: int = 16) -> list:
-    """Distinct single-step algebra rewrites of e, deterministic order."""
-    out = []
-    seen = {e}
-    for rule in IR_RULES:
-        for m in _rewrites(rule, e):
-            if m not in seen:
-                seen.add(m)
-                out.append(m)
-                if len(out) >= limit:
-                    return out
-    return out

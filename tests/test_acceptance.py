@@ -35,7 +35,8 @@ from eqmorph.refdb import FAULTS, Executor
 from eqmorph.sensitivity import Sensitivity, classify, sensitivity_oracle
 from eqmorph.sqlast import Cmp, ColumnRef, Const, qualify, render
 from eqmorph.transform import (
-    NoRuleApplies, RULE_CATALOG, TransformContext, _RULE_FNS, transform_query,
+    NoRuleApplies, QueryPair, RULE_CATALOG, TransformContext, _RULE_FNS,
+    transform_query,
 )
 
 STATE = {}
@@ -147,10 +148,12 @@ def _synthetic_cascade_pairs(schema, count):
         e = Dedup(tuple(inner), e)
         e = Project(tuple(keep), Project(tuple(inner), e))
         q = remap_to_sql(e)[0]
-        pair = _RULE_FNS["projection-cascade"](
-            q, e, TransformContext(rng=rng), schema)
-        if pair is not None:
-            out.append(pair)
+        pairing, rule = _RULE_FNS["projection-cascade"]
+        sides = rule(q, e, TransformContext(rng=rng), schema)
+        if sides is not None:
+            left, right, left_tree, right_tree = sides
+            out.append(QueryPair(left, right, "projection-cascade", pairing,
+                                 left_tree, right_tree))
     return out
 
 

@@ -50,6 +50,15 @@ def test_readme_library_snippet_runs(capsys):
     assert "IterationStats(" in capsys.readouterr().out
 
 
+def test_readme_rule_table_lists_the_catalog():
+    """README's `Transformation rules` table names exactly the catalog's
+    rules, in catalog order."""
+    section = README.read_text().split("### Transformation rules", 1)[1]
+    table = section.strip().split("\n\n", 1)[0]
+    assert tuple(re.findall(r"^\| `([^`]+)` \|", table, re.M)) == \
+        eqmorph.RULE_CATALOG
+
+
 def test_source_lines_fit_79_columns():
     long = [f"{p.name}:{n}" for p in sorted(PACKAGE.glob("*.py"))
             for n, line in enumerate(p.read_text().splitlines(), 1)

@@ -1,14 +1,15 @@
 """surface_candidates stays the same on a fixed corpus of algebra trees.
 
 The corpus is deterministic: lowered generated seeds, every single-step
-rewrite of them in transform's rewrite table, their enumerate_mutants
-results, a Dedup inserted below an insensitive seed's top projection,
-and Dedup/Project wrappers of all of these, and seeded random
-Project/Dedup/Filter/Agg stacks (typed and ill-typed, with aggregate calls,
-empty keys and set operations).  For each tree the digest takes the
-candidates in generation order and which of them realize the tree, or the
-class and message of the exception.  A change that alters the candidates
-on purpose records the new digest here and says why in CHANGES.md.
+rewrite of them by conftest's reference tree rewrites, the first 16
+distinct ones of those again, a Dedup inserted below an insensitive
+seed's top projection, and Dedup/Project wrappers of all of these, and
+seeded random Project/Dedup/Filter/Agg stacks (typed and ill-typed, with
+aggregate calls, empty keys and set operations).  For each tree the
+digest takes the candidates in generation order and which of them realize
+the tree, or the class and message of the exception.  A change that
+alters the candidates on purpose records the new digest here and says why
+in CHANGES.md.
 """
 
 import hashlib
@@ -23,8 +24,8 @@ from eqmorph.harness import generate_schema, generate_seed
 from eqmorph.sensitivity import Sensitivity, classify
 from eqmorph.sqlast import AGG_FNS, CMP_OPS, AggCall, And, Cmp, ColumnRef, \
     Const, qualify
-from eqmorph.transform import IR_RULES, enumerate_mutants, ir_rewrite, \
-    ir_sites
+
+from conftest import tree_rewrites
 
 DIGEST = "ff91ab36276363348fc0c4af7f36f3b4154cb0eb602c370a1e2ce7561ec5e7c4"
 
@@ -37,11 +38,9 @@ def _seed_trees():
         schema = generate_schema(rng)
         for _ in range(25):
             e = lower(qualify(generate_seed(rng, schema), schema))
-            trees = [e]
-            for rule in IR_RULES:
-                trees += [ir_rewrite(rule, e, s) for s in ir_sites(rule, e)]
-            mutants = enumerate_mutants(e)
-            trees += mutants
+            rewrites = tree_rewrites(e)
+            mutants = [m for m in dict.fromkeys(rewrites) if m != e][:16]
+            trees = [e, *rewrites, *mutants]
             # a Dedup under an insensitive seed's top projection: part of
             # the pinned corpus, though not always an equivalent rewrite
             if isinstance(e, Project) and not isinstance(e.child, Dedup) \

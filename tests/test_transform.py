@@ -1,12 +1,12 @@
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from conftest import proven
+from conftest import proven, tree_rewrites
+from test_surface_pin import COLS, _random_trees
 from eqmorph import transform
 from eqmorph.algebra import (
     Project, RemapError, Union, commute_normal, equivalent_mod_commute, lower,
@@ -21,9 +21,8 @@ from eqmorph.refdb import Executor
 from eqmorph.sensitivity import Sensitivity, classify
 from eqmorph.sqlast import Schema, qualify, render, type_kind, validate
 from eqmorph.transform import (
-    IR_RULES, MUTANT_VS_MUTANT, RULE_CATALOG, SEED_VS_MUTANT, NoRuleApplies,
-    QueryPair, TransformContext, _RULE_FNS, enumerate_mutants, ir_rewrite,
-    ir_sites, transform_query,
+    MUTANT_VS_MUTANT, RULE_CATALOG, SEED_VS_MUTANT, NoRuleApplies, QueryPair,
+    TransformContext, _RULE_FNS, transform_query,
 )
 
 SCHEMA = Schema.of({
@@ -117,14 +116,15 @@ class TestCatalog:
             for _ in range(100):
                 q = qualify(generate_seed(rng, schema), schema)
                 e = lower(q)
-                for name, rule in _RULE_FNS.items():
-                    pair = rule(q, e, ctx(), schema)
-                    if pair is None or pair.pairing != SEED_VS_MUTANT:
+                for name, (pairing, rule) in _RULE_FNS.items():
+                    sides = rule(q, e, ctx(), schema)
+                    if sides is None or pairing != SEED_VS_MUTANT:
                         continue
+                    left, right = sides[:2]
                     checked.add(name)
-                    assert classify(lower(qualify(pair.left, schema))) is \
-                        classify(lower(qualify(pair.right, schema))), \
-                        (name, render(pair.left), render(pair.right))
+                    assert classify(lower(qualify(left, schema))) is \
+                        classify(lower(qualify(right, schema))), \
+                        (name, render(left), render(right))
         assert checked == {"dedup-filter-commute", "union-commute",
                                 "selection-commute", "projection-pull-up"}
 
@@ -175,32 +175,21 @@ class TestSpecificRules:
 
 
 class TestIrRules:
-    def test_selection_commute_sites_and_rewrite(self):
-        e = lower(qualify(
-            parse("SELECT a FROM t0 WHERE a > 0 AND b < 1"), SCHEMA))
-        sites = ir_sites("selection-commute", e)
-        assert len(sites) == 1
-        m = ir_rewrite("selection-commute", e, sites[0])
-        assert m != e
-        assert commute_normal(m) == commute_normal(e)
-
     def test_projection_cascade_needs_nested_projections(self):
+        """A lowered seed has no Project on a Project, so no cascade; on
+        the surface pin's random stacks, set operations among them, and
+        on a Project over each, _cascades gives the reference rewrites."""
         e = lower(qualify(parse("SELECT a FROM t0"), SCHEMA))
-        assert ir_sites("projection-cascade", e) == []
-
-    def test_enumerate_mutants_distinct_and_bounded(self):
-        for sql in ("SELECT a FROM t0 WHERE a > 0 AND b < 1 "
-                    "UNION ALL SELECT a FROM t0",
-                    # insensitive, but not a set: a DISTINCT would not
-                    # be the identity here
-                    "SELECT a FROM t0 GROUP BY a, b HAVING a > 0"):
-            e = lower(qualify(parse(sql), SCHEMA))
-            ms = enumerate_mutants(e, limit=16)
-            assert ms
-            assert len(ms) == len(set(ms))
-            assert e not in ms
-            for m in ms:
-                self.assert_ir_equivalent(e, m)
+        assert transform._cascades(e) == []
+        sites = 0
+        for e in _random_trees():
+            for t in (e, Project(e.cols if type(e) is Project else COLS[:1],
+                                 e)):
+                want = tree_rewrites(t, ["projection-cascade"])
+                assert transform._cascades(t) == want, t
+                sites += bool(want)
+        # not vacuous
+        assert sites >= 1_000
 
     @staticmethod
     def assert_ir_equivalent(e, m):
@@ -215,6 +204,8 @@ class TestIrRules:
             assert ex.execute(db, qe) == ex.execute(db, qm)
 
     def test_every_ir_rule_yields_equivalent_tree(self):
+        """conftest's reference tree rewrites, which the rendering rules
+        are compared against, keep the tree's results."""
         seeds = [
             "SELECT DISTINCT a FROM t0 WHERE a > 0 AND b < 1",
             "SELECT a FROM t0 UNION SELECT d FROM t1",
@@ -224,10 +215,11 @@ class TestIrRules:
         rewritten = []
         for sql in seeds:
             e = lower(qualify(parse(sql), SCHEMA))
-            for rule in IR_RULES:
-                for site in ir_sites(rule, e):
+            for rule in ("selection-commute", "projection-cascade",
+                         "union-commute", "dedup-filter-commute"):
+                for m in tree_rewrites(e, [rule]):
                     rewritten.append(rule)
-                    self.assert_ir_equivalent(e, ir_rewrite(rule, e, site))
+                    self.assert_ir_equivalent(e, m)
         assert rewritten.count("dedup-filter-commute") == 2
 
 
@@ -261,36 +253,40 @@ def _eager_dedup_insertion(q, e, ctx, schema):
         return None
     left = distinct_forms[0]
     right = _furthest(render(left), grouped_forms)
-    return QueryPair(left, right, "dedup-insertion", MUTANT_VS_MUTANT,
-                     lower(left), lower(right))
+    return left, right, lower(left), lower(right)
 
 
-def _eager_rendering_rule(rule, trees):
+def _eager_rendering_rule(trees):
     def build(q, e, ctx, schema):
         cands = [c for t in trees(q, e) for c in _valid_candidates(t, schema)
                  if render(c) != render(q)]
         if not cands:
             return None
         right = _furthest(render(q), cands)
-        return QueryPair(q, right, rule, SEED_VS_MUTANT, e, lower(right))
+        return q, right, e, lower(right)
     return build
 
 
+def _seed_tree(q, e):
+    """The seed's own tree; set operations are left to union-commute."""
+    return [e] if q.set_op is None else []
+
+
 # the catalog with every rule that picks among remap candidates verifying
-# all of them first; the rendering rules here have no gate, so comparing
-# with them checks the gates too
+# all of them first; the rendering rules here have no gate and take their
+# site check and trees from conftest's reference rewrites, so comparing
+# with them checks the gates, dedup-filter-commute's crossing check and
+# _cascades too
 _EAGER_RULE_FNS = dict(
     _RULE_FNS,
-    **{"dedup-insertion": _eager_dedup_insertion,
-       "dedup-filter-commute": _eager_rendering_rule(
-           "dedup-filter-commute",
-           lambda q, e: [t for t in transform._seed_tree(q, e)
-                         if ir_sites("dedup-filter-commute", t)]),
-       "projection-pull-up": _eager_rendering_rule(
-           "projection-pull-up", transform._seed_tree),
-       "projection-cascade": _eager_rendering_rule(
-           "projection-cascade",
-           lambda q, e: transform._rewrites("projection-cascade", e))})
+    **{"dedup-insertion": (MUTANT_VS_MUTANT, _eager_dedup_insertion),
+       "dedup-filter-commute": (SEED_VS_MUTANT, _eager_rendering_rule(
+           lambda q, e: [t for t in _seed_tree(q, e)
+                         if tree_rewrites(t, ["dedup-filter-commute"])])),
+       "projection-pull-up": (SEED_VS_MUTANT,
+                              _eager_rendering_rule(_seed_tree)),
+       "projection-cascade": (SEED_VS_MUTANT, _eager_rendering_rule(
+           lambda q, e: tree_rewrites(e, ["projection-cascade"])))})
 
 
 def _outcome(seed, schema, hints, key, rules):
@@ -329,10 +325,11 @@ def test_lazy_selection_matches_verifying_every_candidate(monkeypatch):
 def _untrusted_sides(carried):
     """(rule, side SQL, fault) for each pair side that comes without its
     tree, does not validate, or carries a tree other than its lowered
-    qualified form.  The proof trusts every side a rule builds, so this is
-    the check of that trust.  Each seed is paired by the catalog as a
-    campaign does, and by each rule alone, so the rules that never win
-    first-match are covered too; carried counts the sides per rule."""
+    qualified form, and for each pair whose two sides render to the same
+    text.  The proof trusts every side a rule builds, so this is the check
+    of that trust.  Each seed is paired by the catalog as a campaign does,
+    and by each rule alone, so the rules that never win first-match are
+    covered too; carried counts the sides per rule."""
     for s in range(25):
         rng = random.Random(f"pair-trees:{s}")
         schema = generate_schema(rng)
@@ -347,6 +344,8 @@ def _untrusted_sides(carried):
                     pair = transform_query(seed, schema, c)
                 except NoRuleApplies:
                     continue
+                if render(pair.left) == render(pair.right):
+                    yield pair.rule, render(pair.left), "same text"
                 for side, tree in ((pair.left, pair.left_tree),
                                    (pair.right, pair.right_tree)):
                     carried[pair.rule] += 1
@@ -387,14 +386,22 @@ def test_guard_catches_a_constant_of_the_wrong_type(monkeypatch):
 
 def test_guard_catches_a_tree_of_the_wrong_side(monkeypatch):
     # union-commute carries the seed's tree on its swapped side too
-    real = _RULE_FNS["union-commute"]
+    pairing, real = _RULE_FNS["union-commute"]
 
     def seed_tree_twice(q, e, ctx, schema):
-        pair = real(q, e, ctx, schema)
-        return pair and replace(pair, right_tree=pair.left_tree)
+        sides = real(q, e, ctx, schema)
+        return sides and (*sides[:3], sides[2])
 
-    monkeypatch.setitem(_RULE_FNS, "union-commute", seed_tree_twice)
+    monkeypatch.setitem(_RULE_FNS, "union-commute", (pairing, seed_tree_twice))
     assert next(_untrusted_sides(Counter()), None) is not None
+
+
+def test_guard_catches_sides_of_one_text(monkeypatch):
+    # union-commute pairs the seed with itself
+    pairing, _ = _RULE_FNS["union-commute"]
+    monkeypatch.setitem(_RULE_FNS, "union-commute",
+                        (pairing, lambda q, e, ctx, schema: (q, q, e, e)))
+    assert next(_untrusted_sides(Counter()))[2] == "same text"
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +430,9 @@ def _generated(tag, schemas, per_schema):
 def test_rendering_rules_skip_seeds_with_one_surface_form(monkeypatch):
     """A seed without DISTINCT or GROUP BY has one surface form, its own,
     so the rules that pair it with another rendering return before they
-    walk paths, build candidates or normalise a tree.  So does a DISTINCT
-    seed over two tables, since a grouped form reads one table, and a
-    DISTINCT aggregate without GROUP BY, since a Dedup over an Agg
+    collapse projections, build candidates or normalise a tree.  So does
+    a DISTINCT seed over two tables, since a grouped form reads one table,
+    and a DISTINCT aggregate without GROUP BY, since a Dedup over an Agg
     without keys renders only as DISTINCT; on those the gated rules
     return what the ungated ones do."""
     seeds, distinct = [], []
@@ -446,14 +453,14 @@ def test_rendering_rules_skip_seeds_with_one_surface_form(monkeypatch):
     two = [q for _, q, _ in distinct if len(q.from_tables) > 1]
     assert len(two) >= 20 and sum(q.where is not None for q in two) >= 10
     assert sum(q.has_aggregates() for _, q, _ in distinct) >= 20
-    eager = [[_EAGER_RULE_FNS[rule](q, e, ctx(), schema)
+    eager = [[_EAGER_RULE_FNS[rule][1](q, e, ctx(), schema)
               for rule in RENDERING_RULES] for schema, q, e in distinct]
     assert eager == [[None] * len(RENDERING_RULES)] * len(distinct)
-    for name in ("surface_candidates", "commute_normal", "_paths"):
+    for name in ("surface_candidates", "commute_normal", "_cascades"):
         monkeypatch.setattr(transform, name, _refuse)
     for schema, q, e in seeds + distinct:
         for rule in RENDERING_RULES:
-            assert _RULE_FNS[rule](q, e, ctx(), schema) is None
+            assert _RULE_FNS[rule][1](q, e, ctx(), schema) is None
 
 
 def test_catalog_refuses_only_seeds_no_rule_pairs(monkeypatch):
@@ -466,7 +473,7 @@ def test_catalog_refuses_only_seeds_no_rule_pairs(monkeypatch):
     # not vacuous: plain, filtered and aggregate seeds are refused
     assert len(refused) >= 0.3 * len(seeds)
     for schema, q, e in refused:
-        for name, rule in _RULE_FNS.items():
+        for name, (_, rule) in _RULE_FNS.items():
             assert rule(q, e, ctx(), schema) is None, (name, render(q))
     for name in ("lower", "surface_candidates", "commute_normal"):
         monkeypatch.setattr(transform, name, _refuse)
@@ -486,7 +493,7 @@ def test_dedup_insertion_skips_seeds_over_two_tables(monkeypatch):
         for _ in range(50):
             q = qualify(generate_seed(rng, schema), schema)
             seeds.append((schema, q, lower(q)))
-    rule = _RULE_FNS["dedup-insertion"]
+    rule = _RULE_FNS["dedup-insertion"][1]
     outcomes = [rule(q, e, ctx(), schema) for schema, q, e in seeds]
     assert outcomes == [_eager_dedup_insertion(q, e, ctx(), schema)
                         for schema, q, e in seeds]
@@ -522,9 +529,9 @@ def test_projection_cascade_fires_on_project_chains_through_its_gate():
     ]
     for sql, e, want in cases:
         q = qualify(parse(sql), SCHEMA)
-        pair = _RULE_FNS["projection-cascade"](q, e, ctx(), SCHEMA)
-        assert pair is not None and render(pair.right) == want
-        assert pair == _EAGER_RULE_FNS["projection-cascade"](
+        sides = _RULE_FNS["projection-cascade"][1](q, e, ctx(), SCHEMA)
+        assert sides is not None and render(sides[1]) == want
+        assert sides == _EAGER_RULE_FNS["projection-cascade"][1](
             q, e, ctx(), SCHEMA)
 
 
