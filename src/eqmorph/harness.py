@@ -18,7 +18,7 @@ import json
 import os
 import random
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -376,7 +376,13 @@ def run_iteration(endpoint, cfg: GeneratorConfig, campaign_seed: str,
     """One campaign iteration against an engine endpoint.
 
     The endpoint contract: reset(script) loads a fresh database;
-    exec_sql(sql) returns rendered rows or raises EngineError with a code.
+    exec_each(sqls) yields, in order, one outcome per statement that sqls
+    yields: ("rows", rendered rows) or ("error", EngineError).  No seed,
+    pair or proof depends on an engine's reply, so each seed's turn
+    (generate, transform, prove or probe) yields its one or two
+    statements as soon as they are built, and the endpoint may take the
+    next turn's before this one's outcomes are back.  A turn is judged as
+    soon as all of its outcomes are.
     """
     t0 = time.monotonic()
     rng = random.Random(f"{campaign_seed}:{iteration}")
@@ -391,35 +397,51 @@ def run_iteration(endpoint, cfg: GeneratorConfig, campaign_seed: str,
                                           else frozenset(enabled_rules)))
     stats = IterationStats(iteration=iteration)
     reports = []
+    # one entry per turn whose outcomes are not all back: None for a seed
+    # sent alone, for its validity only, or the pair it sent
+    turns = deque()
 
-    for i in range(cfg.queries_per_iteration):
-        seed_q = generate_seed(rng, schema)
-        stats.generated += 1
-        try:
-            pair = transform_query(seed_q, schema, ctx)
-        except NoRuleApplies:
-            stats.validAfterExecution += _runs_alone(endpoint, seed_q)
+    def statements():
+        for i in range(cfg.queries_per_iteration):
+            seed_q = generate_seed(rng, schema)
+            stats.generated += 1
+            try:
+                pair = transform_query(seed_q, schema, ctx)
+            except NoRuleApplies:
+                turns.append(None)
+                yield render(seed_q)
+                continue
+
+            # a pair probes no database when the filter is off or its two
+            # trees prove it; the others share one probe corpus per
+            # iteration
+            if cfg.filter_budget <= 0 or equivalent_mod_commute(
+                    pair.left_tree, pair.right_tree):
+                verdict = NoCounterexample(0)
+            else:
+                verdict = check_bounded(pair.left, pair.right, schema,
+                                        budget=cfg.filter_budget,
+                                        seed=f"{campaign_seed}:{iteration}")
+            if isinstance(verdict, NotEquivalent):
+                stats.pairsFiltered += 1
+                turns.append(None)
+                yield render(seed_q)
+                continue
+            stats.pairsEmitted += 1
+
+            # the two sides of a pair never render to the same text
+            left_sql, right_sql = render(pair.left), render(pair.right)
+            turns.append((i, pair, verdict, left_sql, right_sql))
+            yield left_sql
+            yield right_sql
+
+    outcomes = endpoint.exec_each(statements())
+    for left in outcomes:
+        turn = turns.popleft()
+        if turn is None:
+            stats.validAfterExecution += left[0] == "rows"
             continue
-
-        # a pair probes no database when the filter is off or its two
-        # trees prove it; the others share one probe corpus per iteration
-        if cfg.filter_budget <= 0 or equivalent_mod_commute(
-                pair.left_tree, pair.right_tree):
-            verdict = NoCounterexample(0)
-        else:
-            verdict = check_bounded(pair.left, pair.right, schema,
-                                    budget=cfg.filter_budget,
-                                    seed=f"{campaign_seed}:{iteration}")
-        if isinstance(verdict, NotEquivalent):
-            stats.pairsFiltered += 1
-            stats.validAfterExecution += _runs_alone(endpoint, seed_q)
-            continue
-        stats.pairsEmitted += 1
-
-        # the two sides of a pair never render to the same text
-        left_sql, right_sql = render(pair.left), render(pair.right)
-        left = _target_outcome(endpoint, left_sql)
-        right = _target_outcome(endpoint, right_sql)
+        right = next(outcomes)
         if left[0] == right[0] == "rows":
             stats.validAfterExecution += 1
 
@@ -427,6 +449,7 @@ def run_iteration(endpoint, cfg: GeneratorConfig, campaign_seed: str,
         if mismatch is None:
             continue
         kind, mode_used, l_payload, r_payload = mismatch
+        i, pair, verdict, left_sql, right_sql = turn
         stats.mismatches += 1
         rid = f"{campaign_seed}-{iteration}-{i}"
         reports.append(BugReport(
@@ -443,12 +466,6 @@ def run_iteration(endpoint, cfg: GeneratorConfig, campaign_seed: str,
 
     stats.elapsed = time.monotonic() - t0
     return IterationResult(stats, reports)
-
-
-def _runs_alone(endpoint, seed_q) -> bool:
-    """Whether a seed with no pair to compare runs on the target without
-    error; it is sent once, for its validity alone."""
-    return _target_outcome(endpoint, render(seed_q))[0] == "rows"
 
 
 def _target_outcome(endpoint, sql):

@@ -256,9 +256,7 @@ def _selection_commute(q, e, ctx, schema):
             swapped = list(conj)
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
             right = replace(q, **{attr: join_conjuncts(swapped)})
-            if _texts_differ(q, right):
-                return (q, right, e,
-                        _refiltered(e, attr, getattr(right, attr)))
+            return q, right, e, _refiltered(e, attr, getattr(right, attr))
     return None
 
 

@@ -60,6 +60,24 @@ class TestBuiltin:
             ep.exec_sql("SELECT zz FROM t0")
         assert exc.value.code == "UNKNOWN_COLUMN"
 
+    def test_exec_each_runs_each_statement_before_taking_the_next(self):
+        ep = BuiltinEndpoint()
+        ep.reset(SCRIPT)
+        taken = []
+
+        def sqls():
+            for sql in ("SELECT a FROM t0", "SELECT zz FROM t0"):
+                taken.append(sql)
+                yield sql
+
+        outcomes = ep.exec_each(sqls())
+        kind, rows = next(outcomes)
+        assert (kind, sorted(rows)) == ("rows", [("1",), ("1",), ("NULL",)])
+        assert taken == ["SELECT a FROM t0"]
+        kind, err = next(outcomes)
+        assert (kind, err.code) == ("error", "UNKNOWN_COLUMN")
+        assert next(outcomes, None) is None
+
     def test_target_ids(self):
         assert BuiltinEndpoint().target_id == "builtin"
         assert BuiltinEndpoint("drop-distinct").target_id == \
@@ -219,6 +237,24 @@ class TestExternal:
             assert sorted(extern.exec_sql(sql)) == \
                 sorted(builtin.exec_sql(sql))
 
+    def test_exec_each_matches_builtin(self, extern):
+        sqls = ["SELECT a FROM t0", "SELECT zz FROM t0", "SELECT @",
+                "SELECT a, COUNT(*) FROM t0 GROUP BY a", "SELECT c FROM t0"]
+
+        def seen(outcomes):
+            return [(kind, sorted(v)) if kind == "rows"
+                    else (kind, v.code, v.message) for kind, v in outcomes]
+
+        builtin = BuiltinEndpoint()
+        builtin.reset(SCRIPT)
+        extern.reset(SCRIPT)
+        want = seen(builtin.exec_each(sqls))
+        assert [w[0] for w in want] == \
+            ["rows", "error", "error", "rows", "rows"]
+        assert seen(extern.exec_each(sqls)) == want
+        # the stream stays in step for a plain request afterwards
+        assert extern.exec_sql("SELECT COUNT(*) FROM t0") == [("3",)]
+
     def test_special_values_survive_the_wire(self, extern):
         extern.reset(SCRIPT)
         rows = extern.exec_sql("SELECT c FROM t0 WHERE c = 'it''s'")
@@ -294,6 +330,38 @@ class TestExternal:
         assert [r["ok"] for r in got] == [True, True]
         assert sorted(got[1]["rows"]) == [["1"], ["1"], ["NULL"]]
 
+    def test_debug_mirrors_pipelined_traffic(self, monkeypatch, capfd):
+        monkeypatch.setenv("EQMORPH_SHIM_DEBUG", "1")
+        sqls = ["SELECT a FROM t0", "SELECT zz FROM t0",
+                "SELECT c FROM t0"] * 20
+        ep = ExternalEndpoint(SHIM)
+        try:
+            ep.reset(SCRIPT)
+            outcomes = list(ep.exec_each(sqls))
+        finally:
+            ep.stop()
+        lines = capfd.readouterr().err.splitlines()
+        traffic = [(line[8:10], json.loads(line[11:])) for line in lines]
+        assert [line[:8] for line in lines] == ["eqmorph "] * len(lines)
+        sent = [msg for way, msg in traffic if way == ">>"]
+        got = [msg for way, msg in traffic if way == "<<"]
+        assert len(sent) + len(got) == len(lines)
+        assert [(r["id"], r["op"], r["sql"]) for r in sent] == \
+            [(1, "reset", SCRIPT)] + \
+            [(n, "exec", sql) for n, sql in enumerate(sqls, 2)]
+        ids = list(range(1, len(sqls) + 2))
+        assert [r["id"] for r in got] == ids
+        # each reply is mirrored after its request, and as exec_each
+        # yielded it
+        order = [(way, msg["id"]) for way, msg in traffic]
+        assert all(order.index((">>", n)) < order.index(("<<", n))
+                   for n in ids)
+        assert [r["ok"] for r in got[1:]] == \
+            [kind == "rows" for kind, _ in outcomes]
+        assert [r.get("rows") for r in got[1:] if r["ok"]] == \
+            [[list(row) for row in rows] for kind, rows in outcomes
+             if kind == "rows"]
+
 
 # A scripted engine: it answers request n with the row (n,), except where
 # its mode says otherwise.
@@ -304,13 +372,32 @@ out = sys.stdout.buffer
 BAD_ROWS = {"row-not-array": [5], "row-is-string": ["ab"],
             "cell-not-string": [[None, 1]]}
 
-def reply(rid):
-    return json.dumps({"id": rid, "ok": True, "rows": [[str(rid)]]}
+BIG = "x" * 70000  # a reply row larger than a 64 KiB pipe buffer
+
+def reply(rid, *rows):
+    return json.dumps({"id": rid, "ok": True, "rows": [[str(rid)], *rows]}
                       ).encode() + b"\n"
 
+held = []
 for n, line in enumerate(sys.stdin.buffer, 1):
-    rid = json.loads(line)["id"]
-    if mode == "silent":
+    req = json.loads(line)
+    rid = req["id"]
+    if mode == "silent" or (mode == "silent-after-2" and n > 2):
+        continue
+    if mode == "exit-after-2" and n > 2:
+        break
+    if mode == "gather":
+        # read every request, up to the one whose sql is "last", first
+        held.append(rid)
+        if req["sql"] == "last":
+            for r in held:
+                out.write(reply(r, [BIG]))
+            held.clear()
+            out.flush()
+        continue
+    if mode == "big":
+        out.write(reply(rid, [BIG]))
+        out.flush()
         continue
     if n == 1 and mode == "late":
         time.sleep(0.5)
@@ -405,6 +492,59 @@ class TestExternalReader:
             ep.exec_sql("q")
         # the stream is still in step
         assert ep.exec_sql("q") == [("2",)]
+
+    @pytest.mark.parametrize("mode", ["gather", "big"])
+    def test_exec_each_streams_past_full_pipes(self, fake_engine, mode):
+        # gather answers nothing before it has read every request; big
+        # answers each at once, and its replies fill the pipe back
+        ep = fake_engine(mode)
+        sqls = ["q" * 2048] * 39 + ["last"]
+        assert sum(map(len, sqls)) > 65536
+        got = list(ep.exec_each(sqls))
+        assert [(kind, rows[0]) for kind, rows in got] == \
+            [("rows", (str(n),)) for n in range(1, 41)]
+        assert {len(rows[1][0]) for _, rows in got} == {70000}
+
+    def test_exec_each_times_out_on_an_engine_gone_silent(self,
+                                                          fake_engine):
+        ep = fake_engine("silent-after-2", exec_timeout=0.3)
+        got = []
+        t0 = time.monotonic()
+        with pytest.raises(EngineTimeout, match="no response within 0.3s"):
+            for outcome in ep.exec_each(["q"] * 5):
+                got.append(outcome)
+        assert 0.3 <= time.monotonic() - t0 < 2.0
+        assert got == [("rows", [("1",)]), ("rows", [("2",)])]
+
+    def test_exec_each_engine_exit_then_stop_closes_every_pipe(
+            self, tmp_path):
+        script = tmp_path / "fake_engine.py"
+        script.write_text(FAKE_ENGINE)
+        command = f"{sys.executable} {script} exit-after-2"
+        # unclosed pipes warn when collected; -W error makes that fatal
+        code = (
+            "import gc\n"
+            "from eqmorph.adapter import ExternalEndpoint, ProtocolError\n"
+            f"ep = ExternalEndpoint({command!r}).start()\n"
+            "got = []\n"
+            "try:\n"
+            "    for outcome in ep.exec_each(['q'] * 5):\n"
+            "        got.append(outcome)\n"
+            "except ProtocolError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise SystemExit('no ProtocolError')\n"
+            "want = [('rows', [('1',)]), ('rows', [('2',)])]\n"
+            "assert got == want[:len(got)], got\n"
+            "ep.stop()\n"
+            "ep.stop()\n"
+            "del ep\n"
+            "gc.collect()\n")
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+             "-c", code], capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "ResourceWarning" not in done.stderr
 
     def test_start_creates_no_thread(self):
         before = threading.active_count()
